@@ -1,7 +1,7 @@
 """Online monocular 3D vehicle tracking toolkit.
 
 Modules:
-  geometry    pinhole projection, oriented boxes, 2D/3D IoU
+  geometry    pinhole projection, oriented boxes, 2D/3D IoU, painter's occlusion
   data        shared record types and tracker configuration
   io          JSON/JSONL readers and writers for sequences and tracks
   motion      Kalman filters, blend update, per-tracklet prediction

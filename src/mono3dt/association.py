@@ -20,8 +20,7 @@ unmatched: the state pins in place and the age runs out).
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -29,25 +28,20 @@ from scipy.optimize import linear_sum_assignment
 from . import motion as motion_mod
 from .data import ObjectState, TrackerConfig, TrackRecord, TrackStatus
 from .geometry import (
+    DEPTH_ORDER_TIE_RATE,
     Box2D,
     BoxBehindCamera,
-    PointBehindCamera,
     alpha_to_theta,
     backproject,
     camera_heading,
+    cover_fractions,
+    depth_ordered_overlaps,
     iou_2d,
     project_box,
-    project_point,
+    project_object,
 )
 
 MASKED_VALUE = -1e9
-
-# Depth ordering inside the tracker widens the tie layer proportionally to
-# depth, matching the sigma = 0.05 * depth monocular noise law the motion
-# model assumes: estimated depths of the same object can differ by more
-# than a fixed tie at range, and treating them as distinct layers would
-# let a tracklet occlude its own detection.
-DEPTH_ORDER_TIE_RATE = 0.05
 
 
 class LengthMismatch(ValueError):
@@ -63,25 +57,24 @@ def affinity_deep(feature_track, feature_det) -> float:
     return float(np.exp(-np.sum(np.abs(a - b))))
 
 
-def deep_feature(state: ObjectState, intrinsics, config: TrackerConfig) -> np.ndarray:
+def deep_feature(
+    state: ObjectState, center_px, depth: float, intrinsics, config: TrackerConfig
+) -> np.ndarray:
     """Concatenated appearance + geometry feature with unit-balancing scales.
 
-    Without scaling, raw depth differences swamp every other component of
-    the L1 distance; each block is brought to roughly unit range instead.
+    center_px and depth place the object in the current camera. Without
+    scaling, raw depth differences swamp every other component of the L1
+    distance; each block is brought to roughly unit range instead.
     """
     return np.concatenate(
         [
             state.appearance,
             state.dimensions / 10.0,
-            state.center_px / intrinsics.image_diagonal,
+            center_px / intrinsics.image_diagonal,
             [state.yaw / math.pi],
-            [state.depth / config.range_max],
+            [depth / config.range_max],
         ]
     )
-
-
-def affinity_2d(track_box: Box2D, det_box: Box2D) -> float:
-    return iou_2d(track_box, det_box)
 
 
 def depth_filter(track_depth, track_dims, det_depth, det_dims) -> bool:
@@ -98,129 +91,6 @@ def depth_filter(track_depth, track_dims, det_depth, det_dims) -> bool:
 def compose_affinity(a_deep: float, a_2d: float, a_3d: float, config: TrackerConfig) -> float:
     total = config.w_deep + config.w_2d + config.w_3d
     return (config.w_deep * a_deep + config.w_2d * a_2d + config.w_3d * a_3d) / total
-
-
-# --- rectangle coverage helpers --------------------------------------------
-
-
-def _clip_rect(rect, base):
-    x0 = max(rect[0], base[0])
-    y0 = max(rect[1], base[1])
-    x1 = min(rect[2], base[2])
-    y1 = min(rect[3], base[3])
-    if x0 >= x1 or y0 >= y1:
-        return None
-    return (x0, y0, x1, y1)
-
-
-def _union_area_within(base, rects) -> float:
-    """Area of (union of rects) clipped to the base rectangle.
-
-    Exact via coordinate compression: cell centers of the grid induced by
-    all rectangle edges are tested against each rectangle.
-    """
-    clipped = []
-    for rect in rects:
-        c = _clip_rect(rect, base)
-        if c is not None:
-            clipped.append(c)
-    if not clipped:
-        return 0.0
-    xs = sorted({base[0], base[2], *(r[0] for r in clipped), *(r[2] for r in clipped)})
-    ys = sorted({base[1], base[3], *(r[1] for r in clipped), *(r[3] for r in clipped)})
-    total = 0.0
-    for i in range(len(xs) - 1):
-        cx = 0.5 * (xs[i] + xs[i + 1])
-        w = xs[i + 1] - xs[i]
-        for j in range(len(ys) - 1):
-            cy = 0.5 * (ys[j] + ys[j + 1])
-            for r in clipped:
-                if r[0] <= cx <= r[2] and r[1] <= cy <= r[3]:
-                    total += w * (ys[j + 1] - ys[j])
-                    break
-    return total
-
-
-def _strictly_nearer(depth_far, depth_near, tie_meters, tie_rate) -> bool:
-    tie = max(tie_meters, tie_rate * 0.5 * (depth_far + depth_near))
-    return depth_far - depth_near > tie
-
-
-def cover_fractions(boxes, depths, tie_meters: float = 1.0, tie_rate: float = 0.0) -> np.ndarray:
-    """Fraction of each box covered by the union of strictly nearer boxes.
-
-    Boxes whose depth gap is within the tie share a layer and do not
-    occlude each other; the tie is max(tie_meters, tie_rate * mean depth).
-    Zero-area boxes report cover 0.
-    """
-    n = len(boxes)
-    out = np.zeros(n)
-    for i in range(n):
-        area = boxes[i].area
-        if area <= 0.0:
-            continue
-        occluders = [
-            boxes[j].as_tuple()
-            for j in range(n)
-            if j != i and _strictly_nearer(depths[i], depths[j], tie_meters, tie_rate)
-        ]
-        if not occluders:
-            continue
-        covered = _union_area_within(boxes[i].as_tuple(), occluders)
-        out[i] = covered / area
-    return out
-
-
-def depth_ordered_overlaps(
-    track_boxes,
-    track_depths,
-    det_box: Box2D,
-    det_depth: float,
-    tie_meters: float = 1.0,
-    tie_rate: float = 0.0,
-) -> np.ndarray:
-    """Detection-vs-tracklet overlap under depth ordering around the DOI.
-
-    Tracklets closer to the detection's depth layer claim the image area
-    they cover from tracklets farther away from it, provided the claimant
-    is also physically in front of the tracklet it masks (something behind
-    you cannot hide you). The tracklet nearest the detection's own layer
-    therefore keeps its full overlap, while tracklets a layer away meet
-    the detection only through their unclaimed region, taken over the
-    union of that region with the detection box and capped at the plain
-    two-box IoU. With no competing layers this equals iou_2d exactly, and
-    a tracklet fully claimed by a nearer layer scores 0. The layer tie
-    works as in cover_fractions.
-    """
-    n = len(track_boxes)
-    out = np.zeros(n)
-    det_rect = det_box.as_tuple()
-    det_area = det_box.area
-    doi_gap = [abs(track_depths[i] - det_depth) for i in range(n)]
-    for i in range(n):
-        box = track_boxes[i]
-        occluders = [
-            track_boxes[j].as_tuple()
-            for j in range(n)
-            if j != i
-            and _strictly_nearer(track_depths[i], track_depths[j], tie_meters, tie_rate)
-            and doi_gap[j] < doi_gap[i]
-        ]
-        if not occluders:
-            out[i] = iou_2d(box, det_box)
-            continue
-        inter_rect = _clip_rect(box.as_tuple(), det_rect)
-        if inter_rect is None:
-            continue
-        inter = (inter_rect[2] - inter_rect[0]) * (inter_rect[3] - inter_rect[1])
-        numerator = inter - _union_area_within(inter_rect, occluders)
-        if numerator <= 0.0:
-            continue
-        visible_area = box.area - _union_area_within(box.as_tuple(), occluders)
-        denominator = visible_area + det_area - numerator
-        if denominator > 0.0:
-            out[i] = min(numerator / denominator, iou_2d(box, det_box))
-    return out
 
 
 # --- assignment -------------------------------------------------------------
@@ -273,9 +143,8 @@ def solve_assignment(matrix: AffinityMatrix, accept_threshold: float):
 class Tracklet:
     id: int
     state: ObjectState
-    status: TrackStatus = TrackStatus.BIRTH
+    status: TrackStatus = TrackStatus.TRACKED
     age_since_match: int = 0
-    velocity_history: deque = field(default_factory=lambda: deque(maxlen=5))
     motion_state: object = None
     predicted: object = None  # PredictedView, refreshed every frame
 
@@ -291,16 +160,14 @@ def decode_detection(det, pose, intrinsics) -> ObjectState:
         dimensions=det.dimensions.copy(),
         appearance=det.appearance.copy(),
         velocity=np.zeros(3),
-        center_px=det.center_proj.copy(),
-        depth=det.depth,
     )
 
 
-def build_affinity_matrix(tracklets, det_states, det_boxes, det_proj_boxes, intrinsics, config):
+def build_affinity_matrix(tracklets, det_states, detections, det_proj_boxes, intrinsics, config):
     """Affinity values, keep mask, and appearance components for one frame.
 
-    tracklets carry fresh PredictedView objects; det_states are decoded
-    detections, det_boxes the raw detector boxes, det_proj_boxes the
+    tracklets carry fresh PredictedView objects; det_states are the decoded
+    world states of the DetectionRecords in detections, det_proj_boxes the
     projections of the decoded 3D boxes.
     """
     n = len(tracklets)
@@ -313,12 +180,10 @@ def build_affinity_matrix(tracklets, det_states, det_boxes, det_proj_boxes, intr
 
     track_boxes = [t.predicted.box2d for t in tracklets]
     track_depths = [t.predicted.depth for t in tracklets]
-    track_features = []
-    for t in tracklets:
-        feat_state = t.state.copy()
-        feat_state.center_px = t.predicted.center_px
-        feat_state.depth = t.predicted.depth
-        track_features.append(deep_feature(feat_state, intrinsics, config))
+    track_features = [
+        deep_feature(t.state, t.predicted.center_px, t.predicted.depth, intrinsics, config)
+        for t in tracklets
+    ]
 
     if config.use_depth_ordering:
         a3d_cols = [
@@ -326,7 +191,7 @@ def build_affinity_matrix(tracklets, det_states, det_boxes, det_proj_boxes, intr
                 track_boxes,
                 track_depths,
                 det_proj_boxes[j],
-                det_states[j].depth,
+                detections[j].depth,
                 config.ord_tie_meters,
                 DEPTH_ORDER_TIE_RATE,
             )
@@ -339,18 +204,19 @@ def build_affinity_matrix(tracklets, det_states, det_boxes, det_proj_boxes, intr
         ]
 
     for j in range(m):
-        det_feature = deep_feature(det_states[j], intrinsics, config)
+        det = detections[j]
+        det_feature = deep_feature(det_states[j], det.center_proj, det.depth, intrinsics, config)
         for i in range(n):
             t = tracklets[i]
             if not t.predicted.in_view:
                 continue
             if config.use_depth_ordering and not depth_filter(
-                track_depths[i], t.state.dimensions, det_states[j].depth, det_states[j].dimensions
+                track_depths[i], t.state.dimensions, det.depth, det_states[j].dimensions
             ):
                 continue
             kept[i, j] = True
             deep[i, j] = affinity_deep(track_features[i], det_feature)
-            a2d = affinity_2d(track_boxes[i], det_boxes[j])
+            a2d = iou_2d(track_boxes[i], det.box2d)
             values[i, j] = compose_affinity(deep[i, j], a2d, a3d_cols[j][i], config)
     return AffinityMatrix(values, kept, deep)
 
@@ -375,27 +241,18 @@ class Tracker:
     # -- helpers -------------------------------------------------------------
 
     def _reproject_state(self, state: ObjectState, pose) -> Box2D:
-        try:
-            center_px, depth = project_point(state.position, pose, self.intrinsics)
-            state.center_px = center_px
-            state.depth = depth
-            return project_box(state.box3d(), pose, self.intrinsics)
-        except (PointBehindCamera, BoxBehindCamera):
-            state.depth = float(pose.world_to_camera(state.position)[2])
-            return Box2D(0.0, 0.0, 0.0, 0.0)
+        """Image box of an emitted state in the current camera."""
+        return project_object(state.box3d(), pose, self.intrinsics)[2]
 
     def _spawn(self, det, pose) -> Tracklet:
         state = decode_detection(det, pose, self.intrinsics)
         tracklet = Tracklet(
             id=self.next_id,
             state=state,
-            status=TrackStatus.TRACKED,
-            age_since_match=0,
             motion_state=motion_mod.init_motion_state(
-                self.config.motion_backend, state.position, state.depth, det.box2d
+                self.config.motion_backend, state.position, det.depth, det.box2d
             ),
         )
-        tracklet.velocity_history.append(np.zeros(3))
         self.next_id += 1
         return tracklet
 
@@ -417,7 +274,6 @@ class Tracker:
             )
 
         det_states = [decode_detection(d, pose, self.intrinsics) for d in detections]
-        det_boxes = [d.box2d for d in detections]
         det_proj_boxes = []
         for d, s in zip(detections, det_states):
             try:
@@ -426,7 +282,7 @@ class Tracker:
                 det_proj_boxes.append(d.box2d)
 
         matrix = build_affinity_matrix(
-            alive, det_states, det_boxes, det_proj_boxes, self.intrinsics, config
+            alive, det_states, detections, det_proj_boxes, self.intrinsics, config
         )
         pairs, unmatched_tracks, unmatched_dets = solve_assignment(
             matrix, config.affinity_accept_threshold
@@ -448,7 +304,7 @@ class Tracker:
                 backend,
                 t.predicted,
                 obs_state.position,
-                obs_state.depth,
+                det.depth,
                 det.box2d,
                 prev_position,
                 self.lstm_weights,
@@ -456,14 +312,12 @@ class Tracker:
             blended = motion_mod.blend_update(t.state, obs_state, matrix.a_deep[row, col])
             if filtered_pos is not None:
                 blended.position = filtered_pos
-            velocity = blended.position - prev_position
-            blended.velocity = velocity
+            blended.velocity = blended.position - prev_position
             t.state = blended
             if new_motion is not None:
                 t.motion_state = new_motion
             t.status = TrackStatus.TRACKED
             t.age_since_match = 0
-            t.velocity_history.append(velocity.copy())
 
         for row in unmatched_tracks:
             t = alive[row]
@@ -473,8 +327,8 @@ class Tracker:
                 and covers[row] >= config.occlusion_cover_threshold
             )
             if occluded:
-                # commit the coasting prediction; features, velocity ring,
-                # and age stay frozen until reappearance
+                # commit the coasting prediction; features and age stay
+                # frozen until reappearance
                 prev_position = t.state.position.copy()
                 t.state.position = t.predicted.position.copy()
                 t.state.velocity = t.state.position - prev_position

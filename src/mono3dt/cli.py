@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .association import run_sequence
 from .data import ConfigError, TrackerConfig
+from .geometry import GeometryError
 from .io import (
     FORMAT_VERSION,
     DimensionMismatch,
@@ -66,7 +67,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed, inputs: dic
         "outputs": {k: str(v) for k, v in outputs.items()},
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
     }
-    (out_dir / "manifest.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    (out_dir / "manifest.json").write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n", encoding="utf-8")
 
 
 # --- simulate ---------------------------------------------------------------
@@ -244,7 +245,7 @@ def cmd_evaluate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        out.write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n", encoding="utf-8")
         _write_manifest(
             out.parent,
             "evaluate",
@@ -313,10 +314,8 @@ def cmd_demo(args) -> int:
     write_tracks(records, tracks_path)
     report = evaluate_tracks(load_tracks(paths["gt_tracks"]), records, "3d")
     print(format_report(report, f"demo crossing_occlusion seed={args.seed}"))
-    (out / "report.json").write_text(
-        json.dumps({"format_version": FORMAT_VERSION, "reports": {"all": report.as_dict()}}, indent=1),
-        encoding="utf-8",
-    )
+    doc = {"format_version": FORMAT_VERSION, "reports": {"all": report.as_dict()}}
+    (out / "report.json").write_text(json.dumps(doc, indent=1, allow_nan=False), encoding="utf-8")
     return 0
 
 
@@ -384,13 +383,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ConfigError, UnsupportedFormatVersion) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, UnsupportedFormatVersion) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, FrameGapError, DimensionMismatch, OSError) as exc:
+    except (ParseError, FrameGapError, DimensionMismatch, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -23,7 +24,6 @@ class OutOfRangeValue(ConfigError):
 
 
 class TrackStatus(enum.Enum):
-    BIRTH = "birth"
     TRACKED = "tracked"
     OCCLUDED = "occluded"
     LOST = "lost"
@@ -47,30 +47,36 @@ class DetectionRecord:
         self.center_proj = np.asarray(self.center_proj, dtype=float).reshape(2)
         self.dimensions = np.asarray(self.dimensions, dtype=float).reshape(3)
         self.appearance = np.asarray(self.appearance, dtype=float).reshape(-1)
+        dims = self.dimensions.tolist()
+        # one sum per record: a NaN, an infinity or an overflowing magnitude
+        # anywhere leaves it non-finite
+        total = sum(self.box2d.as_tuple()) + sum(self.center_proj.tolist()) + sum(dims)
+        total += sum(self.appearance.tolist()) + self.depth + self.yaw_local + self.score
+        if not math.isfinite(total):
+            raise ValueError("detection fields must be finite")
         if self.depth <= 0:
             raise ValueError("detection depth must be positive")
+        if min(dims) <= 0:
+            raise ValueError("detection dimensions must be positive")
         if not (0.0 <= self.score <= 1.0):
             raise ValueError("detection score must be in [0, 1]")
 
 
 @dataclass
 class ObjectState:
-    """World-frame object state plus its current-camera projection."""
+    """World-frame object state; its camera projection is recomputed per frame."""
 
     position: np.ndarray  # (3,) meters, world
     yaw: float  # radians, world, about +z
     dimensions: np.ndarray  # (3,) meters
     appearance: np.ndarray
     velocity: np.ndarray  # (3,) meters/frame, world
-    center_px: np.ndarray  # (2,) pixels
-    depth: float  # meters, camera-frame
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float).reshape(3)
         self.dimensions = np.asarray(self.dimensions, dtype=float).reshape(3)
         self.appearance = np.asarray(self.appearance, dtype=float).reshape(-1)
         self.velocity = np.asarray(self.velocity, dtype=float).reshape(3)
-        self.center_px = np.asarray(self.center_px, dtype=float).reshape(2)
 
     def box3d(self) -> Box3D:
         return Box3D(self.position, self.dimensions, self.yaw)
@@ -82,8 +88,6 @@ class ObjectState:
             self.dimensions.copy(),
             self.appearance.copy(),
             self.velocity.copy(),
-            self.center_px.copy(),
-            self.depth,
         )
 
 

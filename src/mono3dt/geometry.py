@@ -1,4 +1,5 @@
-"""Camera geometry: pinhole projection, oriented 3D boxes, and box overlaps.
+"""Camera geometry: pinhole projection, oriented 3D boxes, box overlaps,
+and the painter's occlusion model shared by the simulator and the tracker.
 
 Conventions (fixed for the whole package):
   * World frame is right-handed with +z up; yaw rotates +x toward +y.
@@ -57,8 +58,8 @@ class CameraIntrinsics:
     image_height: float
 
     def __post_init__(self):
-        if self.focal_x <= 0 or self.focal_y <= 0:
-            raise GeometryError("focal lengths must be positive")
+        if not (0 < self.focal_x < math.inf and 0 < self.focal_y < math.inf):
+            raise GeometryError("focal lengths must be positive and finite")
         if not (0.0 <= self.principal_x <= self.image_width):
             raise GeometryError("principal_x outside image")
         if not (0.0 <= self.principal_y <= self.image_height):
@@ -83,6 +84,8 @@ class CameraPose:
         object.__setattr__(self, "translation", t)
         if not np.allclose(r @ r.T, np.eye(3), atol=1e-9):
             raise GeometryError("rotation is not orthonormal")
+        if not np.isfinite(t).all():
+            raise GeometryError("translation must be finite")
         if np.linalg.det(r) < 0:
             raise GeometryError("rotation has negative determinant")
 
@@ -270,6 +273,21 @@ def project_box(box: Box3D, pose: CameraPose, intrinsics: CameraIntrinsics) -> B
     return Box2D(x0, y0, x1, y1)
 
 
+def project_object(box: Box3D, pose: CameraPose, intrinsics: CameraIntrinsics):
+    """Project an object's center and box: ((u, v) pixels, camera-frame depth, Box2D).
+
+    An object whose center is behind the camera yields zero pixels, its
+    camera-frame z (at or below MIN_CAMERA_Z), and the zero box; a box
+    only partly behind is truncated as in project_box.
+    """
+    try:
+        center_px, depth = project_point(box.center, pose, intrinsics)
+        return center_px, depth, project_box(box, pose, intrinsics)
+    except (PointBehindCamera, BoxBehindCamera):
+        depth = float(pose.world_to_camera(box.center)[2])
+        return np.zeros(2), depth, Box2D(0.0, 0.0, 0.0, 0.0)
+
+
 def iou_2d(a: Box2D, b: Box2D) -> float:
     """Intersection-over-union of two axis-aligned boxes, in [0, 1]."""
     ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
@@ -348,3 +366,133 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
         return 0.0
     union = a.volume + b.volume - inter
     return inter / union
+
+
+# --- painter's occlusion: nearer image boxes cover farther ones ------------
+
+# The tracker and the simulator widen the tie layer proportionally to
+# depth, matching the sigma = 0.05 * depth monocular noise law the motion
+# model assumes: estimated depths of the same object can differ by more
+# than a fixed tie at range, and treating them as distinct layers would
+# let a tracklet occlude its own detection.
+DEPTH_ORDER_TIE_RATE = 0.05
+
+
+def _clip_rect(rect, base):
+    x0 = max(rect[0], base[0])
+    y0 = max(rect[1], base[1])
+    x1 = min(rect[2], base[2])
+    y1 = min(rect[3], base[3])
+    if x0 >= x1 or y0 >= y1:
+        return None
+    return (x0, y0, x1, y1)
+
+
+def _union_area_within(base, rects) -> float:
+    """Area of (union of rects) clipped to the base rectangle.
+
+    Exact via coordinate compression: cell centers of the grid induced by
+    all rectangle edges are tested against each rectangle.
+    """
+    clipped = []
+    for rect in rects:
+        c = _clip_rect(rect, base)
+        if c is not None:
+            clipped.append(c)
+    if not clipped:
+        return 0.0
+    xs = sorted({base[0], base[2], *(r[0] for r in clipped), *(r[2] for r in clipped)})
+    ys = sorted({base[1], base[3], *(r[1] for r in clipped), *(r[3] for r in clipped)})
+    total = 0.0
+    for i in range(len(xs) - 1):
+        cx = 0.5 * (xs[i] + xs[i + 1])
+        w = xs[i + 1] - xs[i]
+        for j in range(len(ys) - 1):
+            cy = 0.5 * (ys[j] + ys[j + 1])
+            for r in clipped:
+                if r[0] <= cx <= r[2] and r[1] <= cy <= r[3]:
+                    total += w * (ys[j + 1] - ys[j])
+                    break
+    return total
+
+
+def _strictly_nearer(depth_far, depth_near, tie_meters, tie_rate) -> bool:
+    tie = max(tie_meters, tie_rate * 0.5 * (depth_far + depth_near))
+    return depth_far - depth_near > tie
+
+
+def cover_fractions(boxes, depths, tie_meters: float = 1.0, tie_rate: float = 0.0) -> np.ndarray:
+    """Fraction of each box covered by the union of strictly nearer boxes.
+
+    Boxes whose depth gap is within the tie share a layer and do not
+    occlude each other; the tie is max(tie_meters, tie_rate * mean depth).
+    Zero-area boxes report cover 0.
+    """
+    n = len(boxes)
+    out = np.zeros(n)
+    for i in range(n):
+        area = boxes[i].area
+        if area <= 0.0:
+            continue
+        occluders = [
+            boxes[j].as_tuple()
+            for j in range(n)
+            if j != i and _strictly_nearer(depths[i], depths[j], tie_meters, tie_rate)
+        ]
+        if not occluders:
+            continue
+        covered = _union_area_within(boxes[i].as_tuple(), occluders)
+        out[i] = covered / area
+    return out
+
+
+def depth_ordered_overlaps(
+    track_boxes,
+    track_depths,
+    det_box: Box2D,
+    det_depth: float,
+    tie_meters: float = 1.0,
+    tie_rate: float = 0.0,
+) -> np.ndarray:
+    """Detection-vs-tracklet overlap under depth ordering around the DOI.
+
+    Tracklets closer to the detection's depth layer claim the image area
+    they cover from tracklets farther away from it, provided the claimant
+    is also physically in front of the tracklet it masks (something behind
+    you cannot hide you). The tracklet nearest the detection's own layer
+    therefore keeps its full overlap, while tracklets a layer away meet
+    the detection only through their unclaimed region, taken over the
+    union of that region with the detection box and capped at the plain
+    two-box IoU. With no competing layers this equals iou_2d exactly, and
+    a tracklet fully claimed by a nearer layer scores 0. The layer tie
+    works as in cover_fractions.
+    """
+    n = len(track_boxes)
+    out = np.zeros(n)
+    det_rect = det_box.as_tuple()
+    det_area = det_box.area
+    doi_gap = [abs(track_depths[i] - det_depth) for i in range(n)]
+    for i in range(n):
+        box = track_boxes[i]
+        occluders = [
+            track_boxes[j].as_tuple()
+            for j in range(n)
+            if j != i
+            and _strictly_nearer(track_depths[i], track_depths[j], tie_meters, tie_rate)
+            and doi_gap[j] < doi_gap[i]
+        ]
+        if not occluders:
+            out[i] = iou_2d(box, det_box)
+            continue
+        inter_rect = _clip_rect(box.as_tuple(), det_rect)
+        if inter_rect is None:
+            continue
+        inter = (inter_rect[2] - inter_rect[0]) * (inter_rect[3] - inter_rect[1])
+        numerator = inter - _union_area_within(inter_rect, occluders)
+        if numerator <= 0.0:
+            continue
+        visible_area = box.area - _union_area_within(box.as_tuple(), occluders)
+        denominator = visible_area + det_area - numerator
+        if denominator > 0.0:
+            out[i] = min(numerator / denominator, iou_2d(box, det_box))
+    return out

@@ -85,7 +85,8 @@ def write_detections(records_per_frame, path) -> None:
                             "dim_m": det.dimensions.tolist(),
                             "app": det.appearance.tolist(),
                             "score": det.score,
-                        }
+                        },
+                        allow_nan=False,
                     )
                     + "\n"
                 )
@@ -140,7 +141,7 @@ def write_poses(intrinsics: CameraIntrinsics, poses, path) -> None:
             for i, pose in enumerate(poses)
         ],
     }
-    path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def load_poses(path):
@@ -232,7 +233,8 @@ def write_tracks(records, path) -> None:
                         "vel_mpf": rec.velocity.tolist(),
                         "box2d": list(rec.box2d_projected.as_tuple()),
                         "status": _STATUS_TO_STR[rec.status],
-                    }
+                    },
+                    allow_nan=False,
                 )
                 + "\n"
             )

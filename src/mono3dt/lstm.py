@@ -214,7 +214,7 @@ def ulstm_update(
 _COS_EPS = 1e-8
 
 
-def forward_window(weights: LstmWeights, obs: np.ndarray, gt: np.ndarray, linear_loss_to_gt=False):
+def forward_window(weights: LstmWeights, obs: np.ndarray, gt: np.ndarray):
     """Run both cells over one observation window and compute the loss.
 
     obs and gt are (T, 3); the first observation anchors the estimate.
@@ -235,7 +235,6 @@ def forward_window(weights: LstmWeights, obs: np.ndarray, gt: np.ndarray, linear
     cu = np.zeros(HIDDEN_DIM)
     steps = []
     total = 0.0
-    vbar_prev = None
     for t in range(1, T):
         ep = _embed(weights, v_last)
         hp, cp, cache_p = _cell_forward(weights["w_pgate"], weights["b_pgate"], ep, hp, cp)
@@ -251,12 +250,11 @@ def forward_window(weights: LstmWeights, obs: np.ndarray, gt: np.ndarray, linear
             weights["w_uhead1"], weights["b_uhead1"], weights["w_uhead2"], weights["b_uhead2"], hu
         )
         v_bar = v_hat + corr
-        v_gt = gt[t] - gt[t - 1]
         p_bar_new = p_bar + v_bar
         step_loss = float(np.sum(np.abs(p_bar_new - gt[t])))
         cos_cache = None
-        v_ref = v_gt if linear_loss_to_gt else vbar_prev
-        if v_ref is not None:
+        if t > 1:  # the velocity terms compare with the previous refined velocity
+            v_ref = v_last
             na = float(np.linalg.norm(v_bar))
             nb = float(np.linalg.norm(v_ref))
             den = na * nb + _COS_EPS
@@ -275,19 +273,17 @@ def forward_window(weights: LstmWeights, obs: np.ndarray, gt: np.ndarray, linear
                 "cache_u": cache_u,
                 "head_u": head_u,
                 "v_bar": v_bar,
-                "v_gt": v_gt,
                 "p_residual": p_bar_new - gt[t],
                 "cos": cos_cache,
             }
         )
         v_last = v_bar
-        vbar_prev = v_bar
         p_bar = p_bar_new
     loss = total / (T - 1)
     return loss, steps
 
 
-def backward_window(weights: LstmWeights, steps, linear_loss_to_gt=False):
+def backward_window(weights: LstmWeights, steps):
     """BPTT over forward_window caches. Returns gradient dict (same keys)."""
     grads = {name: np.zeros(shape) for name, shape in PARAM_SHAPES.items()}
     n_steps = len(steps)
@@ -313,12 +309,11 @@ def backward_window(weights: LstmWeights, steps, linear_loss_to_gt=False):
             else:
                 g_vbar += scale * (-(v_ref / den))
             g_vbar += scale * np.sign(v_bar - v_ref)
-            if not linear_loss_to_gt:
-                if nb > 0:
-                    g_prev_loss += scale * (-(v_bar / den) + dot * (v_ref / nb) * na / (den * den))
-                else:
-                    g_prev_loss += scale * (-(v_bar / den))
-                g_prev_loss -= scale * np.sign(v_bar - v_ref)
+            if nb > 0:
+                g_prev_loss += scale * (-(v_bar / den) + dot * (v_ref / nb) * na / (den * den))
+            else:
+                g_prev_loss += scale * (-(v_bar / den))
+            g_prev_loss -= scale * np.sign(v_bar - v_ref)
         g_vbar = g_vbar + d_vbar_future + d_pbar
         d_pbar_prev = d_pbar.copy()
         g_vhat = g_vbar.copy()
@@ -373,7 +368,6 @@ class MotionTrainConfig:
     init_scale: float = 0.5
     lr_decay: float = 0.5
     lr_decay_every: int = 250
-    linear_loss_to_gt: bool = False
 
 
 def train_lstm(dataset, config: MotionTrainConfig):
@@ -405,11 +399,9 @@ def train_lstm(dataset, config: MotionTrainConfig):
             start = rng.integers(0, len(gt) - window + 1)
             gt_win = np.asarray(gt[start : start + window], dtype=float)
             obs_win = np.asarray(obs[start : start + window], dtype=float)
-            loss, steps_cache = forward_window(
-                weights, obs_win, gt_win, linear_loss_to_gt=config.linear_loss_to_gt
-            )
+            loss, steps_cache = forward_window(weights, obs_win, gt_win)
             batch_loss += loss
-            g = backward_window(weights, steps_cache, linear_loss_to_gt=config.linear_loss_to_gt)
+            g = backward_window(weights, steps_cache)
             for name in grads:
                 grads[name] += g[name]
         batch_loss /= config.batch_size
@@ -471,7 +463,7 @@ def save_weights(weights: LstmWeights, path) -> None:
         "arch": {"embed_dim": EMBED_DIM, "hidden_dim": HIDDEN_DIM, "history_len": HISTORY_LEN},
         "arrays": {name: arr.tolist() for name, arr in weights.arrays.items()},
     }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    Path(path).write_text(json.dumps(doc, allow_nan=False), encoding="utf-8")
 
 
 def load_weights(path) -> LstmWeights:

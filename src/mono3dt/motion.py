@@ -23,15 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ObjectState
-from .geometry import (
-    Box2D,
-    Box3D,
-    BoxBehindCamera,
-    PointBehindCamera,
-    normalize_angle,
-    project_box,
-    project_point,
-)
+from .geometry import Box2D, Box3D, normalize_angle, project_object
 from . import lstm as lstm_mod
 
 
@@ -95,8 +87,6 @@ def blend_update(prev_state: ObjectState, obs_state: ObjectState, a_deep: float)
     blended.yaw = normalize_angle(prev_state.yaw + alpha * dyaw)
     blended.dimensions = prev_state.dimensions + alpha * (obs_state.dimensions - prev_state.dimensions)
     blended.appearance = prev_state.appearance + alpha * (obs_state.appearance - prev_state.appearance)
-    blended.center_px = obs_state.center_px.copy()
-    blended.depth = obs_state.depth
     return blended
 
 
@@ -179,18 +169,6 @@ class PredictedView:
     motion_state: object  # candidate state to commit on match/coast
 
 
-def _reproject(position, yaw, dims, pose, intrinsics):
-    box3d = Box3D(position, dims, yaw)
-    try:
-        center_px, depth = project_point(position, pose, intrinsics)
-        box2d = project_box(box3d, pose, intrinsics)
-        in_view = box2d.area > 0.0
-    except (PointBehindCamera, BoxBehindCamera):
-        cam_z = float(pose.world_to_camera(position)[2])
-        return box3d, np.zeros(2), cam_z, Box2D(0, 0, 0, 0), False
-    return box3d, center_px, depth, box2d, in_view
-
-
 def predict_tracklet(tracklet, backend: str, pose, intrinsics, lstm_weights=None) -> PredictedView:
     """Advance a tracklet one frame with the chosen backend and re-project.
 
@@ -217,9 +195,9 @@ def predict_tracklet(tracklet, backend: str, pose, intrinsics, lstm_weights=None
     else:
         raise ValueError(f"unknown motion backend {backend!r}")
 
-    box3d, center_px, depth, box2d, in_view = _reproject(
-        position, state.yaw, state.dimensions, pose, intrinsics
-    )
+    box3d = Box3D(position, state.dimensions, state.yaw)
+    center_px, depth, box2d = project_object(box3d, pose, intrinsics)
+    in_view = box2d.area > 0.0
     if backend == "kf2d" and in_view:
         # the 2D filter owns the predicted box; 3D quantities stay carried
         box2d = kf2d_measurement_to_box(KF2D_OBSERVATION @ motion_state.mean)

@@ -19,19 +19,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .association import cover_fractions
 from .data import DetectionRecord, TrackRecord, TrackStatus
 from .geometry import (
+    DEPTH_ORDER_TIE_RATE,
     Box2D,
     Box3D,
-    BoxBehindCamera,
     CameraIntrinsics,
     CameraPose,
-    PointBehindCamera,
     camera_heading,
+    cover_fractions,
     normalize_angle,
-    project_box,
-    project_point,
+    project_object,
     theta_to_alpha,
 )
 from .io import write_detections, write_poses, write_tracks
@@ -69,9 +67,6 @@ class ScenarioConfig:
     min_box_area: float = 256.0  # px^2, smaller boxes are not detectable
     full_cover_threshold: float = 0.95  # cover at which the detection vanishes
     min_gt_depth: float = 1.0
-    ord_tie_meters: float = 1.0
-    # painter layering shared with the tracker, including its depth-scaled tie
-    ord_tie_rate: float = 0.05
 
     def validate(self) -> "ScenarioConfig":
         if self.frames < 1:
@@ -325,16 +320,15 @@ def generate_world(config: ScenarioConfig) -> WorldTruth:
 class FrameVisibility:
     """Per-frame render bookkeeping for one vehicle."""
 
-    in_view: bool = False
-    box2d: Box2D | None = None
-    center_px: np.ndarray | None = None
-    depth: float = 0.0
-    area: float = 0.0
+    in_view: bool
+    box2d: Box2D  # zero box when the center is behind the camera
+    center_px: np.ndarray
+    depth: float  # camera-frame z
     cover: float = 0.0
 
     @property
     def view_detectable(self) -> bool:
-        return self.in_view and self.area > 0.0
+        return self.in_view and self.box2d.area > 0.0
 
     def detectable(self, config: ScenarioConfig) -> bool:
         return self.view_detectable and self.cover < config.full_cover_threshold
@@ -346,25 +340,16 @@ def _frame_visibility(world: WorldTruth, t: int) -> list:
     intr = world.intrinsics
     vis = []
     for veh in world.vehicles:
-        entry = FrameVisibility()
-        try:
-            center_px, depth = project_point(veh.positions[t], pose, intr)
-            box2d = project_box(veh.box3d(t), pose, intr)
-        except (PointBehindCamera, BoxBehindCamera):
-            vis.append(entry)
-            continue
-        entry.center_px = center_px
-        entry.depth = depth
-        entry.box2d = box2d
-        entry.area = box2d.area
-        entry.in_view = (
+        center_px, depth, box2d = project_object(veh.box3d(t), pose, intr)
+        in_view = (
             config.min_gt_depth <= depth <= config.spawn_radius
             and box2d.area >= config.min_box_area
         )
-        vis.append(entry)
-    boxes = [e.box2d if e.box2d is not None else Box2D(0, 0, 0, 0) for e in vis]
+        vis.append(FrameVisibility(in_view, box2d, center_px, depth))
+    # the tracker's painter layering: its default 1 m tie, widened with depth
+    boxes = [e.box2d for e in vis]
     depths = [e.depth if e.in_view else -1e9 for e in vis]
-    covers = cover_fractions(boxes, depths, config.ord_tie_meters, config.ord_tie_rate)
+    covers = cover_fractions(boxes, depths, 1.0, DEPTH_ORDER_TIE_RATE)
     for entry, cover in zip(vis, covers):
         entry.cover = float(cover)
     return vis

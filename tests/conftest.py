@@ -105,11 +105,13 @@ def monte_carlo_iou_3d(a: Box3D, b: Box3D, samples: np.ndarray) -> float:
 
     def inside(box: Box3D, x, y, z):
         c, s = math.cos(box.yaw), math.sin(box.yaw)
-        dx = x - box.center[0]
-        dy = y - box.center[1]
+        # Python floats keep the float32 samples float32 under NumPy 2 promotion
+        cx, cy, cz = (float(v) for v in box.center)
+        dx = x - cx
+        dy = y - cy
         mask = np.abs(c * dx + s * dy) <= box.length / 2.0
         mask &= np.abs(-s * dx + c * dy) <= box.width / 2.0
-        mask &= np.abs(z - box.center[2]) <= box.height / 2.0
+        mask &= np.abs(z - cz) <= box.height / 2.0
         return mask
 
     in_a = inside(a, px, py, pz)

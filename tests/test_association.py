@@ -12,15 +12,12 @@ from mono3dt.association import (
     Tracker,
     affinity_deep,
     compose_affinity,
-    cover_fractions,
-    deep_feature,
     depth_filter,
-    depth_ordered_overlaps,
     run_sequence,
     solve_assignment,
 )
 from mono3dt.data import SequenceInput, TrackerConfig, TrackStatus
-from mono3dt.geometry import Box2D, iou_2d
+from mono3dt.geometry import Box2D, cover_fractions, depth_ordered_overlaps, iou_2d
 from mono3dt.simulator import ScenarioConfig, generate_world, ground_truth_records, render_detections
 
 from conftest import default_intrinsics

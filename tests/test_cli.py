@@ -95,6 +95,35 @@ class TestTrack:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("field, value", [("depth_m", float("nan")), ("dim_m", [0.0, 1.8, 1.5])])
+    def test_bad_detection_exit_1_with_line(self, scenario, tmp_path, capsys, field, value):
+        lines = (scenario / "detections.jsonl").read_text().splitlines()
+        record = json.loads(lines[5])
+        record[field] = value
+        lines[5] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "t.jsonl"
+        code = run(["track", "--detections", str(bad), "--poses", str(scenario / "poses.json"), "--out", str(out)])
+        assert code == 1
+        assert f"{bad}:6: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("rotation", 2.0, "rotation is not orthonormal"), ("translation_m", float("nan"), "translation must be finite")],
+    )
+    def test_bad_pose_exit_1(self, scenario, tmp_path, capsys, key, value, message):
+        doc = json.loads((scenario / "poses.json").read_text())
+        doc["frames"][3][key][0] = value
+        bad = tmp_path / "poses.json"
+        bad.write_text(json.dumps(doc))
+        code = run(
+            ["track", "--detections", str(scenario / "detections.jsonl"), "--poses", str(bad), "--out", str(tmp_path / "t.jsonl")]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_prefix_truncation_bit_exact(self, tmp_path):
         src = tmp_path / "full"
         assert run(["simulate", "--preset", "dense", "--seed", "2", "--out", str(src)]) == 0

@@ -10,6 +10,7 @@ from mono3dt.geometry import (
     Box3D,
     BoxBehindCamera,
     CameraIntrinsics,
+    MIN_CAMERA_Z,
     CameraPose,
     GeometryError,
     NonPositiveDepth,
@@ -23,6 +24,7 @@ from mono3dt.geometry import (
     iou_3d,
     normalize_angle,
     project_box,
+    project_object,
     project_point,
     theta_to_alpha,
 )
@@ -198,6 +200,40 @@ class TestProjectBox:
             done += 1
 
 
+class TestProjectObject:
+    def test_in_front_matches_point_and_box(self):
+        rng = np.random.default_rng(11)
+        intr = default_intrinsics()
+        for _ in range(50):
+            pose = random_pose(rng)
+            center = pose.camera_to_world([rng.uniform(-8, 8), rng.uniform(-4, 4), rng.uniform(8, 60)])
+            box = Box3D(center, rng.uniform(0.5, 4.0, size=3), rng.uniform(0, 2 * math.pi))
+            center_px, depth, box2d = project_object(box, pose, intr)
+            expected_px, expected_depth = project_point(box.center, pose, intr)
+            assert np.array_equal(center_px, expected_px)
+            assert depth == expected_depth
+            assert box2d == project_box(box, pose, intr)
+
+    def test_center_behind_gives_zero_pixels_and_box(self):
+        center_px, depth, box2d = project_object(
+            Box3D([0, 0, -3.0], [4, 4, 4], 0.0), CameraPose.identity(), default_intrinsics()
+        )
+        assert np.array_equal(center_px, [0.0, 0.0])
+        assert depth == pytest.approx(-3.0)
+        assert depth <= MIN_CAMERA_Z
+        assert box2d.area == 0.0
+
+    def test_corners_behind_truncate_the_box(self):
+        intr = default_intrinsics()
+        # center 1 m ahead, the 4 m long box reaches 1 m behind the camera
+        box = Box3D([0, 0, 1.0], [2, 2, 4], 0.0)
+        center_px, depth, box2d = project_object(box, CameraPose.identity(), intr)
+        assert depth == pytest.approx(1.0)
+        assert np.allclose(center_px, [intr.principal_x, intr.principal_y])
+        assert box2d.area > 0.0
+        assert box2d == project_box(box, CameraPose.identity(), intr)
+
+
 class TestIou2d:
     def test_identical(self):
         b = Box2D(1, 2, 5, 9)
@@ -328,10 +364,14 @@ class TestValidation:
     def test_bad_intrinsics(self):
         with pytest.raises(GeometryError):
             CameraIntrinsics(-1, 100, 0, 0, 100, 100)
+        with pytest.raises(GeometryError):
+            CameraIntrinsics(100, float("nan"), 0, 0, 100, 100)
 
     def test_bad_rotation(self):
         with pytest.raises(GeometryError):
             CameraPose(np.eye(3) * 2.0, np.zeros(3))
+        with pytest.raises(GeometryError):
+            CameraPose(np.eye(3), [0.0, float("nan"), 0.0])
 
     def test_bad_box(self):
         with pytest.raises(GeometryError):

@@ -96,6 +96,40 @@ class TestDetectionsRoundTrip:
         with pytest.raises(UnsupportedFormatVersion):
             load_detections(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("depth_m", float("nan")),
+            ("depth_m", float("inf")),
+            ("yaw_local_rad", float("nan")),
+            ("score", float("nan")),
+            ("c", [float("nan"), 1.0]),
+            ("dim_m", [4.2, float("inf"), 1.5]),
+            ("app", [0.0, float("nan")]),
+            ("dim_m", [0.0, 1.8, 1.5]),
+            ("dim_m", [4.2, -1.8, 1.5]),
+        ],
+    )
+    def test_bad_value_reports_line(self, tmp_path, field, value):
+        rng = np.random.default_rng(4)
+        path = tmp_path / "d.jsonl"
+        write_detections([[make_detection(rng, 0, app_len=2)] * 2], path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record[field] = value
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_detections(path)
+        assert err.value.line_no == 3
+        assert str(err.value).startswith(f"{path}:3: ")
+
+    def test_tracks_writer_refuses_non_finite(self, tmp_path):
+        box = Box3D([float("nan"), 0.0, 0.0], [1.0, 1.0, 1.0], 0.0)
+        rec = TrackRecord(0, 0, box, np.zeros(3), Box2D(0, 0, 1, 1), TrackStatus.TRACKED)
+        with pytest.raises(ValueError):
+            write_tracks([rec], tmp_path / "t.jsonl")
+
 
 class TestPoses:
     def test_round_trip(self, tmp_path):

@@ -41,8 +41,6 @@ def make_state(position, yaw=0.0, dims=(4.2, 1.8, 1.5), app=None, vel=(0, 0, 0))
         dimensions=np.asarray(dims, dtype=float),
         appearance=np.zeros(4) if app is None else np.asarray(app, dtype=float),
         velocity=np.asarray(vel, dtype=float),
-        center_px=np.zeros(2),
-        depth=10.0,
     )
 
 

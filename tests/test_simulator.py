@@ -1,10 +1,14 @@
 """Scenario generator contracts: determinism, kinematics, noise, occlusion."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mono3dt
 from mono3dt.association import decode_detection
 from mono3dt.data import SequenceInput, TrackStatus
 from mono3dt.geometry import backproject
@@ -16,6 +20,16 @@ from mono3dt.simulator import (
     render_detections,
     write_scenario,
 )
+
+
+def test_simulator_does_not_import_the_tracker():
+    # the painter's occlusion model lives in geometry, shared by both sides
+    code = "import sys, mono3dt.simulator; print('mono3dt.association' in sys.modules)"
+    src = str(Path(mono3dt.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestConfig:
