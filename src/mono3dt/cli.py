@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import multiprocessing
 import os
 import sys
 import time
@@ -146,11 +147,15 @@ def cmd_track(args) -> int:
         )
         if not sequences:
             raise UsageError(f"no sequences under {detections}")
-        jobs = max(1, args.jobs)
-        results = {}
-        if jobs == 1:
-            for seq_dir in sequences:
-                results[seq_dir.name] = _track_one(
+        # sequences are independent; fan them out over the usable cores, in
+        # spawned workers because forking a process that holds BLAS threads
+        # is unsafe
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(min(len(sequences), cores or 1), mp_context=spawn) as pool:
+            futures = {
+                seq_dir.name: pool.submit(
+                    _track_one,
                     seq_dir / "detections.jsonl",
                     seq_dir / "poses.json",
                     calib,
@@ -158,21 +163,9 @@ def cmd_track(args) -> int:
                     weights,
                     out / seq_dir.name / "tracks.jsonl",
                 )
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = {
-                    seq_dir.name: pool.submit(
-                        _track_one,
-                        seq_dir / "detections.jsonl",
-                        seq_dir / "poses.json",
-                        calib,
-                        config,
-                        weights,
-                        out / seq_dir.name / "tracks.jsonl",
-                    )
-                    for seq_dir in sequences
-                }
-                results = {name: fut.result() for name, fut in futures.items()}
+                for seq_dir in sequences
+            }
+            results = {name: fut.result() for name, fut in futures.items()}
         total = sum(sum(t.values()) for t, _ in results.values())
         _write_manifest(
             out,
@@ -347,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--motion", choices=("none", "kf2d", "kf3d", "lstm"), default=None)
     p.add_argument("--weights", default=None)
-    p.add_argument("--jobs", type=int, default=1, help="parallel sequences in batch mode")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_track)
 

@@ -119,6 +119,15 @@ class SequenceInput:
         return len(self.poses)
 
 
+# annotated type of a config field -> (JSON value types it accepts, their name)
+_JSON_TYPES = {
+    "bool": (bool, "true or false"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a finite number"),
+    "str": (str, "a string"),
+}
+
+
 @dataclass
 class TrackerConfig:
     """Association weights, thresholds, and lifecycle policy.
@@ -175,16 +184,20 @@ class TrackerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrackerConfig":
-        known = {f.name for f in fields(cls) if not f.name.startswith("_")}
-        unknown = set(data) - known
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise UnknownKey(f"unknown config keys: {sorted(unknown)}")
+        for name, value in data.items():
+            accepted, what = _JSON_TYPES[types[name]]
+            # JSON true/false must not pass as numbers, nor numbers as flags
+            ok = isinstance(value, accepted) and (accepted is bool) == isinstance(value, bool)
+            if not ok or (types[name] == "float" and not math.isfinite(value)):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
         return cls(**data).validate()
 
     def to_dict(self) -> dict:
-        return {
-            f.name: getattr(self, f.name) for f in fields(self) if not f.name.startswith("_")
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def replace(self, **kwargs) -> "TrackerConfig":
         return replace(self, **kwargs).validate()

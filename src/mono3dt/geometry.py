@@ -99,11 +99,6 @@ class CameraPose:
     def camera_to_world(self, point) -> np.ndarray:
         return self.rotation.T @ (np.asarray(point, dtype=float) - self.translation)
 
-    @property
-    def camera_center(self) -> np.ndarray:
-        """Camera origin expressed in world coordinates."""
-        return -self.rotation.T @ self.translation
-
 
 def camera_heading(pose: CameraPose) -> float:
     """Azimuth of the camera's forward (+z) axis in the world xy-plane.

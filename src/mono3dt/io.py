@@ -9,6 +9,7 @@ and every field name carries its unit.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,11 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = str(path)
         self.line_no = line_no
+        self.message = message
+
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, it crosses from a worker process intact
+        return type(self), (self.path, self.line_no, self.message)
 
 
 class UnsupportedFormatVersion(ParseError):
@@ -244,18 +250,22 @@ def load_tracks(path):
     records = []
     for line_no, obj in _read_jsonl(path, "tracks"):
         try:
-            records.append(
-                TrackRecord(
-                    frame_index=int(obj["frame"]),
-                    track_id=int(obj["id"]),
-                    box3d=Box3D(obj["P_m"], obj["dim_m"], float(obj["yaw_rad"])),
-                    velocity=obj["vel_mpf"],
-                    box2d_projected=Box2D(*obj["box2d"]),
-                    status=_STR_TO_STATUS[obj["status"]],
-                )
+            rec = TrackRecord(
+                frame_index=int(obj["frame"]),
+                track_id=int(obj["id"]),
+                box3d=Box3D(obj["P_m"], obj["dim_m"], float(obj["yaw_rad"])),
+                velocity=obj["vel_mpf"],
+                box2d_projected=Box2D(*obj["box2d"]),
+                status=_STR_TO_STATUS[obj["status"]],
             )
+            # one sum per record: a NaN, an infinity or an overflowing
+            # literal anywhere leaves it non-finite
+            total = sum(obj["P_m"]) + sum(obj["dim_m"]) + sum(obj["vel_mpf"]) + sum(obj["box2d"])
+            if not math.isfinite(total + rec.box3d.yaw):
+                raise ValueError("track fields must be finite")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(path, line_no, str(exc)) from exc
+        records.append(rec)
     return records
 
 

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 EMBED_DIM = 64
 HIDDEN_DIM = 128
-HISTORY_LEN = 5
 GATE_DIM = 4 * HIDDEN_DIM
 
 WEIGHTS_FORMAT_VERSION = 1
@@ -90,29 +89,34 @@ class LstmWeights:
 
 @dataclass
 class LstmMotionState:
-    """Per-tracklet recurrent state: velocity ring plus both cells' memory."""
+    """Per-tracklet last refined velocity and both cells' memory; steps return a new state."""
 
-    velocity_history: np.ndarray = field(default_factory=lambda: np.zeros((HISTORY_LEN, 3)))
+    v_last: np.ndarray = field(default_factory=lambda: np.zeros(3))
     h_pred: np.ndarray = field(default_factory=lambda: np.zeros(HIDDEN_DIM))
     c_pred: np.ndarray = field(default_factory=lambda: np.zeros(HIDDEN_DIM))
     h_upd: np.ndarray = field(default_factory=lambda: np.zeros(HIDDEN_DIM))
     c_upd: np.ndarray = field(default_factory=lambda: np.zeros(HIDDEN_DIM))
-
-    def copy(self) -> "LstmMotionState":
-        return LstmMotionState(
-            self.velocity_history.copy(),
-            self.h_pred.copy(),
-            self.c_pred.copy(),
-            self.h_upd.copy(),
-            self.c_upd.copy(),
-        )
 
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _cell_forward(w, b, x, h_prev, c_prev):
+# cell -> names of its gate weights and bias, then its head's two layers
+_CELL_PARAMS = {
+    c: (f"w_{c}gate", f"b_{c}gate", f"w_{c}head1", f"b_{c}head1", f"w_{c}head2", f"b_{c}head2")
+    for c in ("p", "u")
+}
+
+
+def _cell_forward(weights: LstmWeights, cell: str, x, h_prev, c_prev):
+    """One step of the prediction ("p") or update ("u") cell.
+
+    Runs the LSTM gates on [x, h_prev], then the two-layer tanh head on
+    the new hidden state. Returns (h, c, head output, cache). Tracking and
+    training both run the cells through this function only.
+    """
+    w, b, w1, b1, w2, b2 = (weights[name] for name in _CELL_PARAMS[cell])
     z = w @ np.concatenate([x, h_prev]) + b
     i = _sigmoid(z[:HIDDEN_DIM])
     f = _sigmoid(z[HIDDEN_DIM : 2 * HIDDEN_DIM])
@@ -121,66 +125,56 @@ def _cell_forward(w, b, x, h_prev, c_prev):
     c = f * c_prev + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    cache = (x, h_prev, c_prev, i, f, g, o, tanh_c)
-    return h, c, cache
+    t = np.tanh(w1 @ h + b1)
+    y = w2 @ t + b2
+    return h, c, y, (x, h_prev, c_prev, i, f, g, o, tanh_c, h, t)
 
 
-def _cell_backward(w, cache, dh, dc_in, grad_w, grad_b):
-    x, h_prev, c_prev, i, f, g, o, tanh_c = cache
+def _cell_backward(weights: LstmWeights, cell: str, cache, dy, dh_next, dc_next, grads):
+    """Backward of _cell_forward. Adds the cell's parameter gradients into
+    grads and returns (dx, dh_prev, dc_prev)."""
+    n_w, n_b, n_w1, n_b1, n_w2, n_b2 = _CELL_PARAMS[cell]
+    x, h_prev, c_prev, i, f, g, o, tanh_c, h, t = cache
+    grads[n_w2] += np.outer(dy, t)
+    grads[n_b2] += dy
+    da = (weights[n_w2].T @ dy) * (1.0 - t * t)
+    grads[n_w1] += np.outer(da, h)
+    grads[n_b1] += da
+    dh = dh_next + weights[n_w1].T @ da
     do = dh * tanh_c
-    dc = dc_in + dh * o * (1.0 - tanh_c * tanh_c)
+    dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
     di = dc * g
     df = dc * c_prev
     dg = dc * i
-    dc_prev = dc * f
     dz = np.concatenate(
         [di * i * (1 - i), df * f * (1 - f), dg * (1 - g * g), do * o * (1 - o)]
     )
-    xh = np.concatenate([x, h_prev])
-    grad_w += np.outer(dz, xh)
-    grad_b += dz
-    dxh = w.T @ dz
-    return dxh[: len(x)], dxh[len(x) :], dc_prev
-
-
-def _head_forward(w1, b1, w2, b2, h):
-    a = w1 @ h + b1
-    t = np.tanh(a)
-    y = w2 @ t + b2
-    return y, (h, t)
-
-
-def _head_backward(w1, w2, cache, dy, grads, names):
-    h, t = cache
-    n1, nb1, n2, nb2 = names
-    grads[n2] += np.outer(dy, t)
-    grads[nb2] += dy
-    dt = w2.T @ dy
-    da = dt * (1.0 - t * t)
-    grads[n1] += np.outer(da, h)
-    grads[nb1] += da
-    return w1.T @ da
+    grads[n_w] += np.outer(dz, np.concatenate([x, h_prev]))
+    grads[n_b] += dz
+    dxh = weights[n_w].T @ dz
+    return dxh[: len(x)], dxh[len(x) :], dc * f
 
 
 def _embed(weights, v):
     return weights["w_embed"] @ v + weights["b_embed"]
 
 
+def _embed_backward(weights, g, v, grads):
+    """Backward of _embed: adds into grads, returns the gradient on v."""
+    grads["w_embed"] += np.outer(g, v)
+    grads["b_embed"] += g
+    return weights["w_embed"].T @ g
+
+
 def plstm_predict(state: LstmMotionState, weights: LstmWeights, p_prev: np.ndarray):
     """One prediction step. Returns (predicted location, advanced state).
 
-    The input state is not mutated; velocity history is left untouched so
-    coasting through occlusion keeps the pre-occlusion motion signature.
+    The last refined velocity is left untouched, so coasting through
+    occlusion keeps the pre-occlusion motion signature.
     """
-    ep = _embed(weights, state.velocity_history[-1])
-    h, c, _ = _cell_forward(weights["w_pgate"], weights["b_pgate"], ep, state.h_pred, state.c_pred)
-    v_hat, _ = _head_forward(
-        weights["w_phead1"], weights["b_phead1"], weights["w_phead2"], weights["b_phead2"], h
-    )
-    new_state = state.copy()
-    new_state.h_pred = h
-    new_state.c_pred = c
-    return np.asarray(p_prev, dtype=float) + v_hat, new_state
+    ep = _embed(weights, state.v_last)
+    h, c, v_hat, _ = _cell_forward(weights, "p", ep, state.h_pred, state.c_pred)
+    return np.asarray(p_prev, dtype=float) + v_hat, replace(state, h_pred=h, c_pred=c)
 
 
 def ulstm_update(
@@ -193,22 +187,15 @@ def ulstm_update(
     """Refine a prediction with the current observation.
 
     Returns (refined location, advanced state); the refined velocity
-    (refined - previous) is pushed into the velocity ring.
+    (refined - previous) becomes the state's v_last.
     """
     p_prev = np.asarray(p_prev, dtype=float)
-    e1 = _embed(weights, np.asarray(p_tilde, dtype=float) - p_prev)
+    p_tilde = np.asarray(p_tilde, dtype=float)
+    e1 = _embed(weights, p_tilde - p_prev)
     e2 = _embed(weights, np.asarray(p_obs, dtype=float) - p_prev)
-    xu = np.concatenate([e1, e2])
-    h, c, _ = _cell_forward(weights["w_ugate"], weights["b_ugate"], xu, state.h_upd, state.c_upd)
-    corr, _ = _head_forward(
-        weights["w_uhead1"], weights["b_uhead1"], weights["w_uhead2"], weights["b_uhead2"], h
-    )
-    p_bar = np.asarray(p_tilde, dtype=float) + corr
-    new_state = state.copy()
-    new_state.h_upd = h
-    new_state.c_upd = c
-    new_state.velocity_history = np.vstack([state.velocity_history[1:], p_bar - p_prev])
-    return p_bar, new_state
+    h, c, corr, _ = _cell_forward(weights, "u", np.concatenate([e1, e2]), state.h_upd, state.c_upd)
+    p_bar = p_tilde + corr
+    return p_bar, replace(state, v_last=p_bar - p_prev, h_upd=h, c_upd=c)
 
 
 _COS_EPS = 1e-8
@@ -229,26 +216,14 @@ def forward_window(weights: LstmWeights, obs: np.ndarray, gt: np.ndarray):
     T = len(obs)
     p_bar = obs[0].astype(float)
     v_last = np.zeros(3)
-    hp = np.zeros(HIDDEN_DIM)
-    cp = np.zeros(HIDDEN_DIM)
-    hu = np.zeros(HIDDEN_DIM)
-    cu = np.zeros(HIDDEN_DIM)
+    hp = cp = hu = cu = np.zeros(HIDDEN_DIM)
     steps = []
     total = 0.0
     for t in range(1, T):
-        ep = _embed(weights, v_last)
-        hp, cp, cache_p = _cell_forward(weights["w_pgate"], weights["b_pgate"], ep, hp, cp)
-        v_hat, head_p = _head_forward(
-            weights["w_phead1"], weights["b_phead1"], weights["w_phead2"], weights["b_phead2"], hp
-        )
+        hp, cp, v_hat, cache_p = _cell_forward(weights, "p", _embed(weights, v_last), hp, cp)
         d_obs = obs[t] - p_bar
-        e1 = _embed(weights, v_hat)
-        e2 = _embed(weights, d_obs)
-        xu = np.concatenate([e1, e2])
-        hu, cu, cache_u = _cell_forward(weights["w_ugate"], weights["b_ugate"], xu, hu, cu)
-        corr, head_u = _head_forward(
-            weights["w_uhead1"], weights["b_uhead1"], weights["w_uhead2"], weights["b_uhead2"], hu
-        )
+        xu = np.concatenate([_embed(weights, v_hat), _embed(weights, d_obs)])
+        hu, cu, corr, cache_u = _cell_forward(weights, "u", xu, hu, cu)
         v_bar = v_hat + corr
         p_bar_new = p_bar + v_bar
         step_loss = float(np.sum(np.abs(p_bar_new - gt[t])))
@@ -261,17 +236,15 @@ def forward_window(weights: LstmWeights, obs: np.ndarray, gt: np.ndarray):
             dot = float(np.dot(v_bar, v_ref))
             step_loss += 1.0 - dot / den
             step_loss += float(np.sum(np.abs(v_bar - v_ref)))
-            cos_cache = (na, nb, den, dot, v_ref.copy())
+            cos_cache = (na, nb, den, dot, v_ref)
         total += step_loss
         steps.append(
             {
-                "v_last": v_last.copy(),
+                "v_last": v_last,
                 "cache_p": cache_p,
-                "head_p": head_p,
                 "v_hat": v_hat,
                 "d_obs": d_obs,
                 "cache_u": cache_u,
-                "head_u": head_u,
                 "v_bar": v_bar,
                 "p_residual": p_bar_new - gt[t],
                 "cos": cos_cache,
@@ -279,8 +252,7 @@ def forward_window(weights: LstmWeights, obs: np.ndarray, gt: np.ndarray):
         )
         v_last = v_bar
         p_bar = p_bar_new
-    loss = total / (T - 1)
-    return loss, steps
+    return total / (T - 1), steps
 
 
 def backward_window(weights: LstmWeights, steps):
@@ -290,10 +262,7 @@ def backward_window(weights: LstmWeights, steps):
     scale = 1.0 / n_steps
     d_pbar = np.zeros(3)
     d_vbar_future = np.zeros(3)
-    dhp = np.zeros(HIDDEN_DIM)
-    dcp = np.zeros(HIDDEN_DIM)
-    dhu = np.zeros(HIDDEN_DIM)
-    dcu = np.zeros(HIDDEN_DIM)
+    dhp = dcp = dhu = dcu = np.zeros(HIDDEN_DIM)
     for t in range(n_steps - 1, -1, -1):
         st = steps[t]
         v_bar = st["v_bar"]
@@ -315,59 +284,32 @@ def backward_window(weights: LstmWeights, steps):
                 g_prev_loss += scale * (-(v_bar / den))
             g_prev_loss -= scale * np.sign(v_bar - v_ref)
         g_vbar = g_vbar + d_vbar_future + d_pbar
-        d_pbar_prev = d_pbar.copy()
-        g_vhat = g_vbar.copy()
-        g_corr = g_vbar.copy()
-        dhu_total = dhu + _head_backward(
-            weights["w_uhead1"],
-            weights["w_uhead2"],
-            st["head_u"],
-            g_corr,
-            grads,
-            ("w_uhead1", "b_uhead1", "w_uhead2", "b_uhead2"),
-        )
-        g_xu, dhu, dcu = _cell_backward(
-            weights["w_ugate"], st["cache_u"], dhu_total, dcu, grads["w_ugate"], grads["b_ugate"]
-        )
-        g_e1 = g_xu[:EMBED_DIM]
-        g_e2 = g_xu[EMBED_DIM:]
-        grads["w_embed"] += np.outer(g_e2, st["d_obs"])
-        grads["b_embed"] += g_e2
-        d_pbar_prev += -(weights["w_embed"].T @ g_e2)
-        grads["w_embed"] += np.outer(g_e1, st["v_hat"])
-        grads["b_embed"] += g_e1
-        g_vhat += weights["w_embed"].T @ g_e1
-        dhp_total = dhp + _head_backward(
-            weights["w_phead1"],
-            weights["w_phead2"],
-            st["head_p"],
-            g_vhat,
-            grads,
-            ("w_phead1", "b_phead1", "w_phead2", "b_phead2"),
-        )
-        g_ep, dhp, dcp = _cell_backward(
-            weights["w_pgate"], st["cache_p"], dhp_total, dcp, grads["w_pgate"], grads["b_pgate"]
-        )
-        grads["w_embed"] += np.outer(g_ep, st["v_last"])
-        grads["b_embed"] += g_ep
-        g_vlast = weights["w_embed"].T @ g_ep
-        d_pbar = d_pbar_prev
-        d_vbar_future = g_vlast + g_prev_loss
+        # v_bar = v_hat + corr: the update head's output takes g_vbar as is
+        g_xu, dhu, dcu = _cell_backward(weights, "u", st["cache_u"], g_vbar, dhu, dcu, grads)
+        # d_obs = obs_t - p_bar_{t-1}
+        d_pbar = d_pbar - _embed_backward(weights, g_xu[EMBED_DIM:], st["d_obs"], grads)
+        g_vhat = g_vbar + _embed_backward(weights, g_xu[:EMBED_DIM], st["v_hat"], grads)
+        g_ep, dhp, dcp = _cell_backward(weights, "p", st["cache_p"], g_vhat, dhp, dcp, grads)
+        d_vbar_future = _embed_backward(weights, g_ep, st["v_last"], grads) + g_prev_loss
     return grads
+
+
+# train_lstm's fixed settings: the initial weight scale, then SGD with
+# momentum, gradient-norm clipping and a step decay of the learning rate
+INIT_SCALE = 0.5
+LEARNING_RATE = 1e-3
+MOMENTUM = 0.9
+GRAD_CLIP = 5.0
+LR_DECAY = 0.5
 
 
 @dataclass
 class MotionTrainConfig:
     steps: int = 2000
-    learning_rate: float = 1e-3
-    momentum: float = 0.9
-    grad_clip: float = 5.0
     window: int = 10
     batch_size: int = 4
     seed: int = 0
-    init_scale: float = 0.5
-    lr_decay: float = 0.5
-    lr_decay_every: int = 250
+    lr_decay_every: int = 250  # steps between learning-rate halvings; 0 never decays
 
 
 def train_lstm(dataset, config: MotionTrainConfig):
@@ -384,13 +326,13 @@ def train_lstm(dataset, config: MotionTrainConfig):
     if not usable:
         raise ValueError(f"no trajectory is at least {window} frames long")
     rng = np.random.default_rng(config.seed)
-    weights = LstmWeights.initialize(rng, scale=config.init_scale)
+    weights = LstmWeights.initialize(rng, scale=INIT_SCALE)
     velocity = {name: np.zeros(shape) for name, shape in PARAM_SHAPES.items()}
     history = []
-    lr = config.learning_rate
+    lr = LEARNING_RATE
     for step in range(config.steps):
         if step > 0 and config.lr_decay_every > 0 and step % config.lr_decay_every == 0:
-            lr *= config.lr_decay
+            lr *= LR_DECAY
         grads = {name: np.zeros(shape) for name, shape in PARAM_SHAPES.items()}
         batch_loss = 0.0
         for _ in range(config.batch_size):
@@ -410,10 +352,10 @@ def train_lstm(dataset, config: MotionTrainConfig):
         history.append(batch_loss)
         norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values())) / config.batch_size
         clip_factor = 1.0 / config.batch_size
-        if norm > config.grad_clip:
-            clip_factor *= config.grad_clip / norm
+        if norm > GRAD_CLIP:
+            clip_factor *= GRAD_CLIP / norm
         for name in weights.arrays:
-            velocity[name] = config.momentum * velocity[name] + grads[name] * clip_factor
+            velocity[name] = MOMENTUM * velocity[name] + grads[name] * clip_factor
             weights.arrays[name] -= lr * velocity[name]
     return weights, history
 
@@ -460,7 +402,8 @@ def sample_trajectories(rng: np.random.Generator, count: int, length: int = 40):
 def save_weights(weights: LstmWeights, path) -> None:
     doc = {
         "format_version": WEIGHTS_FORMAT_VERSION,
-        "arch": {"embed_dim": EMBED_DIM, "hidden_dim": HIDDEN_DIM, "history_len": HISTORY_LEN},
+        # nothing reads "arch"; "history_len" stays so the file keeps its format-v1 bytes
+        "arch": {"embed_dim": EMBED_DIM, "hidden_dim": HIDDEN_DIM, "history_len": 5},
         "arrays": {name: arr.tolist() for name, arr in weights.arrays.items()},
     }
     Path(path).write_text(json.dumps(doc, allow_nan=False), encoding="utf-8")

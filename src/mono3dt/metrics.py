@@ -46,9 +46,7 @@ class FrameMatching:
     fp: int
     fn: int
     gt_ids: list
-    pred_ids: list
     gt_ignored: frozenset = frozenset()  # occlusion-flagged gt (don't care)
-    ignored_pairs: frozenset = frozenset()  # gt ids matched on ignored rows
 
 
 @dataclass
@@ -146,15 +144,12 @@ def match_frame(gt_records, pred_records, prev_pairs: dict, mode: str = "3d") ->
         if r.status == _OCCLUDED:
             continue
         fp += 1
-    ignored_pairs = frozenset(g for g, _, _ in pairs if g in gt_ignored)
     return FrameMatching(
         pairs=pairs,
         fp=fp,
         fn=fn,
         gt_ids=gt_ids,
-        pred_ids=pred_ids,
         gt_ignored=gt_ignored,
-        ignored_pairs=ignored_pairs,
     )
 
 

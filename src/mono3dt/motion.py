@@ -36,9 +36,6 @@ class KalmanState:
     mean: np.ndarray
     cov: np.ndarray
 
-    def copy(self) -> "KalmanState":
-        return KalmanState(self.mean.copy(), self.cov.copy())
-
 
 def kf_predict(state: KalmanState, transition: np.ndarray, process_noise: np.ndarray) -> KalmanState:
     mean = transition @ state.mean
@@ -161,7 +158,6 @@ class PredictedView:
     """One-frame-ahead world prediction re-projected into the current camera."""
 
     position: np.ndarray  # (3,) world
-    box3d: Box3D
     center_px: np.ndarray  # (2,) valid only when in_view
     depth: float  # camera-frame z (may be <= 0 when behind)
     box2d: Box2D  # zero box when not in view
@@ -203,7 +199,6 @@ def predict_tracklet(tracklet, backend: str, pose, intrinsics, lstm_weights=None
         box2d = kf2d_measurement_to_box(KF2D_OBSERVATION @ motion_state.mean)
     return PredictedView(
         position=np.asarray(position, dtype=float),
-        box3d=box3d,
         center_px=center_px,
         depth=depth,
         box2d=box2d,

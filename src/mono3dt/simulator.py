@@ -1,9 +1,9 @@
 """Deterministic synthetic driving scenarios for desk-scale verification.
 
 Vehicles move on a flat ground plane (+z up, centers at half their
-height) with constant-velocity, constant-turn-rate, or speed-ramp
-kinematics. The ego camera sits at a fixed height looking along its
-heading. Rendering produces the same detection fields a monocular
+height) with constant-velocity or speed-ramp kinematics. The ego
+camera, the only thing that turns, sits at a fixed height looking along
+its heading. Rendering produces the same detection fields a monocular
 3D detector would emit, with controllable noise on every channel, and
 ground-truth track records that share the tracker's box-based painter's
 occlusion semantics: a detection disappears while its object is nearly
@@ -48,8 +48,6 @@ class ScenarioConfig:
     ego_path: str = "straight"  # static | straight | turning
     ego_speed: float = 0.6  # m/frame
     ego_yaw_rate: float = 0.004  # rad/frame, turning only
-    speed_range: tuple = (0.3, 0.9)
-    yaw_rate_range: tuple = (0.0, 0.0)
     accel_range: tuple = (0.0, 0.0)  # m/frame^2 speed ramps (braking/accelerating)
     pixel_sigma: float = 1.0
     depth_sigma_per_m: float = 0.02
@@ -148,7 +146,7 @@ def _ego_pose(x: float, y: float, heading: float, height: float) -> CameraPose:
     return CameraPose(rot, -rot @ center)
 
 
-def _roll_kinematics(start, heading, speed, yaw_rate, accel, frames):
+def _roll_kinematics(start, heading, speed, accel, frames):
     """Integrate a planar profile; velocities are exact position diffs.
 
     Speed ramps bounce between bounds (accelerate until the cap, then
@@ -163,7 +161,6 @@ def _roll_kinematics(start, heading, speed, yaw_rate, accel, frames):
         yaws[t] = normalize_angle(heading)
         step = speed * np.array([math.cos(heading), math.sin(heading), 0.0])
         pos = pos + step
-        heading += yaw_rate
         speed = speed + accel
         if speed > 1.2:
             speed = 1.2
@@ -178,9 +175,9 @@ def _roll_kinematics(start, heading, speed, yaw_rate, accel, frames):
     return positions, yaws, velocities
 
 
-def _vehicle(vid, dims, start, heading, speed, frames, yaw_rate=0.0, accel=0.0) -> VehicleTruth:
+def _vehicle(vid, dims, start, heading, speed, frames, accel=0.0) -> VehicleTruth:
     start = np.array([start[0], start[1], dims[2] / 2.0])
-    positions, yaws, velocities = _roll_kinematics(start, heading, speed, yaw_rate, accel, frames)
+    positions, yaws, velocities = _roll_kinematics(start, heading, speed, accel, frames)
     return VehicleTruth(vid, np.asarray(dims, dtype=float), positions, yaws, velocities)
 
 
@@ -192,9 +189,8 @@ def _spawn_open_road(rng, config) -> list:
         x0 = rng.uniform(12.0, 45.0) + 6.0 * (vid // len(lanes))
         speed = config.ego_speed + rng.uniform(-0.1, 0.1)
         accel = rng.uniform(*config.accel_range) if config.accel_range != (0.0, 0.0) else 0.0
-        yaw_rate = rng.uniform(*config.yaw_rate_range) if config.yaw_rate_range != (0.0, 0.0) else 0.0
         vehicles.append(
-            _vehicle(vid, CAR_DIMS, (x0, lane), 0.0, speed, config.frames, yaw_rate, accel)
+            _vehicle(vid, CAR_DIMS, (x0, lane), 0.0, speed, config.frames, accel)
         )
     return vehicles
 

@@ -260,7 +260,6 @@ def test_c07_motion_ablation(trained_motion_weights):
                 frames=70,
                 n_vehicles=5,
                 accel_range=(-0.03, 0.03),
-                speed_range=(0.3, 0.9),
                 depth_sigma_per_m=0.005,
             )
             values.append(

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mono3dt
 from mono3dt.cli import main
 from mono3dt.io import load_tracks, write_detections, write_poses
 from mono3dt.metrics import evaluate_tracks
@@ -158,17 +163,48 @@ class TestTrack:
         cut_lines = cut_tracks.read_text().splitlines()[1:]
         assert full_lines == cut_lines
 
-    def test_batch_mode_with_jobs(self, tmp_path):
+    def test_batch_mode(self, tmp_path):
         for seed in (1, 2):
             assert run(
                 ["simulate", "--preset", "open_road", "--seed", str(seed), "--noiseless", "--out", str(tmp_path / "in" / f"seq{seed}")]
             ) == 0
-        code = run(
-            ["track", "--detections", str(tmp_path / "in"), "--poses", str(tmp_path / "in"), "--jobs", "2", "--out", str(tmp_path / "out")]
-        )
+        code = run(["track", "--detections", str(tmp_path / "in"), "--poses", str(tmp_path / "in"), "--out", str(tmp_path / "out")])
         assert code == 0
         for seed in (1, 2):
             assert (tmp_path / "out" / f"seq{seed}" / "tracks.jsonl").exists()
+
+    def test_batch_mode_bad_detection_exit_1_with_line(self, scenario, tmp_path):
+        """A worker's parse error reaches the user as path:line, not a traceback."""
+        for seq in ("seq1", "seq2"):
+            shutil.copytree(scenario, tmp_path / "in" / seq)
+        bad = tmp_path / "in" / "seq2" / "detections.jsonl"
+        lines = bad.read_text().splitlines()
+        record = json.loads(lines[5])
+        record["depth_m"] = float("nan")
+        lines[5] = json.dumps(record)
+        bad.write_text("\n".join(lines) + "\n")
+        src = str(Path(mono3dt.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mono3dt.cli", "track", "--detections", str(tmp_path / "in"), "--poses", str(tmp_path / "in"), "--out", str(tmp_path / "out")],
+            cwd=src,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert f"seq2{os.sep}detections.jsonl:6: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "config", [{"w_deep": "x"}, {"max_lost_age": None}, {"use_depth_ordering": "yes"}]
+    )
+    def test_wrong_config_value_type_exit_2(self, scenario, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = run(
+            ["track", "--detections", str(scenario / "detections.jsonl"), "--poses", str(scenario / "poses.json"), "--config", str(path), "--out", str(tmp_path / "t.jsonl")]
+        )
+        assert code == 2
+        assert next(iter(config)) in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -204,6 +240,17 @@ class TestEvaluate:
         rep = json.loads(out.read_text())["reports"]["all"]
         assert rep["MOTA"] <= 0.0
         assert rep["FP"] == 0
+
+    def test_non_finite_track_exit_1_with_line(self, scenario, tmp_path, capsys):
+        lines = (scenario / "gt_tracks.jsonl").read_text().splitlines()
+        record = json.loads(lines[3])
+        record["P_m"][0] = float("nan")
+        lines[3] = json.dumps(record)
+        bad = tmp_path / "gt.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run(["evaluate", "--gt", str(bad), "--pred", str(scenario / "gt_tracks.jsonl")])
+        assert code == 1
+        assert f"{bad}:4: " in capsys.readouterr().err
 
     def test_ranges_without_poses_exit_2(self, scenario):
         code = run(

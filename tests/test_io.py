@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mono3dt.data import DetectionRecord, OutOfRangeValue, TrackerConfig, TrackRecord, TrackStatus, UnknownKey
+from mono3dt.data import ConfigError, DetectionRecord, OutOfRangeValue, TrackerConfig, TrackRecord, TrackStatus, UnknownKey
 from mono3dt.geometry import Box2D, Box3D, CameraPose
 from mono3dt.io import (
     DimensionMismatch,
@@ -223,6 +223,23 @@ class TestTracks:
             assert a.box2d_projected.as_tuple() == b.box2d_projected.as_tuple()
             assert a.status == b.status
 
+    @pytest.mark.parametrize(
+        "key, token",
+        [("P_m", "[1.0, NaN, 0.5]"), ("dim_m", "[4.2, Infinity, 1.5]"), ("vel_mpf", "[0.1, 1e999, 0.0]")],
+    )
+    def test_non_finite_number_reports_line(self, tmp_path, key, token):
+        rec = TrackRecord(2, 4, Box3D([1.0, 2.0, 0.5], [4.2, 1.8, 1.5], 0.3), np.zeros(3), Box2D(0, 0, 9, 9), TrackStatus.TRACKED)
+        path = tmp_path / "tracks.jsonl"
+        write_tracks([rec, rec], path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record[key] = "TOKEN"
+        lines[2] = json.dumps(record).replace('"TOKEN"', token)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_tracks(path)
+        assert str(err.value).startswith(f"{path}:3: ")
+
     def test_write_then_read_is_sorted(self, tmp_path):
         recs = [
             TrackRecord(5, 1, Box3D([0, 0, 0], [1, 1, 1], 0), [0, 0, 0], Box2D(0, 0, 1, 1), TrackStatus.TRACKED),
@@ -276,6 +293,25 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"nonsense": 1}))
         with pytest.raises(UnknownKey):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("w_deep", "x"),
+            ("w_3d", True),
+            ("max_lost_age", None),
+            ("max_lost_age", 20.0),
+            ("use_depth_ordering", "yes"),
+            ("use_occlusion_state", 1),
+            ("motion_backend", 3),
+            ("ord_tie_meters", float("nan")),
+        ],
+    )
+    def test_wrong_value_type(self, tmp_path, key, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=key):
             load_config(path)
 
     def test_bad_backend(self, tmp_path):

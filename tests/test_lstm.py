@@ -93,16 +93,7 @@ class TestForward:
         p_obs = np.array([1.5, 0.5, 0.0])
         p_bar, new_state = ulstm_update(state, LstmWeights.zeros(), p_tilde, p_obs, p_prev)
         assert np.array_equal(p_bar, p_tilde)
-        assert np.array_equal(new_state.velocity_history[-1], p_bar - p_prev)
-
-    def test_velocity_ring_shifts(self):
-        state = LstmMotionState()
-        state.velocity_history = np.arange(15, dtype=float).reshape(5, 3)
-        weights = LstmWeights.zeros()
-        p_bar, new_state = ulstm_update(state, weights, [1, 0, 0], [1, 0, 0], [0, 0, 0])
-        assert np.array_equal(new_state.velocity_history[:-1], state.velocity_history[1:])
-        assert np.array_equal(new_state.velocity_history[-1], [1, 0, 0])
-        assert len(new_state.velocity_history) == 5
+        assert np.array_equal(new_state.v_last, p_bar - p_prev)
 
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(42)
@@ -113,6 +104,19 @@ class TestForward:
         assert abs(loss - ref_loss) < 1e-10
         for st, ref in zip(steps, ref_outputs):
             assert np.max(np.abs(st["v_bar"] - ref)) < 1e-10
+
+    def test_tracking_steps_replay_training_window(self):
+        """Chained plstm_predict/ulstm_update runs the recurrence that training fits."""
+        rng = np.random.default_rng(5)
+        weights = LstmWeights.initialize(rng, scale=0.8)
+        obs, gt = make_window(rng, T=8)
+        _, steps = forward_window(weights, obs, gt)
+        state = LstmMotionState()
+        p_prev = obs[0]
+        for t, st in enumerate(steps, start=1):
+            p_tilde, state = plstm_predict(state, weights, p_prev)
+            p_prev, state = ulstm_update(state, weights, p_tilde, obs[t], p_prev)
+            assert np.max(np.abs(state.v_last - st["v_bar"])) < 1e-12
 
     def test_forward_deterministic(self):
         rng = np.random.default_rng(1)
@@ -218,7 +222,7 @@ class TestUpdateBehavior:
         agree, disagree = [], []
         for _ in range(100):
             state = LstmMotionState(
-                velocity_history=rng.normal(scale=0.3, size=(5, 3)),
+                v_last=rng.normal(scale=0.3, size=(5, 3))[-1],
                 h_pred=rng.normal(scale=0.1, size=HIDDEN_DIM),
                 c_pred=rng.normal(scale=0.1, size=HIDDEN_DIM),
                 h_upd=rng.normal(scale=0.1, size=HIDDEN_DIM),

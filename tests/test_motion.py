@@ -224,6 +224,6 @@ class TestPredictTracklet:
         assert init_motion_state("none", np.zeros(3), 5.0, box) is None
         assert init_motion_state("kf2d", np.zeros(3), 5.0, box).mean.shape == (7,)
         assert init_motion_state("kf3d", np.zeros(3), 5.0, box).mean.shape == (6,)
-        assert init_motion_state("lstm", np.zeros(3), 5.0, box).velocity_history.shape == (5, 3)
+        assert init_motion_state("lstm", np.zeros(3), 5.0, box).v_last.shape == (3,)
         with pytest.raises(ValueError):
             init_motion_state("bogus", np.zeros(3), 5.0, box)
