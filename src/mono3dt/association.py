@@ -77,15 +77,16 @@ def deep_feature(
     )
 
 
-def depth_filter(track_depth, track_dims, det_depth, det_dims) -> bool:
-    """Keep a pair only when the depth gap is inside the footprint bound.
+def depth_filter(track_depths, track_dims, det_depths, det_dims) -> np.ndarray:
+    """(n, m) keep mask: a pair is kept when its depth gap is inside the footprint bound.
 
     The bound l+w of both objects is a loose reachable-distance envelope
     (it dominates the two footprint diagonals). The gap is symmetric in
     sign, so a detection in front of a tracklet filters like one behind.
     """
-    bound = track_dims[0] + track_dims[1] + det_dims[0] + det_dims[1]
-    return abs(track_depth - det_depth) < bound
+    t_dims, d_dims = np.reshape(track_dims, (-1, 3)), np.reshape(det_dims, (-1, 3))
+    bound = ((t_dims[:, :1] + t_dims[:, 1:2]) + d_dims[:, 0]) + d_dims[:, 1]
+    return np.abs(np.subtract.outer(track_depths, det_depths)) < bound
 
 
 def compose_affinity(a_deep: float, a_2d: float, a_3d: float, config: TrackerConfig) -> float:
@@ -168,56 +169,41 @@ def build_affinity_matrix(tracklets, det_states, detections, det_proj_boxes, int
 
     tracklets carry fresh PredictedView objects; det_states are the decoded
     world states of the DetectionRecords in detections, det_proj_boxes the
-    projections of the decoded 3D boxes.
+    projections of the decoded 3D boxes. The keep mask is decided first,
+    and every channel is computed only for kept pairs.
     """
     n = len(tracklets)
     m = len(det_states)
     values = np.zeros((n, m))
-    kept = np.zeros((n, m), dtype=bool)
     deep = np.zeros((n, m))
+    in_view = np.array([t.predicted.in_view for t in tracklets], dtype=bool)
+    kept = np.repeat(in_view[:, None], m, axis=1)
     if n == 0 or m == 0:
         return AffinityMatrix(values, kept, deep)
 
     track_boxes = [t.predicted.box2d for t in tracklets]
     track_depths = [t.predicted.depth for t in tracklets]
+    det_depths = [d.depth for d in detections]
+    if config.use_depth_ordering:
+        track_dims = [t.state.dimensions for t in tracklets]
+        kept &= depth_filter(track_depths, track_dims, det_depths, [s.dimensions for s in det_states])
+        overlaps = depth_ordered_overlaps(
+            track_boxes, track_depths, det_proj_boxes, det_depths, kept, config.ord_tie_meters, DEPTH_ORDER_TIE_RATE
+        )
     track_features = [
         deep_feature(t.state, t.predicted.center_px, t.predicted.depth, intrinsics, config)
         for t in tracklets
     ]
+    det_features = [
+        deep_feature(s, d.center_proj, d.depth, intrinsics, config)
+        for s, d in zip(det_states, detections)
+    ]
 
-    if config.use_depth_ordering:
-        a3d_cols = [
-            depth_ordered_overlaps(
-                track_boxes,
-                track_depths,
-                det_proj_boxes[j],
-                detections[j].depth,
-                config.ord_tie_meters,
-                DEPTH_ORDER_TIE_RATE,
-            )
-            for j in range(m)
-        ]
-    else:
-        a3d_cols = [
-            np.array([iou_2d(track_boxes[i], det_proj_boxes[j]) for i in range(n)])
-            for j in range(m)
-        ]
-
-    for j in range(m):
-        det = detections[j]
-        det_feature = deep_feature(det_states[j], det.center_proj, det.depth, intrinsics, config)
-        for i in range(n):
-            t = tracklets[i]
-            if not t.predicted.in_view:
-                continue
-            if config.use_depth_ordering and not depth_filter(
-                track_depths[i], t.state.dimensions, det.depth, det_states[j].dimensions
-            ):
-                continue
-            kept[i, j] = True
-            deep[i, j] = affinity_deep(track_features[i], det_feature)
-            a2d = iou_2d(track_boxes[i], det.box2d)
-            values[i, j] = compose_affinity(deep[i, j], a2d, a3d_cols[j][i], config)
+    for i, j in np.argwhere(kept).tolist():
+        deep[i, j] = affinity_deep(track_features[i], det_features[j])
+        a2d = iou_2d(track_boxes[i], detections[j].box2d)
+        a3d = overlaps[i, j] if config.use_depth_ordering else iou_2d(track_boxes[i], det_proj_boxes[j])
+        values[i, j] = compose_affinity(deep[i, j], a2d, a3d, config)
     return AffinityMatrix(values, kept, deep)
 
 
@@ -244,8 +230,7 @@ class Tracker:
         """Image box of an emitted state in the current camera."""
         return project_object(state.box3d(), pose, self.intrinsics)[2]
 
-    def _spawn(self, det, pose) -> Tracklet:
-        state = decode_detection(det, pose, self.intrinsics)
+    def _spawn(self, det, state: ObjectState) -> Tracklet:
         tracklet = Tracklet(
             id=self.next_id,
             state=state,
@@ -266,9 +251,9 @@ class Tracker:
         """
         config = self.config
         backend = config.motion_backend
-        alive = [t for t in self.tracklets if t.status != TrackStatus.DEAD]
+        tracklets = self.tracklets
 
-        for t in alive:
+        for t in tracklets:
             t.predicted = motion_mod.predict_tracklet(
                 t, backend, pose, self.intrinsics, self.lstm_weights
             )
@@ -282,21 +267,21 @@ class Tracker:
                 det_proj_boxes.append(d.box2d)
 
         matrix = build_affinity_matrix(
-            alive, det_states, detections, det_proj_boxes, self.intrinsics, config
+            tracklets, det_states, detections, det_proj_boxes, self.intrinsics, config
         )
         pairs, unmatched_tracks, unmatched_dets = solve_assignment(
             matrix, config.affinity_accept_threshold
         )
 
         covers = cover_fractions(
-            [t.predicted.box2d for t in alive],
-            [t.predicted.depth for t in alive],
+            [t.predicted.box2d for t in tracklets],
+            [t.predicted.depth for t in tracklets],
             config.ord_tie_meters,
             DEPTH_ORDER_TIE_RATE,
         )
 
         for row, col in pairs:
-            t = alive[row]
+            t = tracklets[row]
             det = detections[col]
             obs_state = det_states[col]
             prev_position = t.state.position.copy()
@@ -320,7 +305,7 @@ class Tracker:
             t.age_since_match = 0
 
         for row in unmatched_tracks:
-            t = alive[row]
+            t = tracklets[row]
             occluded = (
                 config.use_occlusion_state
                 and t.predicted.in_view
@@ -343,17 +328,14 @@ class Tracker:
 
         records = []
         survivors = []
-        for t in alive:
+        for t in tracklets:
             cam_z = float(pose.world_to_camera(t.state.position)[2])
             out_of_range = cam_z < config.range_min or cam_z > config.range_max
-            if t.age_since_match > config.max_lost_age or out_of_range:
-                t.status = TrackStatus.DEAD
-                continue
-            survivors.append(t)
+            if t.age_since_match <= config.max_lost_age and not out_of_range:
+                survivors.append(t)
 
         for col in unmatched_dets:
-            t = self._spawn(detections[col], pose)
-            survivors.append(t)
+            survivors.append(self._spawn(detections[col], det_states[col]))
 
         for t in survivors:
             if t.status not in (TrackStatus.TRACKED, TrackStatus.OCCLUDED):

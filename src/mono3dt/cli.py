@@ -197,9 +197,11 @@ def cmd_track(args) -> int:
 # --- evaluate ----------------------------------------------------------------
 
 
-def _camera_depths(records, poses):
+def _camera_depths(records, poses, tracks_path):
     depths = np.empty(len(records))
     for i, r in enumerate(records):
+        if not 0 <= r.frame_index < len(poses):
+            raise FrameGapError(f"{tracks_path}: frame {r.frame_index} outside pose range 0..{len(poses) - 1}")
         depths[i] = poses[r.frame_index].world_to_camera(r.box3d.center)[2]
     return depths
 
@@ -220,8 +222,8 @@ def cmd_evaluate(args) -> int:
     reports = {"all": evaluate_tracks(gt, pred, args.mode)}
     if ranges:
         _, poses = load_poses(args.poses)
-        gt_depths = _camera_depths(gt, poses)
-        pred_depths = _camera_depths(pred, poses)
+        gt_depths = _camera_depths(gt, poses, args.gt)
+        pred_depths = _camera_depths(pred, poses, args.pred)
         for cutoff in ranges:
             gt_sub = [r for r, d in zip(gt, gt_depths) if d <= cutoff]
             pred_sub = [r for r, d in zip(pred, pred_depths) if d <= cutoff]

@@ -27,7 +27,6 @@ class TrackStatus(enum.Enum):
     TRACKED = "tracked"
     OCCLUDED = "occluded"
     LOST = "lost"
-    DEAD = "dead"
 
 
 @dataclass

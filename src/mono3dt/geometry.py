@@ -411,83 +411,78 @@ def _union_area_within(base, rects) -> float:
     return total
 
 
-def _strictly_nearer(depth_far, depth_near, tie_meters, tie_rate) -> bool:
-    tie = max(tie_meters, tie_rate * 0.5 * (depth_far + depth_near))
-    return depth_far - depth_near > tie
+def nearer_mask(depths, tie_meters: float, tie_rate: float) -> np.ndarray:
+    """(n, n) bool: entry [i, j] is true when box j is strictly nearer than box i.
+
+    Boxes whose depth gap is within the tie share a layer and are never
+    nearer than each other; the tie is max(tie_meters, tie_rate * mean
+    depth), so with tie_meters >= 0 the diagonal is false.
+    """
+    d = np.asarray(depths, dtype=float)
+    tie = np.maximum(tie_meters, tie_rate * 0.5 * (d[:, None] + d[None, :]))
+    return d[:, None] - d[None, :] > tie
 
 
 def cover_fractions(boxes, depths, tie_meters: float = 1.0, tie_rate: float = 0.0) -> np.ndarray:
     """Fraction of each box covered by the union of strictly nearer boxes.
 
-    Boxes whose depth gap is within the tie share a layer and do not
-    occlude each other; the tie is max(tie_meters, tie_rate * mean depth).
-    Zero-area boxes report cover 0.
+    The layer tie is that of nearer_mask. Zero-area boxes report cover 0.
     """
     n = len(boxes)
     out = np.zeros(n)
-    for i in range(n):
+    rects = [b.as_tuple() for b in boxes]
+    for i, row in enumerate(nearer_mask(depths, tie_meters, tie_rate).tolist()):
         area = boxes[i].area
         if area <= 0.0:
             continue
-        occluders = [
-            boxes[j].as_tuple()
-            for j in range(n)
-            if j != i and _strictly_nearer(depths[i], depths[j], tie_meters, tie_rate)
-        ]
+        occluders = [rects[j] for j in range(n) if row[j]]
         if not occluders:
             continue
-        covered = _union_area_within(boxes[i].as_tuple(), occluders)
-        out[i] = covered / area
+        out[i] = _union_area_within(rects[i], occluders) / area
     return out
 
 
 def depth_ordered_overlaps(
-    track_boxes,
-    track_depths,
-    det_box: Box2D,
-    det_depth: float,
-    tie_meters: float = 1.0,
-    tie_rate: float = 0.0,
+    track_boxes, track_depths, det_boxes, det_depths, kept, tie_meters: float = 1.0, tie_rate: float = 0.0
 ) -> np.ndarray:
-    """Detection-vs-tracklet overlap under depth ordering around the DOI.
+    """(n, m) detection-vs-tracklet overlaps under depth ordering around each DOI.
 
-    Tracklets closer to the detection's depth layer claim the image area
-    they cover from tracklets farther away from it, provided the claimant
-    is also physically in front of the tracklet it masks (something behind
-    you cannot hide you). The tracklet nearest the detection's own layer
-    therefore keeps its full overlap, while tracklets a layer away meet
-    the detection only through their unclaimed region, taken over the
-    union of that region with the detection box and capped at the plain
-    two-box IoU. With no competing layers this equals iou_2d exactly, and
-    a tracklet fully claimed by a nearer layer scores 0. The layer tie
-    works as in cover_fractions.
+    Tracklets closer to a detection's depth layer (its DOI) claim the
+    image area they cover from tracklets farther away from it, provided
+    the claimant is also physically in front of the tracklet it masks
+    (something behind you cannot hide you). The tracklet nearest the
+    detection's own layer therefore keeps its full overlap, while
+    tracklets a layer away meet the detection only through their
+    unclaimed region, taken over the union of that region with the
+    detection box and capped at the plain two-box IoU. With no competing
+    layers this equals iou_2d exactly, and a tracklet fully claimed by a
+    nearer layer scores 0. The layer tie works as in nearer_mask.
+
+    Only the pairs set in the (n, m) bool mask kept are computed; the
+    other entries are 0. Claimants range over all tracklets either way.
     """
-    n = len(track_boxes)
-    out = np.zeros(n)
-    det_rect = det_box.as_tuple()
-    det_area = det_box.area
-    doi_gap = [abs(track_depths[i] - det_depth) for i in range(n)]
-    for i in range(n):
-        box = track_boxes[i]
-        occluders = [
-            track_boxes[j].as_tuple()
-            for j in range(n)
-            if j != i
-            and _strictly_nearer(track_depths[i], track_depths[j], tie_meters, tie_rate)
-            and doi_gap[j] < doi_gap[i]
-        ]
-        if not occluders:
-            out[i] = iou_2d(box, det_box)
+    n, m = len(track_boxes), len(det_boxes)
+    out = np.zeros((n, m))
+    depths = np.asarray(track_depths, dtype=float)
+    nearer = nearer_mask(depths, tie_meters, tie_rate)
+    doi_gap = np.abs(np.subtract.outer(depths, det_depths))
+    rects = [b.as_tuple() for b in track_boxes]
+    for i, j in np.argwhere(kept).tolist():
+        box, det_box = track_boxes[i], det_boxes[j]
+        claimants = np.flatnonzero(nearer[i] & (doi_gap[:, j] < doi_gap[i, j]))
+        if len(claimants) == 0:
+            out[i, j] = iou_2d(box, det_box)
             continue
-        inter_rect = _clip_rect(box.as_tuple(), det_rect)
+        inter_rect = _clip_rect(rects[i], det_box.as_tuple())
         if inter_rect is None:
             continue
+        occluders = [rects[k] for k in claimants]
         inter = (inter_rect[2] - inter_rect[0]) * (inter_rect[3] - inter_rect[1])
         numerator = inter - _union_area_within(inter_rect, occluders)
         if numerator <= 0.0:
             continue
-        visible_area = box.area - _union_area_within(box.as_tuple(), occluders)
-        denominator = visible_area + det_area - numerator
+        visible_area = box.area - _union_area_within(rects[i], occluders)
+        denominator = visible_area + det_box.area - numerator
         if denominator > 0.0:
-            out[i] = min(numerator / denominator, iou_2d(box, det_box))
+            out[i, j] = min(numerator / denominator, iou_2d(box, det_box))
     return out

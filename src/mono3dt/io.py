@@ -73,6 +73,14 @@ def _read_jsonl(path, kind: str):
                 raise ParseError(path, line_no, f"bad record: {exc}") from exc
 
 
+def _json_int(obj: dict, key: str) -> int:
+    value = obj[key]
+    # bool is a subclass of int, so compare the exact type
+    if type(value) is not int:
+        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def write_detections(records_per_frame, path) -> None:
     """Write per-frame DetectionRecord lists as detections.jsonl."""
     path = Path(path)
@@ -105,7 +113,7 @@ def load_detections(path):
     for line_no, obj in _read_jsonl(path, "detections"):
         try:
             det = DetectionRecord(
-                frame_index=int(obj["frame"]),
+                frame_index=_json_int(obj, "frame"),
                 box2d=Box2D(*obj["box2d"]),
                 center_proj=obj["c"],
                 depth=float(obj["depth_m"]),
@@ -251,8 +259,8 @@ def load_tracks(path):
     for line_no, obj in _read_jsonl(path, "tracks"):
         try:
             rec = TrackRecord(
-                frame_index=int(obj["frame"]),
-                track_id=int(obj["id"]),
+                frame_index=_json_int(obj, "frame"),
+                track_id=_json_int(obj, "id"),
                 box3d=Box3D(obj["P_m"], obj["dim_m"], float(obj["yaw_rad"])),
                 velocity=obj["vel_mpf"],
                 box2d_projected=Box2D(*obj["box2d"]),

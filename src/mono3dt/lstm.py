@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .io import ParseError, UnsupportedFormatVersion
+
 EMBED_DIM = 64
 HIDDEN_DIM = 128
 GATE_DIM = 4 * HIDDEN_DIM
@@ -57,10 +59,10 @@ class LstmWeights:
 
     def __post_init__(self):
         for name, shape in PARAM_SHAPES.items():
-            arr = np.asarray(self.arrays[name], dtype=float).reshape(shape)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite values in {name}")
-            self.arrays[name] = arr
+            arr = np.asarray(self.arrays[name], dtype=float)
+            if arr.size != math.prod(shape) or not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must hold {shape} finite values")
+            self.arrays[name] = arr.reshape(shape)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
@@ -410,7 +412,17 @@ def save_weights(weights: LstmWeights, path) -> None:
 
 
 def load_weights(path) -> LstmWeights:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format_version") != WEIGHTS_FORMAT_VERSION:
-        raise ValueError(f"unsupported weights format_version {doc.get('format_version')!r}")
-    return LstmWeights({name: np.array(vals) for name, vals in doc["arrays"].items()})
+    """Read a save_weights file; a file that does not hold them raises io.ParseError."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, f"bad weights file: {exc}") from exc
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != WEIGHTS_FORMAT_VERSION:
+        raise UnsupportedFormatVersion(path, 1, f"unsupported weights format_version {version!r}")
+    try:
+        return LstmWeights({name: np.array(vals) for name, vals in doc["arrays"].items()})
+    except KeyError as exc:
+        raise ParseError(path, 1, f"missing weights entry {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(path, 1, f"bad weights arrays: {exc}") from exc

@@ -6,18 +6,18 @@ import math
 import numpy as np
 import pytest
 
+from mono3dt import association, geometry
 from mono3dt.association import (
     AffinityMatrix,
     LengthMismatch,
     Tracker,
     affinity_deep,
     compose_affinity,
-    depth_filter,
     run_sequence,
     solve_assignment,
 )
 from mono3dt.data import SequenceInput, TrackerConfig, TrackStatus
-from mono3dt.geometry import Box2D, cover_fractions, depth_ordered_overlaps, iou_2d
+from mono3dt.geometry import DEPTH_ORDER_TIE_RATE, Box2D, cover_fractions, iou_2d, nearer_mask
 from mono3dt.simulator import ScenarioConfig, generate_world, ground_truth_records, render_detections
 
 from conftest import default_intrinsics
@@ -42,6 +42,11 @@ class TestAffinityDeep:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             affinity_deep([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+def depth_filter(track_depth, track_dims, det_depth, det_dims) -> bool:
+    """The (n, m) keep mask of association.depth_filter for one pair."""
+    return bool(association.depth_filter([track_depth], [track_dims], [det_depth], [det_dims])[0, 0])
 
 
 class TestDepthFilter:
@@ -186,6 +191,17 @@ def painter_overlap_oracle(track_boxes, track_depths, det_box, det_depth, cells=
     return np.array(out)
 
 
+def depth_ordered_overlaps(track_boxes, track_depths, det_box, det_depth):
+    """The (n,) column of geometry.depth_ordered_overlaps for one detection, every pair kept."""
+    kept = np.ones((len(track_boxes), 1), dtype=bool)
+    return geometry.depth_ordered_overlaps(track_boxes, track_depths, [det_box], [det_depth], kept)[:, 0]
+
+
+def random_box(rng) -> Box2D:
+    x0, y0 = rng.uniform(0, 200, 2)
+    return Box2D(x0, y0, x0 + rng.uniform(20, 150), y0 + rng.uniform(20, 100))
+
+
 class TestDepthOrderedOverlaps:
     def test_single_tracklet_equals_plain_iou(self):
         track = Box2D(0, 0, 100, 60)
@@ -219,18 +235,46 @@ class TestDepthOrderedOverlaps:
         rng = np.random.default_rng(7)
         for _ in range(200):
             n = rng.integers(1, 5)
-            boxes = []
-            for _ in range(n):
-                x0, y0 = rng.uniform(0, 200, 2)
-                boxes.append(Box2D(x0, y0, x0 + rng.uniform(20, 150), y0 + rng.uniform(20, 100)))
+            boxes = [random_box(rng) for _ in range(n)]
             depths = rng.uniform(5, 60, n)
-            x0, y0 = rng.uniform(0, 200, 2)
-            det = Box2D(x0, y0, x0 + rng.uniform(20, 150), y0 + rng.uniform(20, 100))
+            det = random_box(rng)
             det_depth = rng.uniform(5, 60)
             got = depth_ordered_overlaps(list(boxes), list(depths), det, det_depth)
             for i, box in enumerate(boxes):
                 assert got[i] <= iou_2d(box, det) + 1e-12
                 assert 0.0 <= got[i] <= 1.0
+
+    def test_only_kept_pairs_computed(self):
+        # a kept pair's overlap must not depend on which other pairs are
+        # kept: claimants range over every tracklet, kept or not
+        rng = np.random.default_rng(17)
+        claimed = 0
+        for _ in range(300):
+            n, m = rng.integers(1, 7), rng.integers(1, 5)
+            boxes = [random_box(rng) for _ in range(n)]
+            depths = list(rng.uniform(5, 40, n))
+            dets = [random_box(rng) for _ in range(m)]
+            det_depths = list(rng.uniform(5, 40, m))
+            kept = rng.random((n, m)) < 0.5
+            args = (boxes, depths, dets, det_depths)
+            full = geometry.depth_ordered_overlaps(*args, np.ones((n, m), bool), 1.0, DEPTH_ORDER_TIE_RATE)
+            got = geometry.depth_ordered_overlaps(*args, kept, 1.0, DEPTH_ORDER_TIE_RATE)
+            assert np.all(got[~kept] == 0.0)
+            assert np.array_equal(got[kept], full[kept])
+            claimed += sum(got[i, j] != iou_2d(boxes[i], dets[j]) for i, j in np.argwhere(kept))
+        assert claimed > 0  # the draws do exercise claimed overlaps
+
+
+class TestNearerMask:
+    def test_matches_scalar_definition(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            depths = rng.choice([5.0, 5.5, 10.0, 20.0, 21.0, 40.0], size=rng.integers(1, 7))
+            mask = nearer_mask(depths, 1.0, DEPTH_ORDER_TIE_RATE)
+            for i, j in np.ndindex(mask.shape):
+                tie = max(1.0, DEPTH_ORDER_TIE_RATE * 0.5 * (depths[i] + depths[j]))
+                assert mask[i, j] == (depths[i] - depths[j] > tie)
+            assert not mask.diagonal().any()
 
 
 class TestCoverFractions:

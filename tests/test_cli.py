@@ -195,6 +195,26 @@ class TestTrack:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
+        "text, code",
+        [("{}", 2), ('{"format_version": 1, "arrays": {}}', 1), ("nope", 1)],
+        ids=["no-version", "no-arrays", "not-json"],
+    )
+    def test_bad_weights_error_line(self, scenario, tmp_path, text, code):
+        """A weights file that does not hold weights reaches the user as an error line naming it."""
+        weights = tmp_path / "w.json"
+        weights.write_text(text)
+        src = str(Path(mono3dt.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mono3dt.cli", "track", "--detections", str(scenario / "detections.jsonl"), "--poses", str(scenario / "poses.json"), "--motion", "lstm", "--weights", str(weights), "--out", str(tmp_path / "t.jsonl")],
+            cwd=src,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == code
+        assert f"{weights}:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
         "config", [{"w_deep": "x"}, {"max_lost_age": None}, {"use_depth_ordering": "yes"}]
     )
     def test_wrong_config_value_type_exit_2(self, scenario, tmp_path, capsys, config):
@@ -251,6 +271,20 @@ class TestEvaluate:
         code = run(["evaluate", "--gt", str(bad), "--pred", str(scenario / "gt_tracks.jsonl")])
         assert code == 1
         assert f"{bad}:4: " in capsys.readouterr().err
+
+    def test_row_without_pose_exit_1(self, scenario, tmp_path, capsys):
+        lines = (scenario / "gt_tracks.jsonl").read_text().splitlines()
+        record = json.loads(lines[3])
+        record["frame"] = 999
+        lines[3] = json.dumps(record)
+        bad = tmp_path / "gt.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run(
+            ["evaluate", "--gt", str(bad), "--pred", str(scenario / "gt_tracks.jsonl"), "--ranges", "30", "--poses", str(scenario / "poses.json")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "frame 999" in err
 
     def test_ranges_without_poses_exit_2(self, scenario):
         code = run(

@@ -39,6 +39,20 @@ TRACKS_DIGESTS = {
     ("reappearance", 5, ()): ("c8adb18394a68649", "49fa155fbafc1d62", "a35c1c6cdd98b8c8", "c2b576c0ed945eeb"),
 }
 
+# the same scenes tracked with the ablation switches off:
+# TrackerConfig(motion_backend=b, use_depth_ordering=False, use_occlusion_state=False)
+ABLATION_DIGESTS = {
+    ("dense", 3, ()): ("e2a7254eb3a8e9bf", "3933e54e4ae3185c", "534e98163b0ab7e5", "45214d48ce3c6f24"),
+    ("open_road", 0, (("n_vehicles", 12),)): (
+        "06e659239511caca",
+        "26ffd2db69144899",
+        "745fcfe5ad424aae",
+        "d1e32240cacbead6",
+    ),
+    ("crossing_occlusion", 3, ()): ("74074fb1aac0dcea", "74074fb1aac0dcea", "0dfbf5fbb07c1cf4", "72715318b2b90823"),
+    ("reappearance", 5, ()): ("c8adb18394a68649", "f512d7464272a5a4", "a36ee52a8f944eac", "36d69be008892d5b"),
+}
+
 pytestmark = pytest.mark.skipif(
     np.__version__ != DIGEST_NUMPY,
     reason=f"digests were taken under NumPy {DIGEST_NUMPY}, this is NumPy {np.__version__}",
@@ -62,19 +76,32 @@ def test_weights_digest(weights_and_path):
     assert digest(weights_and_path[1]) == WEIGHTS_DIGEST
 
 
-@pytest.mark.parametrize("scene", list(TRACKS_DIGESTS), ids=lambda s: f"{s[0]}-s{s[1]}")
-def test_tracks_digests(scene, weights_and_path, tmp_path):
+def track_digests(scene, weights, tmp_path, **switches) -> dict:
     preset, seed, overrides = scene
     paths = write_scenario(ScenarioConfig.make_preset(preset, seed=seed, **dict(overrides)), tmp_path)
     sequence = load_sequence(paths["detections"], paths["poses"])
-    got = []
+    got = {}
     for backend in BACKENDS:
         records = run_sequence(
             sequence,
-            TrackerConfig(motion_backend=backend).validate(),
-            weights_and_path[0] if backend == "lstm" else None,
+            TrackerConfig(motion_backend=backend, **switches).validate(),
+            weights if backend == "lstm" else None,
         )
         out = tmp_path / f"tracks-{backend}.jsonl"
         write_tracks(records, out)
-        got.append(digest(out))
-    assert dict(zip(BACKENDS, got)) == dict(zip(BACKENDS, TRACKS_DIGESTS[scene]))
+        got[backend] = digest(out)
+    return got
+
+
+@pytest.mark.parametrize("scene", list(TRACKS_DIGESTS), ids=lambda s: f"{s[0]}-s{s[1]}")
+def test_tracks_digests(scene, weights_and_path, tmp_path):
+    got = track_digests(scene, weights_and_path[0], tmp_path)
+    assert got == dict(zip(BACKENDS, TRACKS_DIGESTS[scene]))
+
+
+@pytest.mark.parametrize("scene", list(ABLATION_DIGESTS), ids=lambda s: f"{s[0]}-s{s[1]}")
+def test_ablation_tracks_digests(scene, weights_and_path, tmp_path):
+    got = track_digests(
+        scene, weights_and_path[0], tmp_path, use_depth_ordering=False, use_occlusion_state=False
+    )
+    assert got == dict(zip(BACKENDS, ABLATION_DIGESTS[scene]))

@@ -108,6 +108,9 @@ class TestDetectionsRoundTrip:
             ("app", [0.0, float("nan")]),
             ("dim_m", [0.0, 1.8, 1.5]),
             ("dim_m", [4.2, -1.8, 1.5]),
+            ("frame", 2.7),
+            ("frame", True),
+            ("frame", "3"),
         ],
     )
     def test_bad_value_reports_line(self, tmp_path, field, value):
@@ -225,7 +228,14 @@ class TestTracks:
 
     @pytest.mark.parametrize(
         "key, token",
-        [("P_m", "[1.0, NaN, 0.5]"), ("dim_m", "[4.2, Infinity, 1.5]"), ("vel_mpf", "[0.1, 1e999, 0.0]")],
+        [
+            ("P_m", "[1.0, NaN, 0.5]"),
+            ("dim_m", "[4.2, Infinity, 1.5]"),
+            ("vel_mpf", "[0.1, 1e999, 0.0]"),
+            ("id", "2.7"),
+            ("id", "true"),
+            ("frame", '"3"'),
+        ],
     )
     def test_non_finite_number_reports_line(self, tmp_path, key, token):
         rec = TrackRecord(2, 4, Box3D([1.0, 2.0, 0.5], [4.2, 1.8, 1.5], 0.3), np.zeros(3), Box2D(0, 0, 9, 9), TrackStatus.TRACKED)

@@ -5,11 +5,13 @@ the documented equations, and the analytic BPTT gradients against central
 finite differences.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from mono3dt.io import ParseError
 from mono3dt.lstm import (
     EMBED_DIM,
     HIDDEN_DIM,
@@ -203,6 +205,22 @@ class TestTraining:
         loaded = load_weights(path)
         for name in weights.arrays:
             assert np.array_equal(weights.arrays[name], loaded.arrays[name])
+
+    @pytest.mark.parametrize("damage", ["missing", "mis-shaped", "non-finite"])
+    def test_bad_weights_array_names_the_file(self, tmp_path, damage):
+        path = tmp_path / "weights.json"
+        save_weights(LstmWeights.zeros(), path)
+        doc = json.loads(path.read_text())
+        if damage == "missing":
+            del doc["arrays"]["b_embed"]
+        elif damage == "mis-shaped":
+            doc["arrays"]["b_embed"] = doc["arrays"]["b_embed"][:-1]
+        else:
+            doc["arrays"]["b_embed"][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as err:
+            load_weights(path)
+        assert str(err.value).startswith(f"{path}:1: ") and "b_embed" in str(err.value)
 
 
 @pytest.fixture(scope="module")
