@@ -261,6 +261,12 @@ def cmd_train_motion(args) -> int:
         raise UsageError("--epochs must be positive")
     if args.scenarios <= 0:
         raise UsageError("--scenarios must be positive")
+    if args.window < 2:
+        raise UsageError("--window must be at least 2")
+    if args.batch_size < 1:
+        raise UsageError("--batch-size must be positive")
+    if args.trajectory_frames < args.window:
+        raise UsageError("--trajectory-frames must be at least --window")
     t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     dataset = sample_trajectories(rng, args.scenarios, length=args.trajectory_frames)

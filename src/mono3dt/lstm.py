@@ -104,68 +104,84 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-# cell -> names of its gate weights and bias, then its head's two layers
-_CELL_PARAMS = {
-    c: (f"w_{c}gate", f"b_{c}gate", f"w_{c}head1", f"b_{c}head1", f"w_{c}head2", f"b_{c}head2")
-    for c in ("p", "u")
-}
+def _matvec(w, x):
+    """w @ row for one row x or every row of a (B, ·) batch.
+
+    A batch runs as stacked matrix-vector products, each the same BLAS call
+    as w @ row, so it is bit-equal to running its rows one by one (a GEMM
+    would not be). One row takes w @ x directly, which skips the view
+    handling that tracking would pay on every call.
+    """
+    return w @ x if x.ndim == 1 else np.matmul(w, x[..., None])[..., 0]
+
+
+def _rowdot(a, b):
+    """dot(a_row, b_row) for every row, bit-equal to np.dot on one row."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+# cell -> its layers: the LSTM gates, then the head's two tanh/linear
+# layers; layer "x" has parameters w_x and b_x
+_CELL_LAYERS = {c: (f"{c}gate", f"{c}head1", f"{c}head2") for c in ("p", "u")}
 
 
 def _cell_forward(weights: LstmWeights, cell: str, x, h_prev, c_prev):
     """One step of the prediction ("p") or update ("u") cell.
 
     Runs the LSTM gates on [x, h_prev], then the two-layer tanh head on
-    the new hidden state. Returns (h, c, head output, cache). Tracking and
+    the new hidden state. x, h_prev and c_prev are one row each or a
+    (B, ·) batch of rows. Returns (h, c, head output, cache). Tracking and
     training both run the cells through this function only.
     """
-    w, b, w1, b1, w2, b2 = (weights[name] for name in _CELL_PARAMS[cell])
-    z = w @ np.concatenate([x, h_prev]) + b
-    i = _sigmoid(z[:HIDDEN_DIM])
-    f = _sigmoid(z[HIDDEN_DIM : 2 * HIDDEN_DIM])
-    g = np.tanh(z[2 * HIDDEN_DIM : 3 * HIDDEN_DIM])
-    o = _sigmoid(z[3 * HIDDEN_DIM :])
+    gate, head1, head2 = _CELL_LAYERS[cell]
+    xh = np.concatenate([x, h_prev], -1)
+    z = _matvec(weights[f"w_{gate}"], xh) + weights[f"b_{gate}"]
+    i = _sigmoid(z[..., :HIDDEN_DIM])
+    f = _sigmoid(z[..., HIDDEN_DIM : 2 * HIDDEN_DIM])
+    g = np.tanh(z[..., 2 * HIDDEN_DIM : 3 * HIDDEN_DIM])
+    o = _sigmoid(z[..., 3 * HIDDEN_DIM :])
     c = f * c_prev + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    t = np.tanh(w1 @ h + b1)
-    y = w2 @ t + b2
-    return h, c, y, (x, h_prev, c_prev, i, f, g, o, tanh_c, h, t)
+    t = np.tanh(_matvec(weights[f"w_{head1}"], h) + weights[f"b_{head1}"])
+    y = _matvec(weights[f"w_{head2}"], t) + weights[f"b_{head2}"]
+    return h, c, y, (xh, c_prev, i, f, g, o, tanh_c, h, t)
 
 
-def _cell_backward(weights: LstmWeights, cell: str, cache, dy, dh_next, dc_next, grads):
-    """Backward of _cell_forward. Adds the cell's parameter gradients into
-    grads and returns (dx, dh_prev, dc_prev)."""
-    n_w, n_b, n_w1, n_b1, n_w2, n_b2 = _CELL_PARAMS[cell]
-    x, h_prev, c_prev, i, f, g, o, tanh_c, h, t = cache
-    grads[n_w2] += np.outer(dy, t)
-    grads[n_b2] += dy
-    da = (weights[n_w2].T @ dy) * (1.0 - t * t)
-    grads[n_w1] += np.outer(da, h)
-    grads[n_b1] += da
-    dh = dh_next + weights[n_w1].T @ da
+def _cell_backward(weights: LstmWeights, cell: str, cache, dy, dh_next, dc_next, rows):
+    """Backward of _cell_forward over a (B, ·) batch.
+
+    Appends each layer's (output gradient, input) rows to rows[layer] for
+    the weight gradients and returns (dx, dh_prev, dc_prev).
+    """
+    gate, head1, head2 = _CELL_LAYERS[cell]
+    xh, c_prev, i, f, g, o, tanh_c, h, t = cache
+    rows[head2].append((dy, t))
+    da = (dy @ weights[f"w_{head2}"]) * (1.0 - t * t)
+    rows[head1].append((da, h))
+    dh = dh_next + da @ weights[f"w_{head1}"]
     do = dh * tanh_c
     dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
     di = dc * g
     df = dc * c_prev
     dg = dc * i
     dz = np.concatenate(
-        [di * i * (1 - i), df * f * (1 - f), dg * (1 - g * g), do * o * (1 - o)]
+        [di * i * (1 - i), df * f * (1 - f), dg * (1 - g * g), do * o * (1 - o)], axis=-1
     )
-    grads[n_w] += np.outer(dz, np.concatenate([x, h_prev]))
-    grads[n_b] += dz
-    dxh = weights[n_w].T @ dz
-    return dxh[: len(x)], dxh[len(x) :], dc * f
+    rows[gate].append((dz, xh))
+    dxh = dz @ weights[f"w_{gate}"]
+    n_x = xh.shape[-1] - HIDDEN_DIM
+    return dxh[:, :n_x], dxh[:, n_x:], dc * f
 
 
 def _embed(weights, v):
-    return weights["w_embed"] @ v + weights["b_embed"]
+    return _matvec(weights["w_embed"], v) + weights["b_embed"]
 
 
-def _embed_backward(weights, g, v, grads):
-    """Backward of _embed: adds into grads, returns the gradient on v."""
-    grads["w_embed"] += np.outer(g, v)
-    grads["b_embed"] += g
-    return weights["w_embed"].T @ g
+def _embed_backward(weights, g, v, rows):
+    """Backward of _embed: appends (g, v) to rows["embed"], returns the gradient on v."""
+    rows["embed"].append((g, v))
+    return g @ weights["w_embed"]
 
 
 def plstm_predict(state: LstmMotionState, weights: LstmWeights, p_prev: np.ndarray):
@@ -204,42 +220,49 @@ _COS_EPS = 1e-8
 
 
 def forward_window(weights: LstmWeights, obs: np.ndarray, gt: np.ndarray):
-    """Run both cells over one observation window and compute the loss.
+    """Run both cells over a batch of observation windows and compute the loss.
 
-    obs and gt are (T, 3); the first observation anchors the estimate.
+    obs and gt are (B, T, 3), or one (T, 3) window (B = 1); the first
+    observation of a window anchors its estimate.
     Loss per transition = L1(refined location, gt location)
                         + (1 - cos(consecutive refined velocities))
                         + L1(consecutive refined velocities),
-    averaged over the T-1 transitions. Anchoring the first term on
-    location keeps velocity biases from integrating into unbounded drift.
-    Returns (loss, caches) where caches carry everything the backward pass
-    needs.
+    averaged over each window's T-1 transitions. Anchoring the first term
+    on location keeps velocity biases from integrating into unbounded
+    drift. Returns (loss, caches): the loss is the sum of the windows' mean
+    losses, added in window order, and the caches carry everything the
+    backward pass needs. Each window's values are bit-equal to running it
+    alone.
     """
-    T = len(obs)
-    p_bar = obs[0].astype(float)
-    v_last = np.zeros(3)
-    hp = cp = hu = cu = np.zeros(HIDDEN_DIM)
+    obs = np.asarray(obs, dtype=float)
+    gt = np.asarray(gt, dtype=float)
+    if obs.ndim == 2:
+        obs, gt = obs[None], gt[None]
+    B, T = obs.shape[:2]
+    p_bar = obs[:, 0]
+    v_last = np.zeros((B, 3))
+    hp = cp = hu = cu = np.zeros((B, HIDDEN_DIM))
     steps = []
-    total = 0.0
+    total = np.zeros(B)
     for t in range(1, T):
         hp, cp, v_hat, cache_p = _cell_forward(weights, "p", _embed(weights, v_last), hp, cp)
-        d_obs = obs[t] - p_bar
-        xu = np.concatenate([_embed(weights, v_hat), _embed(weights, d_obs)])
+        d_obs = obs[:, t] - p_bar
+        xu = np.concatenate([_embed(weights, v_hat), _embed(weights, d_obs)], axis=-1)
         hu, cu, corr, cache_u = _cell_forward(weights, "u", xu, hu, cu)
         v_bar = v_hat + corr
         p_bar_new = p_bar + v_bar
-        step_loss = float(np.sum(np.abs(p_bar_new - gt[t])))
+        step_loss = np.sum(np.abs(p_bar_new - gt[:, t]), axis=-1)
         cos_cache = None
         if t > 1:  # the velocity terms compare with the previous refined velocity
             v_ref = v_last
-            na = float(np.linalg.norm(v_bar))
-            nb = float(np.linalg.norm(v_ref))
+            na = np.sqrt(_rowdot(v_bar, v_bar))
+            nb = np.sqrt(_rowdot(v_ref, v_ref))
             den = na * nb + _COS_EPS
-            dot = float(np.dot(v_bar, v_ref))
-            step_loss += 1.0 - dot / den
-            step_loss += float(np.sum(np.abs(v_bar - v_ref)))
+            dot = _rowdot(v_bar, v_ref)
+            step_loss = step_loss + (1.0 - dot / den)
+            step_loss = step_loss + np.sum(np.abs(v_bar - v_ref), axis=-1)
             cos_cache = (na, nb, den, dot, v_ref)
-        total += step_loss
+        total = total + step_loss
         steps.append(
             {
                 "v_last": v_last,
@@ -248,52 +271,67 @@ def forward_window(weights: LstmWeights, obs: np.ndarray, gt: np.ndarray):
                 "d_obs": d_obs,
                 "cache_u": cache_u,
                 "v_bar": v_bar,
-                "p_residual": p_bar_new - gt[t],
+                "p_residual": p_bar_new - gt[:, t],
                 "cos": cos_cache,
             }
         )
         v_last = v_bar
         p_bar = p_bar_new
-    return total / (T - 1), steps
+    loss = 0.0
+    for window_loss in total / (T - 1):
+        loss += float(window_loss)
+    return loss, steps
+
+
+def _cos_grad(a, b, na, nb, den, dot):
+    """d/da [1 - dot(a, b) / den], den = |a||b| + eps, per row; a row with |a| = 0 has no norm term."""
+    safe_na = np.where(na > 0, na, 1.0)
+    return np.where(na > 0, -(b / den) + dot * (a / safe_na) * nb / (den * den), -(b / den))
 
 
 def backward_window(weights: LstmWeights, steps):
-    """BPTT over forward_window caches. Returns gradient dict (same keys)."""
-    grads = {name: np.zeros(shape) for name, shape in PARAM_SHAPES.items()}
+    """BPTT over forward_window caches.
+
+    Returns the gradient of forward_window's loss, a dict keyed like
+    PARAM_SHAPES. The time loop carries only the (B, ·) recurrent
+    gradients; each weight gradient is one product over the stacked
+    (B·(T-1), ·) rows after it.
+    """
     n_steps = len(steps)
     scale = 1.0 / n_steps
-    d_pbar = np.zeros(3)
-    d_vbar_future = np.zeros(3)
-    dhp = dcp = dhu = dcu = np.zeros(HIDDEN_DIM)
+    B = len(steps[0]["v_bar"])
+    d_pbar = np.zeros((B, 3))
+    d_vbar_future = np.zeros((B, 3))
+    dhp = dcp = dhu = dcu = np.zeros((B, HIDDEN_DIM))
+    rows = {name[2:]: [] for name in PARAM_SHAPES if name.startswith("w_")}
     for t in range(n_steps - 1, -1, -1):
         st = steps[t]
         v_bar = st["v_bar"]
         # location L1 acts on p_bar_t, which both v_bar_t and p_bar_{t-1} feed
         d_pbar = d_pbar + scale * np.sign(st["p_residual"])
-        g_vbar = np.zeros(3)
-        g_prev_loss = np.zeros(3)
+        g_vbar = np.zeros((B, 3))
+        g_prev_loss = np.zeros((B, 3))
         if st["cos"] is not None:
-            na, nb, den, dot, v_ref = st["cos"]
-            # d/da [1 - dot(a,b)/den], den = |a||b| + eps
-            if na > 0:
-                g_vbar += scale * (-(v_ref / den) + dot * (v_bar / na) * nb / (den * den))
-            else:
-                g_vbar += scale * (-(v_ref / den))
+            na, nb, den, dot = (a[:, None] for a in st["cos"][:4])
+            v_ref = st["cos"][4]
+            g_vbar += scale * _cos_grad(v_bar, v_ref, na, nb, den, dot)
             g_vbar += scale * np.sign(v_bar - v_ref)
-            if nb > 0:
-                g_prev_loss += scale * (-(v_bar / den) + dot * (v_ref / nb) * na / (den * den))
-            else:
-                g_prev_loss += scale * (-(v_bar / den))
+            g_prev_loss += scale * _cos_grad(v_ref, v_bar, nb, na, den, dot)
             g_prev_loss -= scale * np.sign(v_bar - v_ref)
         g_vbar = g_vbar + d_vbar_future + d_pbar
         # v_bar = v_hat + corr: the update head's output takes g_vbar as is
-        g_xu, dhu, dcu = _cell_backward(weights, "u", st["cache_u"], g_vbar, dhu, dcu, grads)
+        g_xu, dhu, dcu = _cell_backward(weights, "u", st["cache_u"], g_vbar, dhu, dcu, rows)
         # d_obs = obs_t - p_bar_{t-1}
-        d_pbar = d_pbar - _embed_backward(weights, g_xu[EMBED_DIM:], st["d_obs"], grads)
-        g_vhat = g_vbar + _embed_backward(weights, g_xu[:EMBED_DIM], st["v_hat"], grads)
-        g_ep, dhp, dcp = _cell_backward(weights, "p", st["cache_p"], g_vhat, dhp, dcp, grads)
-        d_vbar_future = _embed_backward(weights, g_ep, st["v_last"], grads) + g_prev_loss
-    return grads
+        d_pbar = d_pbar - _embed_backward(weights, g_xu[:, EMBED_DIM:], st["d_obs"], rows)
+        g_vhat = g_vbar + _embed_backward(weights, g_xu[:, :EMBED_DIM], st["v_hat"], rows)
+        g_ep, dhp, dcp = _cell_backward(weights, "p", st["cache_p"], g_vhat, dhp, dcp, rows)
+        d_vbar_future = _embed_backward(weights, g_ep, st["v_last"], rows) + g_prev_loss
+    grads = {}
+    for layer, pairs in rows.items():
+        d_out = np.concatenate([d for d, _ in pairs])
+        grads[f"w_{layer}"] = d_out.T @ np.concatenate([x for _, x in pairs])
+        grads[f"b_{layer}"] = d_out.sum(axis=0)
+    return {name: grads[name] for name in PARAM_SHAPES}
 
 
 # train_lstm's fixed settings: the initial weight scale, then SGD with
@@ -318,12 +356,18 @@ def train_lstm(dataset, config: MotionTrainConfig):
     """Gradient-descent training over observation windows.
 
     dataset: list of (true_positions (T,3), observed_positions (T,3)).
-    Returns (weights, loss_history). Raises DivergedTraining on a
-    non-finite loss and ValueError on an empty dataset.
+    Returns (weights, loss_history). Each step draws batch_size windows and
+    runs them as one batch. Raises DivergedTraining on a non-finite loss
+    and ValueError on an empty dataset, a window shorter than 2 frames or
+    a batch size below 1.
     """
     if len(dataset) == 0:
         raise ValueError("empty training dataset")
     window = config.window
+    if window < 2:
+        raise ValueError(f"window must be at least 2 frames, got {window}")
+    if config.batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {config.batch_size}")
     usable = [i for i, (gt, obs) in enumerate(dataset) if len(gt) >= window]
     if not usable:
         raise ValueError(f"no trajectory is at least {window} frames long")
@@ -335,23 +379,19 @@ def train_lstm(dataset, config: MotionTrainConfig):
     for step in range(config.steps):
         if step > 0 and config.lr_decay_every > 0 and step % config.lr_decay_every == 0:
             lr *= LR_DECAY
-        grads = {name: np.zeros(shape) for name, shape in PARAM_SHAPES.items()}
-        batch_loss = 0.0
+        gt_wins, obs_wins = [], []
         for _ in range(config.batch_size):
             idx = usable[rng.integers(len(usable))]
             gt, obs = dataset[idx]
             start = rng.integers(0, len(gt) - window + 1)
-            gt_win = np.asarray(gt[start : start + window], dtype=float)
-            obs_win = np.asarray(obs[start : start + window], dtype=float)
-            loss, steps_cache = forward_window(weights, obs_win, gt_win)
-            batch_loss += loss
-            g = backward_window(weights, steps_cache)
-            for name in grads:
-                grads[name] += g[name]
+            gt_wins.append(np.asarray(gt[start : start + window], dtype=float))
+            obs_wins.append(np.asarray(obs[start : start + window], dtype=float))
+        batch_loss, steps_cache = forward_window(weights, np.stack(obs_wins), np.stack(gt_wins))
         batch_loss /= config.batch_size
         if not math.isfinite(batch_loss):
             raise DivergedTraining(f"loss became non-finite at step {step}")
         history.append(batch_loss)
+        grads = backward_window(weights, steps_cache)
         norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values())) / config.batch_size
         clip_factor = 1.0 / config.batch_size
         if norm > GRAD_CLIP:

@@ -297,6 +297,26 @@ class TestTrainMotion:
     def test_zero_epochs_usage_error(self, tmp_path):
         assert run(["train-motion", "--epochs", "0", "--out", str(tmp_path / "w.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--window", "1"], ["--window", "0"], ["--batch-size", "0"], ["--batch-size", "-2"], ["--trajectory-frames", "5"]],
+        ids=["window-1", "window-0", "batch-0", "batch-negative", "trajectory-shorter-than-window"],
+    )
+    def test_untrainable_arguments_usage_error(self, tmp_path, args):
+        """Arguments that cannot train exit 2 with an error line and write no weights."""
+        weights = tmp_path / "w.json"
+        src = str(Path(mono3dt.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mono3dt.cli", "train-motion", "--scenarios", "2", "--epochs", "1", *args, "--out", str(weights)],
+            cwd=src,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert args[0] in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not weights.exists()
+
     def test_deterministic_weights(self, tmp_path):
         base = [
             "train-motion", "--scenarios", "3", "--seed", "9", "--epochs", "15",

@@ -166,10 +166,90 @@ class TestGradients:
         assert max(rel_errors) < 1e-4
 
 
+class TestBatch:
+    """A (B, T, 3) batch runs every window at once; the result is the sum over its windows."""
+
+    @staticmethod
+    def batch(rng, count, T):
+        windows = [make_window(rng, T=T) for _ in range(count)]
+        return np.stack([obs for obs, _ in windows]), np.stack([gt for _, gt in windows])
+
+    def test_gradient_is_sum_of_single_windows(self):
+        rng = np.random.default_rng(31)
+        weights = LstmWeights.initialize(rng, scale=0.6)
+        obs, gt = self.batch(rng, 5, T=7)
+        loss, steps = forward_window(weights, obs, gt)
+        grads = backward_window(weights, steps)
+        loss_sum = 0.0
+        grads_sum = {name: np.zeros(shape) for name, shape in PARAM_SHAPES.items()}
+        for b in range(len(obs)):
+            window_loss, window_steps = forward_window(weights, obs[b], gt[b])
+            loss_sum += window_loss
+            for name, g in backward_window(weights, window_steps).items():
+                grads_sum[name] += g
+        assert loss == loss_sum
+        assert list(grads) == list(PARAM_SHAPES)
+        for name, expected in grads_sum.items():
+            assert grads[name].shape == PARAM_SHAPES[name]
+            assert np.max(np.abs(grads[name] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_each_window_matches_its_single_run(self):
+        rng = np.random.default_rng(32)
+        weights = LstmWeights.initialize(rng, scale=0.8)
+        obs, gt = self.batch(rng, 5, T=8)
+        _, steps = forward_window(weights, obs, gt)
+        for b in range(len(obs)):
+            _, window_steps = forward_window(weights, obs[b], gt[b])
+            for st, single in zip(steps, window_steps):
+                assert np.array_equal(st["v_bar"][b], single["v_bar"][0])
+
+    def test_batch_matches_finite_differences(self):
+        rng = np.random.default_rng(1253)
+        weights = LstmWeights.initialize(rng, scale=0.6)
+        obs, gt = self.batch(rng, 3, T=5)
+
+        loss, steps = forward_window(weights, obs, gt)
+        # keep residuals clear of the L1 kinks so central differences are valid
+        for st in steps:
+            assert np.min(np.abs(st["p_residual"])) > 1e-3
+            if st["cos"] is not None:
+                assert np.min(np.abs(st["v_bar"] - st["cos"][4])) > 1e-3
+        grads = backward_window(weights, steps)
+
+        eps = 1e-5
+        rel_errors = []
+        for name in PARAM_SHAPES:
+            flat = weights.arrays[name].reshape(-1)
+            for idx in rng.choice(flat.size, size=min(12, flat.size), replace=False):
+                orig = flat[idx]
+                flat[idx] = orig + eps
+                lp, _ = forward_window(weights, obs, gt)
+                flat[idx] = orig - eps
+                lm, _ = forward_window(weights, obs, gt)
+                flat[idx] = orig
+                numeric = (lp - lm) / (2 * eps)
+                analytic = grads[name].reshape(-1)[idx]
+                denom = max(abs(numeric), abs(analytic), 1e-6)
+                rel_errors.append(abs(numeric - analytic) / denom)
+        assert max(rel_errors) < 1e-4
+
+    def test_first_step_loss_pins_window_draws(self):
+        """The first step's windows and loss are the ones drawn one window at a time."""
+        dataset = sample_trajectories(np.random.default_rng(3), 6, length=20)
+        _, history = train_lstm(dataset, MotionTrainConfig(steps=1, batch_size=5, window=8, seed=11))
+        assert history[0] == 2.8711967533008673
+
+
 class TestTraining:
     def test_empty_dataset_raises(self):
         with pytest.raises(ValueError):
             train_lstm([], MotionTrainConfig(steps=1))
+
+    @pytest.mark.parametrize("config", [dict(window=1), dict(window=0), dict(batch_size=0), dict(batch_size=-2)])
+    def test_untrainable_config_raises(self, config):
+        dataset = sample_trajectories(np.random.default_rng(0), 2, length=12)
+        with pytest.raises(ValueError):
+            train_lstm(dataset, MotionTrainConfig(steps=1, **config))
 
     def test_overfit_constant_velocity(self):
         v = np.array([0.6, -0.3, 0.0])
