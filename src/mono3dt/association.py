@@ -29,16 +29,16 @@ from . import motion as motion_mod
 from .data import ObjectState, TrackerConfig, TrackRecord, TrackStatus
 from .geometry import (
     DEPTH_ORDER_TIE_RATE,
+    MIN_CAMERA_Z,
     Box2D,
-    BoxBehindCamera,
     alpha_to_theta,
     backproject,
     camera_heading,
     cover_fractions,
     depth_ordered_overlaps,
-    iou_2d,
+    iou_2d_matrix,
     project_box,
-    project_object,
+    project_boxes,
 )
 
 MASKED_VALUE = -1e9
@@ -49,7 +49,11 @@ class LengthMismatch(ValueError):
 
 
 def affinity_deep(feature_track, feature_det) -> float:
-    """exp(-L1) similarity of two equal-length feature vectors, in (0, 1]."""
+    """exp(-L1) similarity of two equal-length feature vectors, in (0, 1].
+
+    The per-pair definition of the appearance channel, which
+    build_affinity_matrix computes for all pairs of a frame at once.
+    """
     a = np.asarray(feature_track, dtype=float).reshape(-1)
     b = np.asarray(feature_det, dtype=float).reshape(-1)
     if a.shape != b.shape:
@@ -164,32 +168,58 @@ def decode_detection(det, pose, intrinsics) -> ObjectState:
     )
 
 
+def predict_views(tracklets, backend: str, pose, intrinsics, lstm_weights=None) -> list:
+    """Advance every tracklet one frame and project all predictions in one batch.
+
+    Returns one PredictedView per tracklet; tracklets are not mutated.
+    With the kf2d backend the 2D filter owns the predicted box of an
+    in-view tracklet, while its 3D quantities stay carried.
+    """
+    predictions = [motion_mod.predict_tracklet(t, backend, lstm_weights) for t in tracklets]
+    center_px, depth, boxes, _ = project_boxes(
+        [position for position, _ in predictions],
+        [t.state.dimensions for t in tracklets],
+        [t.state.yaw for t in tracklets],
+        pose,
+        intrinsics,
+    )
+    views = []
+    for (position, motion_state), px, z, box in zip(predictions, center_px, depth.tolist(), boxes.tolist()):
+        box2d = Box2D(*box)
+        in_view = box2d.area > 0.0
+        if backend == "kf2d" and in_view:
+            box2d = motion_mod.kf2d_measurement_to_box(motion_mod.KF2D_OBSERVATION @ motion_state.mean)
+        views.append(motion_mod.PredictedView(position, px, z, box2d, in_view, motion_state))
+    return views
+
+
 def build_affinity_matrix(tracklets, det_states, detections, det_proj_boxes, intrinsics, config):
     """Affinity values, keep mask, and appearance components for one frame.
 
     tracklets carry fresh PredictedView objects; det_states are the decoded
     world states of the DetectionRecords in detections, det_proj_boxes the
-    projections of the decoded 3D boxes. The keep mask is decided first,
-    and every channel is computed only for kept pairs.
+    projections of the decoded 3D boxes. The keep mask is decided first;
+    every channel is an (n, m) array that is 0 outside it.
     """
     n = len(tracklets)
     m = len(det_states)
-    values = np.zeros((n, m))
-    deep = np.zeros((n, m))
     in_view = np.array([t.predicted.in_view for t in tracklets], dtype=bool)
     kept = np.repeat(in_view[:, None], m, axis=1)
     if n == 0 or m == 0:
-        return AffinityMatrix(values, kept, deep)
+        return AffinityMatrix(np.zeros((n, m)), kept, np.zeros((n, m)))
 
     track_boxes = [t.predicted.box2d for t in tracklets]
+    track_rects = [b.as_tuple() for b in track_boxes]
     track_depths = [t.predicted.depth for t in tracklets]
     det_depths = [d.depth for d in detections]
     if config.use_depth_ordering:
         track_dims = [t.state.dimensions for t in tracklets]
         kept &= depth_filter(track_depths, track_dims, det_depths, [s.dimensions for s in det_states])
-        overlaps = depth_ordered_overlaps(
+        a_3d = depth_ordered_overlaps(
             track_boxes, track_depths, det_proj_boxes, det_depths, kept, config.ord_tie_meters, DEPTH_ORDER_TIE_RATE
         )
+    else:
+        a_3d = iou_2d_matrix(track_rects, [b.as_tuple() for b in det_proj_boxes])
     track_features = [
         deep_feature(t.state, t.predicted.center_px, t.predicted.depth, intrinsics, config)
         for t in tracklets
@@ -198,12 +228,13 @@ def build_affinity_matrix(tracklets, det_states, detections, det_proj_boxes, int
         deep_feature(s, d.center_proj, d.depth, intrinsics, config)
         for s, d in zip(det_states, detections)
     ]
-
-    for i, j in np.argwhere(kept).tolist():
-        deep[i, j] = affinity_deep(track_features[i], det_features[j])
-        a2d = iou_2d(track_boxes[i], detections[j].box2d)
-        a3d = overlaps[i, j] if config.use_depth_ordering else iou_2d(track_boxes[i], det_proj_boxes[j])
-        values[i, j] = compose_affinity(deep[i, j], a2d, a3d, config)
+    lengths = {len(f) for f in track_features + det_features}
+    if len(lengths) > 1:
+        raise LengthMismatch(f"feature lengths differ: {sorted(lengths)}")
+    distance = np.abs(np.array(track_features)[:, None] - np.array(det_features)[None]).sum(axis=-1)
+    deep = np.where(kept, np.exp(-distance), 0.0)
+    a_2d = iou_2d_matrix(track_rects, [d.box2d.as_tuple() for d in detections])
+    values = np.where(kept, compose_affinity(deep, a_2d, a_3d, config), 0.0)
     return AffinityMatrix(values, kept, deep)
 
 
@@ -226,9 +257,12 @@ class Tracker:
 
     # -- helpers -------------------------------------------------------------
 
-    def _reproject_state(self, state: ObjectState, pose) -> Box2D:
-        """Image box of an emitted state in the current camera."""
-        return project_object(state.box3d(), pose, self.intrinsics)[2]
+    def _reproject_state(self, states, pose) -> list:
+        """Image boxes of the emitted states in the current camera, one batch."""
+        _, _, boxes, _ = project_boxes(
+            [s.position for s in states], [s.dimensions for s in states], [s.yaw for s in states], pose, self.intrinsics
+        )
+        return [Box2D(*row) for row in boxes.tolist()]
 
     def _spawn(self, det, state: ObjectState) -> Tracklet:
         tracklet = Tracklet(
@@ -253,18 +287,26 @@ class Tracker:
         backend = config.motion_backend
         tracklets = self.tracklets
 
-        for t in tracklets:
-            t.predicted = motion_mod.predict_tracklet(
-                t, backend, pose, self.intrinsics, self.lstm_weights
-            )
+        for t, view in zip(tracklets, predict_views(tracklets, backend, pose, self.intrinsics, self.lstm_weights)):
+            t.predicted = view
 
         det_states = [decode_detection(d, pose, self.intrinsics) for d in detections]
+        _, center_z, boxes, any_in_front = project_boxes(
+            [s.position for s in det_states],
+            [s.dimensions for s in det_states],
+            [s.yaw for s in det_states],
+            pose,
+            self.intrinsics,
+        )
         det_proj_boxes = []
-        for d, s in zip(detections, det_states):
-            try:
+        for d, s, box, z, in_front in zip(detections, det_states, boxes.tolist(), center_z, any_in_front):
+            if not in_front:
+                det_proj_boxes.append(d.box2d)  # wholly behind the camera
+            elif z <= MIN_CAMERA_Z:
+                # center behind, some corner in front: the truncated hull
                 det_proj_boxes.append(project_box(s.box3d(), pose, self.intrinsics))
-            except BoxBehindCamera:
-                det_proj_boxes.append(d.box2d)
+            else:
+                det_proj_boxes.append(Box2D(*box))
 
         matrix = build_affinity_matrix(
             tracklets, det_states, detections, det_proj_boxes, self.intrinsics, config
@@ -337,10 +379,8 @@ class Tracker:
         for col in unmatched_dets:
             survivors.append(self._spawn(detections[col], det_states[col]))
 
-        for t in survivors:
-            if t.status not in (TrackStatus.TRACKED, TrackStatus.OCCLUDED):
-                continue
-            box2d = self._reproject_state(t.state, pose)
+        emitted = [t for t in survivors if t.status in (TrackStatus.TRACKED, TrackStatus.OCCLUDED)]
+        for t, box2d in zip(emitted, self._reproject_state([t.state for t in emitted], pose)):
             if t.status == TrackStatus.OCCLUDED and box2d.area < config.min_emit_box_area:
                 continue
             records.append(

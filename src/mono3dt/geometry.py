@@ -177,12 +177,6 @@ class Box3D:
         return float(np.prod(self.dimensions))
 
 
-def yaw_rotation(yaw: float) -> np.ndarray:
-    """3x3 rotation about +z taking +x toward +y for positive yaw."""
-    c, s = math.cos(yaw), math.sin(yaw)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def project_point(point, pose: CameraPose, intrinsics: CameraIntrinsics):
     """Project a world point. Returns ((u, v) pixels, camera-frame depth).
 
@@ -240,10 +234,87 @@ _CORNER_SIGNS = np.array(
 )
 
 
+def _corners(centers, dims, yaws) -> np.ndarray:
+    """(N, 8, 3) world-frame corners of N oriented boxes.
+
+    Yaws are normalized and dimensions checked as Box3D does; the stacked
+    product repeats the one-box float operations, so every box's corners
+    are bit-equal to computing them alone.
+    """
+    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    dims = np.asarray(dims, dtype=float).reshape(-1, 3)
+    if np.any(dims <= 0):
+        raise GeometryError("box dimensions must be positive")
+    # rotations about +z taking +x toward +y for positive yaw
+    rot = np.zeros((len(centers), 3, 3))
+    for k, yaw in enumerate(map(normalize_angle, map(float, yaws))):
+        c, s = math.cos(yaw), math.sin(yaw)
+        rot[k, :2, :2] = ((c, -s), (s, c))
+    rot[:, 2, 2] = 1.0
+    offsets = _CORNER_SIGNS * (dims / 2.0)[:, None, :]
+    return centers[:, None, :] + np.matmul(offsets, rot.transpose(0, 2, 1))
+
+
 def box3d_corners(box: Box3D) -> np.ndarray:
     """8x3 world-frame corners of an oriented box."""
-    offsets = _CORNER_SIGNS * (box.dimensions / 2.0)
-    return box.center + offsets @ yaw_rotation(box.yaw).T
+    return _corners(box.center, box.dimensions, [box.yaw])[0]
+
+
+def _project_hulls(corners, pose: CameraPose, intrinsics: CameraIntrinsics):
+    """Image hulls (N, 4) of (N, 8, 3) world corners, and any-corner-in-front (N,).
+
+    Row k is project_box's hull of box k, and the zero box when no corner
+    is in front. The stacked products repeat the one-box float operations,
+    so every row is bit-equal to projecting its box alone.
+    """
+    cam = np.matmul(pose.rotation, corners.transpose(0, 2, 1)).transpose(0, 2, 1) + pose.translation
+    in_front = cam[..., 2] > MIN_CAMERA_Z
+    z = np.where(in_front, cam[..., 2], 1.0)
+    us = intrinsics.focal_x * cam[..., 0] / z + intrinsics.principal_x
+    vs = intrinsics.focal_y * cam[..., 1] / z + intrinsics.principal_y
+    hulls = np.stack(
+        [
+            np.where(in_front, us, np.inf).min(axis=1),
+            np.where(in_front, vs, np.inf).min(axis=1),
+            np.where(in_front, us, -np.inf).max(axis=1),
+            np.where(in_front, vs, -np.inf).max(axis=1),
+        ],
+        axis=1,
+    )
+    limits = [intrinsics.image_width, intrinsics.image_height] * 2
+    hulls = np.minimum(np.maximum(hulls, 0.0), limits)
+    any_in_front = in_front.any(axis=1)
+    hulls[~any_in_front] = 0.0
+    return hulls, any_in_front
+
+
+def project_boxes(centers, dims, yaws, pose: CameraPose, intrinsics: CameraIntrinsics):
+    """Project N objects at once: center pixels, depths, image boxes, corner mask.
+
+    Returns (center_px (N, 2), depth (N,), boxes (N, 4),
+    any_corner_in_front (N,)). Row k is project_object of Box3D(centers[k], dims[k], yaws[k]): an
+    object whose center is behind the camera gets zero pixels, its
+    camera-frame z (at or below MIN_CAMERA_Z) and the zero box; a box only
+    partly behind is truncated. Boxes are (x_min, y_min, x_max, y_max)
+    rows. any_corner_in_front is false where project_box would raise
+    BoxBehindCamera.
+    """
+    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    boxes, any_in_front = _project_hulls(_corners(centers, dims, yaws), pose, intrinsics)
+    cam_centers = np.matmul(pose.rotation, centers[..., None])[..., 0] + pose.translation
+    depth = cam_centers[:, 2]
+    ahead = depth > MIN_CAMERA_Z
+    z = np.where(ahead, depth, 1.0)
+    center_px = np.stack(
+        [
+            intrinsics.focal_x * cam_centers[:, 0] / z + intrinsics.principal_x,
+            intrinsics.focal_y * cam_centers[:, 1] / z + intrinsics.principal_y,
+        ],
+        axis=1,
+    )
+    center_px[~ahead] = 0.0
+    boxes[~ahead] = 0.0
+    return center_px, depth, boxes, any_in_front
 
 
 def project_box(box: Box3D, pose: CameraPose, intrinsics: CameraIntrinsics) -> Box2D:
@@ -253,34 +324,20 @@ def project_box(box: Box3D, pose: CameraPose, intrinsics: CameraIntrinsics) -> B
     truncated rather than rejected. Raises BoxBehindCamera only when no
     corner is in front.
     """
-    corners = box3d_corners(box)
-    cam = (pose.rotation @ corners.T).T + pose.translation
-    in_front = cam[:, 2] > MIN_CAMERA_Z
-    if not np.any(in_front):
+    hulls, any_in_front = _project_hulls(box3d_corners(box)[None], pose, intrinsics)
+    if not any_in_front[0]:
         raise BoxBehindCamera("all corners behind camera")
-    vis = cam[in_front]
-    us = intrinsics.focal_x * vis[:, 0] / vis[:, 2] + intrinsics.principal_x
-    vs = intrinsics.focal_y * vis[:, 1] / vis[:, 2] + intrinsics.principal_y
-    x0 = min(max(float(us.min()), 0.0), intrinsics.image_width)
-    x1 = min(max(float(us.max()), 0.0), intrinsics.image_width)
-    y0 = min(max(float(vs.min()), 0.0), intrinsics.image_height)
-    y1 = min(max(float(vs.max()), 0.0), intrinsics.image_height)
-    return Box2D(x0, y0, x1, y1)
+    return Box2D(*hulls[0].tolist())
 
 
 def project_object(box: Box3D, pose: CameraPose, intrinsics: CameraIntrinsics):
     """Project an object's center and box: ((u, v) pixels, camera-frame depth, Box2D).
 
-    An object whose center is behind the camera yields zero pixels, its
-    camera-frame z (at or below MIN_CAMERA_Z), and the zero box; a box
-    only partly behind is truncated as in project_box.
+    The one-box call of project_boxes: an object whose center is behind
+    the camera yields zero pixels, its camera-frame z and the zero box.
     """
-    try:
-        center_px, depth = project_point(box.center, pose, intrinsics)
-        return center_px, depth, project_box(box, pose, intrinsics)
-    except (PointBehindCamera, BoxBehindCamera):
-        depth = float(pose.world_to_camera(box.center)[2])
-        return np.zeros(2), depth, Box2D(0.0, 0.0, 0.0, 0.0)
+    center_px, depth, boxes, _ = project_boxes(box.center, box.dimensions, [box.yaw], pose, intrinsics)
+    return center_px[0], float(depth[0]), Box2D(*boxes[0].tolist())
 
 
 def iou_2d(a: Box2D, b: Box2D) -> float:
@@ -294,6 +351,24 @@ def iou_2d(a: Box2D, b: Box2D) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def iou_2d_matrix(a, b) -> np.ndarray:
+    """(n, m) iou_2d of every row of a (n, 4) against every row of b (m, 4).
+
+    Rows are (x_min, y_min, x_max, y_max); the element-wise operations are
+    iou_2d's, so entry [i, j] is bit-equal to iou_2d of the two boxes.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1, 1, 4)
+    b = np.asarray(b, dtype=float).reshape(1, -1, 4)
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = ix * iy
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
+    valid = (ix > 0.0) & (iy > 0.0) & (union > 0.0)
+    return np.where(valid, inter / np.where(valid, union, 1.0), 0.0)
 
 
 def _bev_rect(box: Box3D) -> np.ndarray:
@@ -371,6 +446,10 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
 # than a fixed tie at range, and treating them as distinct layers would
 # let a tracklet occlude its own detection.
 DEPTH_ORDER_TIE_RATE = 0.05
+
+
+def _rect_area(rect) -> float:
+    return (rect[2] - rect[0]) * (rect[3] - rect[1])
 
 
 def _clip_rect(rect, base):
@@ -461,28 +540,27 @@ def depth_ordered_overlaps(
     Only the pairs set in the (n, m) bool mask kept are computed; the
     other entries are 0. Claimants range over all tracklets either way.
     """
-    n, m = len(track_boxes), len(det_boxes)
-    out = np.zeros((n, m))
-    depths = np.asarray(track_depths, dtype=float)
-    nearer = nearer_mask(depths, tie_meters, tie_rate)
-    doi_gap = np.abs(np.subtract.outer(depths, det_depths))
     rects = [b.as_tuple() for b in track_boxes]
-    for i, j in np.argwhere(kept).tolist():
-        box, det_box = track_boxes[i], det_boxes[j]
-        claimants = np.flatnonzero(nearer[i] & (doi_gap[:, j] < doi_gap[i, j]))
-        if len(claimants) == 0:
-            out[i, j] = iou_2d(box, det_box)
-            continue
-        inter_rect = _clip_rect(rects[i], det_box.as_tuple())
-        if inter_rect is None:
-            continue
-        occluders = [rects[k] for k in claimants]
+    det_rects = [b.as_tuple() for b in det_boxes]
+    plain = iou_2d_matrix(rects, det_rects)
+    depths = np.asarray(track_depths, dtype=float)
+    doi_gap = np.abs(np.subtract.outer(depths, np.asarray(det_depths, dtype=float)))
+    # [i, k, j]: tracklet k is in front of tracklet i and closer to detection j's layer
+    claims = nearer_mask(depths, tie_meters, tie_rate)[:, :, None] & (doi_gap[None] < doi_gap[:, None])
+    claimed = claims.any(axis=1)
+    out = np.where(kept & ~claimed, plain, 0.0)
+    # a claimed pair needs union areas only where the two boxes intersect
+    # (plain > 0); elsewhere its overlap is 0
+    for i, j in np.argwhere(kept & claimed & (plain > 0.0)).tolist():
+        rect, det_rect = rects[i], det_rects[j]
+        occluders = [rects[k] for k in np.flatnonzero(claims[i, :, j]).tolist()]
+        inter_rect = _clip_rect(rect, det_rect)
         inter = (inter_rect[2] - inter_rect[0]) * (inter_rect[3] - inter_rect[1])
         numerator = inter - _union_area_within(inter_rect, occluders)
         if numerator <= 0.0:
             continue
-        visible_area = box.area - _union_area_within(rects[i], occluders)
-        denominator = visible_area + det_box.area - numerator
+        visible_area = _rect_area(rect) - _union_area_within(rect, occluders)
+        denominator = visible_area + _rect_area(det_rect) - numerator
         if denominator > 0.0:
-            out[i, j] = min(numerator / denominator, iou_2d(box, det_box))
+            out[i, j] = min(numerator / denominator, plain[i, j])
     return out

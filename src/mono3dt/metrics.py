@@ -78,13 +78,20 @@ class ClearReport:
 
 
 def _pair_quality(gt_rec, pred_rec, mode: str):
-    """(passes gate, overlap in [0,1], assignment score) for one pair."""
+    """(passes gate, overlap in [0,1], assignment score) for one pair.
+
+    In 3d mode a pair outside the center gate reports overlap 0 without
+    computing iou_3d.
+    """
     if mode == "2d":
         overlap = iou_2d(gt_rec.box2d_projected, pred_rec.box2d_projected)
         return overlap >= IOU_GATE_2D, overlap, overlap
     dist = float(np.linalg.norm(gt_rec.box3d.center[:2] - pred_rec.box3d.center[:2]))
-    overlap = iou_3d(gt_rec.box3d, pred_rec.box3d)
-    return dist <= CENTER_GATE_3D_M, overlap, 1.0 - dist / CENTER_GATE_3D_M
+    quality = 1.0 - dist / CENTER_GATE_3D_M
+    if not dist <= CENTER_GATE_3D_M:
+        # no caller reads the overlap of a pair outside the gate
+        return False, 0.0, quality
+    return True, iou_3d(gt_rec.box3d, pred_rec.box3d), quality
 
 
 def match_frame(gt_records, pred_records, prev_pairs: dict, mode: str = "3d") -> FrameMatching:

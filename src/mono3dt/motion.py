@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ObjectState
-from .geometry import Box2D, Box3D, normalize_angle, project_object
+from .geometry import Box2D, normalize_angle
 from . import lstm as lstm_mod
 
 
@@ -150,7 +150,7 @@ def kf2d_init(box: Box2D) -> KalmanState:
     return KalmanState(mean, cov)
 
 
-# --- prediction through the current camera --------------------------------
+# --- prediction -------------------------------------------------------------
 
 
 @dataclass
@@ -165,46 +165,29 @@ class PredictedView:
     motion_state: object  # candidate state to commit on match/coast
 
 
-def predict_tracklet(tracklet, backend: str, pose, intrinsics, lstm_weights=None) -> PredictedView:
-    """Advance a tracklet one frame with the chosen backend and re-project.
+def predict_tracklet(tracklet, backend: str, lstm_weights=None):
+    """Advance a tracklet one frame with the chosen backend.
 
-    The tracklet is not mutated; the caller decides whether to commit the
+    Returns (predicted world position, candidate motion state); the
+    tracker projects the positions of all tracklets in one batch. The
+    tracklet is not mutated; the caller decides whether to commit the
     returned motion state. Occluded tracklets keep calling this every
     frame, so inference motion continues until reappearance.
     """
     state = tracklet.state
     if backend == "none":
-        position = state.position.copy()
-        motion_state = tracklet.motion_state
-    elif backend == "kf2d":
-        position = state.position.copy()
-        motion_state = kf_predict(tracklet.motion_state, KF2D_TRANSITION, KF2D_PROCESS_NOISE)
-    elif backend == "kf3d":
+        return state.position.copy(), tracklet.motion_state
+    if backend == "kf2d":
+        return state.position.copy(), kf_predict(tracklet.motion_state, KF2D_TRANSITION, KF2D_PROCESS_NOISE)
+    if backend == "kf3d":
         motion_state = kf_predict(tracklet.motion_state, KF3D_TRANSITION, KF3D_PROCESS_NOISE)
-        position = motion_state.mean[:3].copy()
-    elif backend == "lstm":
+        return motion_state.mean[:3].copy(), motion_state
+    if backend == "lstm":
         if lstm_weights is None:
             raise ValueError("lstm backend requires weights")
-        position, motion_state = lstm_mod.plstm_predict(
-            tracklet.motion_state, lstm_weights, state.position
-        )
-    else:
-        raise ValueError(f"unknown motion backend {backend!r}")
-
-    box3d = Box3D(position, state.dimensions, state.yaw)
-    center_px, depth, box2d = project_object(box3d, pose, intrinsics)
-    in_view = box2d.area > 0.0
-    if backend == "kf2d" and in_view:
-        # the 2D filter owns the predicted box; 3D quantities stay carried
-        box2d = kf2d_measurement_to_box(KF2D_OBSERVATION @ motion_state.mean)
-    return PredictedView(
-        position=np.asarray(position, dtype=float),
-        center_px=center_px,
-        depth=depth,
-        box2d=box2d,
-        in_view=in_view,
-        motion_state=motion_state,
-    )
+        position, motion_state = lstm_mod.plstm_predict(tracklet.motion_state, lstm_weights, state.position)
+        return np.asarray(position, dtype=float), motion_state
+    raise ValueError(f"unknown motion backend {backend!r}")
 
 
 def init_motion_state(backend: str, position, depth: float, box2d: Box2D):

@@ -1,5 +1,6 @@
 """Affinity, depth-ordered matching, assignment, and lifecycle tests."""
 
+import dataclasses
 import itertools
 import math
 
@@ -16,7 +17,7 @@ from mono3dt.association import (
     run_sequence,
     solve_assignment,
 )
-from mono3dt.data import SequenceInput, TrackerConfig, TrackStatus
+from mono3dt.data import DetectionRecord, SequenceInput, TrackerConfig, TrackStatus
 from mono3dt.geometry import DEPTH_ORDER_TIE_RATE, Box2D, cover_fractions, iou_2d, nearer_mask
 from mono3dt.simulator import ScenarioConfig, generate_world, ground_truth_records, render_detections
 
@@ -263,6 +264,152 @@ class TestDepthOrderedOverlaps:
             assert np.array_equal(got[kept], full[kept])
             claimed += sum(got[i, j] != iou_2d(boxes[i], dets[j]) for i, j in np.argwhere(kept))
         assert claimed > 0  # the draws do exercise claimed overlaps
+
+
+def per_pair_overlaps(track_boxes, track_depths, det_boxes, det_depths, kept, tie_meters, tie_rate):
+    """depth_ordered_overlaps as a loop over every kept pair, the way it was first written."""
+    out = np.zeros((len(track_boxes), len(det_boxes)))
+    depths = np.asarray(track_depths, dtype=float)
+    nearer = nearer_mask(depths, tie_meters, tie_rate)
+    doi_gap = np.abs(np.subtract.outer(depths, det_depths))
+    rects = [b.as_tuple() for b in track_boxes]
+    for i, j in np.argwhere(kept).tolist():
+        box, det_box = track_boxes[i], det_boxes[j]
+        claimants = np.flatnonzero(nearer[i] & (doi_gap[:, j] < doi_gap[i, j]))
+        if len(claimants) == 0:
+            out[i, j] = iou_2d(box, det_box)
+            continue
+        inter_rect = geometry._clip_rect(rects[i], det_box.as_tuple())
+        if inter_rect is None:
+            continue
+        occluders = [rects[k] for k in claimants]
+        inter = (inter_rect[2] - inter_rect[0]) * (inter_rect[3] - inter_rect[1])
+        numerator = inter - geometry._union_area_within(inter_rect, occluders)
+        if numerator <= 0.0:
+            continue
+        visible_area = box.area - geometry._union_area_within(rects[i], occluders)
+        denominator = visible_area + det_box.area - numerator
+        if denominator > 0.0:
+            out[i, j] = min(numerator / denominator, iou_2d(box, det_box))
+    return out
+
+
+class TestDepthOrderedOverlapsArrays:
+    def test_bit_equal_to_per_pair_loop_on_crowded_frames(self):
+        rng = np.random.default_rng(31)
+        claimed = 0
+        grid = np.arange(5.0, 30.0, 0.5)  # depths on a grid tie layer gaps
+        for frame in range(150):
+            n, m = rng.integers(5, 26), rng.integers(3, 16)
+            boxes = [random_box(rng) for _ in range(n)]
+            dets = [boxes[k] if rng.random() < 0.3 else random_box(rng) for k in rng.integers(0, n, m)]
+            if frame % 2:
+                depths, det_depths = list(rng.choice(grid, n)), list(rng.choice(grid, m))
+            else:
+                depths, det_depths = list(rng.uniform(5, 30, n)), list(rng.uniform(5, 30, m))
+            kept = rng.random((n, m)) < 0.7
+            args = (boxes, depths, dets, det_depths, kept, 1.0, DEPTH_ORDER_TIE_RATE)
+            got = geometry.depth_ordered_overlaps(*args)
+            ref = per_pair_overlaps(*args)
+            assert np.array_equal(got, ref)
+            plain = np.array([[iou_2d(b, d) for d in dets] for b in boxes])
+            claimed += int(np.count_nonzero(kept & (ref != plain)))
+        assert claimed > 1000  # most draws hold claimed, intersecting pairs
+
+    def test_empty_frames(self):
+        box = [Box2D(0, 0, 10, 10)]
+        assert geometry.depth_ordered_overlaps([], [], box, [5.0], np.zeros((0, 1), bool)).shape == (0, 1)
+        assert geometry.depth_ordered_overlaps(box, [5.0], [], [], np.zeros((1, 0), bool)).shape == (1, 0)
+
+
+def affinity_per_pair(tracklets, det_states, detections, det_proj_boxes, intrinsics, config):
+    """build_affinity_matrix's definition, one pair at a time."""
+    n, m = len(tracklets), len(detections)
+    values, deep, kept = np.zeros((n, m)), np.zeros((n, m)), np.zeros((n, m), dtype=bool)
+    track_boxes = [t.predicted.box2d for t in tracklets]
+    for i, j in np.ndindex(n, m):
+        t, s, d = tracklets[i], det_states[j], detections[j]
+        kept[i, j] = t.predicted.in_view and (
+            not config.use_depth_ordering or depth_filter(t.predicted.depth, t.state.dimensions, d.depth, s.dimensions)
+        )
+    if config.use_depth_ordering:
+        overlaps = geometry.depth_ordered_overlaps(
+            track_boxes,
+            [t.predicted.depth for t in tracklets],
+            det_proj_boxes,
+            [d.depth for d in detections],
+            kept,
+            config.ord_tie_meters,
+            DEPTH_ORDER_TIE_RATE,
+        )
+    for i, j in np.argwhere(kept).tolist():
+        t, s, d = tracklets[i], det_states[j], detections[j]
+        deep[i, j] = affinity_deep(
+            association.deep_feature(t.state, t.predicted.center_px, t.predicted.depth, intrinsics, config),
+            association.deep_feature(s, d.center_proj, d.depth, intrinsics, config),
+        )
+        a_2d = iou_2d(track_boxes[i], d.box2d)
+        a_3d = overlaps[i, j] if config.use_depth_ordering else iou_2d(track_boxes[i], det_proj_boxes[j])
+        values[i, j] = compose_affinity(deep[i, j], a_2d, a_3d, config)
+    return values, kept, deep
+
+
+class TestBuildAffinityMatrix:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            TrackerConfig(),
+            TrackerConfig(w_deep=0.2, w_2d=0.5, w_3d=0.3, use_depth_ordering=False),
+            TrackerConfig(motion_backend="kf2d", w_2d=0.4),
+        ],
+        ids=["default", "plain-iou", "kf2d"],
+    )
+    def test_bit_equal_to_per_pair_definition(self, config, monkeypatch):
+        cfg, world, seq, gt = simulate("dense", seed=3, noiseless=False)
+        real = association.build_affinity_matrix
+        kept_pairs = []
+
+        def checked(*args):
+            matrix = real(*args)
+            values, kept, deep = affinity_per_pair(*args)
+            assert np.array_equal(matrix.kept_mask, kept)
+            assert np.array_equal(matrix.values, values)
+            assert np.array_equal(matrix.a_deep, deep)
+            kept_pairs.append(int(kept.sum()))
+            return matrix
+
+        monkeypatch.setattr(association, "build_affinity_matrix", checked)
+        run_sequence(SequenceInput(seq.intrinsics, seq.poses[:40], seq.detections[:40]), config)
+        assert len(kept_pairs) == 40 and sum(kept_pairs) > 500
+
+    def test_feature_length_mismatch(self):
+        cfg, world, seq, gt = simulate("open_road", seed=0)
+        tracker = Tracker(TrackerConfig(), seq.intrinsics)
+        tracker.step(0, seq.detections[0], seq.poses[0])
+        short = [dataclasses.replace(d, appearance=d.appearance[:4]) for d in seq.detections[1]]
+        with pytest.raises(LengthMismatch):
+            tracker.step(1, short, seq.poses[1])
+
+
+class TestDetectionProjection:
+    def test_behind_camera_fallbacks(self, monkeypatch):
+        intr = default_intrinsics()
+        pose = geometry.CameraPose.identity()
+        own_box = Box2D(900.0, 500.0, 1000.0, 560.0)
+
+        def detection(dims):
+            return DetectionRecord(0, own_box, [960.0, 540.0], 1e-7, 0.3, dims, np.zeros(8), 0.9)
+
+        # center at z = 1e-7 (behind the near limit): a car-sized box still
+        # has corners in front, a 0.1 um box has none
+        dets = [detection([4.2, 1.8, 1.5]), detection([1e-7, 1e-7, 1e-7])]
+        seen = []
+        real = association.build_affinity_matrix
+        monkeypatch.setattr(association, "build_affinity_matrix", lambda *a: seen.append(a[3]) or real(*a))
+        Tracker(TrackerConfig(), intr).step(0, dets, pose)
+        truncated = geometry.project_box(association.decode_detection(dets[0], pose, intr).box3d(), pose, intr)
+        assert truncated.area > 0.0
+        assert seen == [[truncated, own_box]]
 
 
 class TestNearerMask:

@@ -21,9 +21,11 @@ from mono3dt.geometry import (
     box3d_corners,
     camera_heading,
     iou_2d,
+    iou_2d_matrix,
     iou_3d,
     normalize_angle,
     project_box,
+    project_boxes,
     project_object,
     project_point,
     theta_to_alpha,
@@ -232,6 +234,129 @@ class TestProjectObject:
         assert np.allclose(center_px, [intr.principal_x, intr.principal_y])
         assert box2d.area > 0.0
         assert box2d == project_box(box, CameraPose.identity(), intr)
+
+
+# The one-box projection as written before project_boxes, kept as the bit-level reference.
+CORNER_SIGNS = [[1, 1, -1], [1, -1, -1], [-1, -1, -1], [-1, 1, -1], [1, 1, 1], [1, -1, 1], [-1, -1, 1], [-1, 1, 1]]
+
+
+def scalar_project_box(box, pose, intr):
+    """(hull tuple, any corner in front); the hull is None when no corner is in front."""
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    corners = box.center + (np.array(CORNER_SIGNS, dtype=float) * (box.dimensions / 2.0)) @ rotation.T
+    cam = (pose.rotation @ corners.T).T + pose.translation
+    in_front = cam[:, 2] > MIN_CAMERA_Z
+    if not np.any(in_front):
+        return None, False
+    vis = cam[in_front]
+    us = intr.focal_x * vis[:, 0] / vis[:, 2] + intr.principal_x
+    vs = intr.focal_y * vis[:, 1] / vis[:, 2] + intr.principal_y
+    hull = (
+        min(max(float(us.min()), 0.0), intr.image_width),
+        min(max(float(vs.min()), 0.0), intr.image_height),
+        min(max(float(us.max()), 0.0), intr.image_width),
+        min(max(float(vs.max()), 0.0), intr.image_height),
+    )
+    return hull, True
+
+
+def scalar_project_object(box, pose, intr):
+    """(center pixels, depth, box tuple, any corner in front) with project_object's semantics."""
+    p_cam = pose.rotation @ box.center + pose.translation
+    depth = float(p_cam[2])
+    hull, in_front = scalar_project_box(box, pose, intr)
+    if depth <= MIN_CAMERA_Z or hull is None:
+        return np.zeros(2), depth, (0.0, 0.0, 0.0, 0.0), in_front
+    u = intr.focal_x * p_cam[0] / depth + intr.principal_x
+    v = intr.focal_y * p_cam[1] / depth + intr.principal_y
+    return np.array([u, v]), depth, hull, in_front
+
+
+def random_boxes_around_camera(rng, pose, count):
+    """Seeded boxes in front of, straddling and behind the camera, with unnormalized yaws."""
+    cam = np.column_stack(
+        [rng.uniform(-10, 10, count), rng.uniform(-4, 4, count), rng.uniform(-8, 60, count)]
+    )
+    cam[: count // 4, 2] = rng.uniform(-1.0, 1.0, count // 4)  # centers near the camera plane
+    centers = np.array([pose.camera_to_world(c) for c in cam])
+    return centers, rng.uniform(0.3, 8.0, (count, 3)), rng.uniform(-10.0, 10.0, count)
+
+
+class TestProjectBoxes:
+    def test_rows_bit_equal_to_one_box_projection(self):
+        rng = np.random.default_rng(23)
+        intr = default_intrinsics()
+        kinds = {"center behind, corner in front": 0, "wholly behind": 0, "in front": 0}
+        for _ in range(20):
+            pose = random_pose(rng)
+            centers, dims, yaws = random_boxes_around_camera(rng, pose, 40)
+            center_px, depth, boxes, in_front = project_boxes(centers, dims, yaws, pose, intr)
+            for k in range(len(centers)):
+                box = Box3D(centers[k], dims[k], yaws[k])
+                ref_px, ref_depth, ref_box, ref_in_front = scalar_project_object(box, pose, intr)
+                assert np.array_equal(center_px[k], ref_px)
+                assert depth[k] == ref_depth
+                assert tuple(boxes[k]) == ref_box
+                assert in_front[k] == ref_in_front
+                got_px, got_depth, got_box = project_object(box, pose, intr)
+                assert np.array_equal(got_px, ref_px) and got_depth == ref_depth
+                assert got_box.as_tuple() == ref_box
+                if not ref_in_front:
+                    kinds["wholly behind"] += 1
+                    with pytest.raises(BoxBehindCamera):
+                        project_box(box, pose, intr)
+                else:
+                    kinds["center behind, corner in front" if ref_depth <= MIN_CAMERA_Z else "in front"] += 1
+                    assert project_box(box, pose, intr).as_tuple() == scalar_project_box(box, pose, intr)[0]
+        assert min(kinds.values()) >= 20, kinds
+
+    def test_empty_batch(self):
+        center_px, depth, boxes, in_front = project_boxes(
+            np.zeros((0, 3)), np.zeros((0, 3)), [], CameraPose.identity(), default_intrinsics()
+        )
+        assert center_px.shape == (0, 2) and depth.shape == (0,) and boxes.shape == (0, 4) and in_front.shape == (0,)
+
+    def test_yaws_normalized_like_box3d(self):
+        intr = default_intrinsics()
+        centers, dims = [[1.0, 0.5, 20.0]] * 3, [[4.2, 1.8, 1.5]] * 3
+        yaws = [0.4, 0.4 + 2 * math.pi, 0.4 - 4 * math.pi]
+        pose = CameraPose.identity()
+        _, _, boxes, _ = project_boxes(centers, dims, yaws, pose, intr)
+        for k in range(3):
+            assert tuple(boxes[k]) == project_box(Box3D(centers[k], dims[k], yaws[k]), pose, intr).as_tuple()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_dimensions_rejected(self, bad):
+        with pytest.raises(GeometryError):
+            project_boxes([[0, 0, 10]], [[4.0, bad, 1.5]], [0.0], CameraPose.identity(), default_intrinsics())
+
+
+class TestIou2dMatrix:
+    def test_entries_bit_equal_to_iou_2d(self):
+        rng = np.random.default_rng(29)
+        edges = np.array([0.0, 1.0, 2.0, 2.5, 3.0, 5.0])  # shared edges give touching boxes
+        for _ in range(50):
+            boxes = []
+            for _ in range(rng.integers(1, 12)):
+                if rng.random() < 0.5:
+                    x0, x1 = np.sort(rng.choice(edges, 2))  # may be equal: zero area
+                    y0, y1 = np.sort(rng.choice(edges, 2))
+                else:
+                    x0, x1 = np.sort(rng.uniform(0, 6, 2))
+                    y0, y1 = np.sort(rng.uniform(0, 6, 2))
+                boxes.append(Box2D(float(x0), float(y0), float(x1), float(y1)))
+            split = rng.integers(0, len(boxes) + 1)
+            a, b = boxes[:split], boxes[split:]
+            got = iou_2d_matrix([x.as_tuple() for x in a], [x.as_tuple() for x in b])
+            assert got.shape == (len(a), len(b))
+            for i, j in np.ndindex(got.shape):
+                assert got[i, j] == iou_2d(a[i], b[j])
+
+    def test_touching_disjoint_and_zero_area(self):
+        a = [(0.0, 0.0, 1.0, 1.0)]
+        b = [(1.0, 0.0, 2.0, 1.0), (3.0, 3.0, 4.0, 4.0), (0.5, 0.5, 0.5, 0.9), (0.0, 0.0, 1.0, 1.0)]
+        assert iou_2d_matrix(a, b).tolist() == [[0.0, 0.0, 0.0, 1.0]]
 
 
 class TestIou2d:

@@ -15,9 +15,17 @@ follow from them, and should show that the re-pinned tracks keep their
 (frame, id) rows and CLEAR counts. LSTM_TRACKING_DIGESTS track with
 fixed, untrained weights, so they pin the tracking path apart from
 training and must not move with it.
+
+BENCH_SCENE_DIGESTS pin the benchmark's own seed-0 scene-0 inputs,
+which hold far more tracklets a nearer one claims than the simulator
+presets. The benchmark's generator (bench/scenegen.py) is loaded from
+its file and only read; it imports nothing from mono3dt.
 """
 
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +78,10 @@ LSTM_TRACKING_DIGESTS = {
     ("crossing_occlusion", 3, ()): "d44332e08dead7a3",
     ("reappearance", 5, ()): "eec92be8d1e8b1c4",
 }
+
+# workload -> tracks.jsonl digest of bench/scenegen.py's seed-0 scene 0,
+# tracked with the default kf3d TrackerConfig
+BENCH_SCENE_DIGESTS = {"crowd": "50cd9cafce553647", "jam": "c0f4bdfaa35a26db"}
 
 pytestmark = pytest.mark.skipif(
     np.__version__ != DIGEST_NUMPY,
@@ -130,3 +142,23 @@ def test_lstm_tracking_digests(scene, tmp_path):
     weights = LstmWeights.initialize(np.random.default_rng(0), scale=0.5)
     got = track_digests(scene, weights, tmp_path, backends=("lstm",))
     assert got == {"lstm": LSTM_TRACKING_DIGESTS[scene]}
+
+
+def load_scenegen():
+    path = Path(__file__).resolve().parents[1] / "bench" / "scenegen.py"
+    spec = importlib.util.spec_from_file_location("bench_scenegen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", list(BENCH_SCENE_DIGESTS))
+def test_bench_scene_digests(workload, tmp_path):
+    scenegen = load_scenegen()
+    paths = scenegen.write_inputs(scenegen.make_scene(workload, 0, 0), tmp_path)
+    records = run_sequence(
+        load_sequence(paths["detections"], paths["poses"]), TrackerConfig(motion_backend="kf3d").validate()
+    )
+    write_tracks(records, tmp_path / "tracks.jsonl")
+    assert digest(tmp_path / "tracks.jsonl") == BENCH_SCENE_DIGESTS[workload]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mono3dt.association import Tracklet
+from mono3dt.association import Tracklet, predict_views
 from mono3dt.data import ObjectState, TrackStatus
 from mono3dt.geometry import CameraPose, normalize_angle
 from mono3dt.motion import (
@@ -26,7 +26,6 @@ from mono3dt.motion import (
     kf3d_measurement_noise,
     kf_predict,
     kf_update,
-    predict_tracklet,
     update_motion_state,
 )
 from mono3dt.geometry import Box2D
@@ -156,7 +155,7 @@ class TestPredictTracklet:
         tracklet = Tracklet(id=0, state=state, motion_state=kf3d_init(state.position, 20.0))
         pixels = []
         for ego_x in (0.0, 1.0, 2.0):
-            view = predict_tracklet(tracklet, "kf3d", moving_camera_pose(ego_x), intr)
+            view = predict_views([tracklet], "kf3d", moving_camera_pose(ego_x), intr)[0]
             assert np.allclose(view.position, state.position)
             assert view.in_view
             pixels.append(view.center_px.copy())
@@ -173,16 +172,16 @@ class TestPredictTracklet:
         truth = start.copy()
         for _ in range(5):
             truth = truth + velocity
-            view = predict_tracklet(tracklet, "kf3d", pose, intr)
+            view = predict_views([tracklet], "kf3d", pose, intr)[0]
             _, tracklet.motion_state = update_motion_state(
                 "kf3d", view, truth, float(truth[0]), None, tracklet.state.position
             )
             tracklet.state.position = tracklet.motion_state.mean[:3].copy()
-        view_kf = predict_tracklet(tracklet, "kf3d", pose, intr)
+        view_kf = predict_views([tracklet], "kf3d", pose, intr)[0]
         err_kf = np.linalg.norm(view_kf.position - (truth + velocity))
 
         none_track = Tracklet(id=1, state=make_state(truth), motion_state=None)
-        view_none = predict_tracklet(none_track, "none", pose, intr)
+        view_none = predict_views([none_track], "none", pose, intr)[0]
         err_none = np.linalg.norm(view_none.position - (truth + velocity))
         assert err_kf < err_none
 
@@ -195,7 +194,7 @@ class TestPredictTracklet:
         truth = start.copy()
         for _ in range(8):
             truth = truth + velocity
-            view = predict_tracklet(tracklet, "kf3d", pose, intr)
+            view = predict_views([tracklet], "kf3d", pose, intr)[0]
             _, tracklet.motion_state = update_motion_state(
                 "kf3d", view, truth, 15.0, None, tracklet.state.position
             )
@@ -203,7 +202,7 @@ class TestPredictTracklet:
         # no observations: keep committing the prediction, as the occluded path does
         coasted = tracklet.state.position.copy()
         for k in range(1, 6):
-            view = predict_tracklet(tracklet, "kf3d", pose, intr)
+            view = predict_views([tracklet], "kf3d", pose, intr)[0]
             tracklet.motion_state = view.motion_state
             tracklet.state.position = view.position.copy()
             expected = truth + k * velocity
@@ -215,7 +214,7 @@ class TestPredictTracklet:
         pose = moving_camera_pose(0.0)
         state = make_state([-5.0, 0.0, 0.75])  # behind the camera at x=0
         tracklet = Tracklet(id=0, state=state, motion_state=None)
-        view = predict_tracklet(tracklet, "none", pose, intr)
+        view = predict_views([tracklet], "none", pose, intr)[0]
         assert not view.in_view
         assert view.depth < 0
 
