@@ -26,19 +26,19 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import motion as motion_mod
-from .data import ObjectState, TrackerConfig, TrackRecord, TrackStatus
+from .data import TrackerConfig, TrackRecord, TrackStatus
 from .geometry import (
     DEPTH_ORDER_TIE_RATE,
-    MIN_CAMERA_Z,
     Box2D,
+    Box3D,
     alpha_to_theta,
     backproject,
     camera_heading,
     cover_fractions,
     depth_ordered_overlaps,
     iou_2d_matrix,
-    project_box,
     project_boxes,
+    project_hulls,
 )
 
 MASKED_VALUE = -1e9
@@ -61,23 +61,37 @@ def affinity_deep(feature_track, feature_det) -> float:
     return float(np.exp(-np.sum(np.abs(a - b))))
 
 
-def deep_feature(
-    state: ObjectState, center_px, depth: float, intrinsics, config: TrackerConfig
-) -> np.ndarray:
-    """Concatenated appearance + geometry feature with unit-balancing scales.
+@dataclass
+class FrameRows:
+    """k objects in the current camera, one row each: tracklet predictions or decoded detections."""
 
-    center_px and depth place the object in the current camera. Without
-    scaling, raw depth differences swamp every other component of the L1
-    distance; each block is brought to roughly unit range instead.
+    position: np.ndarray  # (k, 3) world
+    yaw: np.ndarray  # (k,) world
+    dims: np.ndarray  # (k, 3)
+    appearance: np.ndarray  # (k, A)
+    center_px: np.ndarray  # (k, 2)
+    depth: np.ndarray  # (k,) camera-frame z
+    box2d: np.ndarray  # (k, 4) image boxes: predicted for tracklets, detected for detections
+
+    def __len__(self) -> int:
+        return len(self.depth)
+
+
+def deep_feature(rows: FrameRows, intrinsics, config: TrackerConfig) -> np.ndarray:
+    """(k, F) concatenated appearance + geometry features with unit-balancing scales.
+
+    Without scaling, raw depth differences swamp every other component of
+    the L1 distance; each block is brought to roughly unit range instead.
     """
     return np.concatenate(
         [
-            state.appearance,
-            state.dimensions / 10.0,
-            center_px / intrinsics.image_diagonal,
-            [state.yaw / math.pi],
-            [depth / config.range_max],
-        ]
+            rows.appearance,
+            rows.dims / 10.0,
+            rows.center_px / intrinsics.image_diagonal,
+            (rows.yaw / math.pi)[:, None],
+            (rows.depth / config.range_max)[:, None],
+        ],
+        axis=1,
     )
 
 
@@ -144,98 +158,60 @@ def solve_assignment(matrix: AffinityMatrix, accept_threshold: float):
 # --- tracklets and lifecycle -------------------------------------------------
 
 
-@dataclass
-class Tracklet:
-    id: int
-    state: ObjectState
-    status: TrackStatus = TrackStatus.TRACKED
-    age_since_match: int = 0
-    motion_state: object = None
-    predicted: object = None  # PredictedView, refreshed every frame
-
-
-def decode_detection(det, pose, intrinsics) -> ObjectState:
-    """Reconstruct the world-frame object state a detection encodes."""
-    position = backproject(det.center_proj, det.depth, pose, intrinsics)
-    yaw_cam = alpha_to_theta(det.yaw_local, float(det.center_proj[0]), intrinsics)
-    yaw_world = yaw_cam + camera_heading(pose)
-    return ObjectState(
-        position=position,
-        yaw=yaw_world,
-        dimensions=det.dimensions.copy(),
-        appearance=det.appearance.copy(),
-        velocity=np.zeros(3),
+def decode_detection(detections, pose, intrinsics) -> FrameRows:
+    """Reconstruct the world-frame object states detections encode, one row each."""
+    if len({d.appearance.shape[0] for d in detections}) > 1:
+        raise LengthMismatch("detection appearance lengths differ")
+    m = len(detections)
+    center_px = np.array([d.center_proj for d in detections]).reshape(m, 2)
+    depth = np.array([d.depth for d in detections], dtype=float)
+    heading = camera_heading(pose)
+    yaw = [alpha_to_theta(d.yaw_local, x, intrinsics) + heading for d, x in zip(detections, center_px[:, 0].tolist())]
+    return FrameRows(
+        position=backproject(center_px, depth, pose, intrinsics),
+        yaw=np.array(yaw, dtype=float),
+        dims=np.array([d.dimensions for d in detections]).reshape(m, 3),
+        appearance=np.array([d.appearance for d in detections]).reshape(m, -1) if m else np.zeros((0, 0)),
+        center_px=center_px,
+        depth=depth,
+        box2d=np.array([d.box2d.as_tuple() for d in detections]).reshape(m, 4),
     )
 
 
-def predict_views(tracklets, backend: str, pose, intrinsics, lstm_weights=None) -> list:
-    """Advance every tracklet one frame and project all predictions in one batch.
-
-    Returns one PredictedView per tracklet; tracklets are not mutated.
-    With the kf2d backend the 2D filter owns the predicted box of an
-    in-view tracklet, while its 3D quantities stay carried.
-    """
-    predictions = [motion_mod.predict_tracklet(t, backend, lstm_weights) for t in tracklets]
-    center_px, depth, boxes, _ = project_boxes(
-        [position for position, _ in predictions],
-        [t.state.dimensions for t in tracklets],
-        [t.state.yaw for t in tracklets],
-        pose,
-        intrinsics,
-    )
-    views = []
-    for (position, motion_state), px, z, box in zip(predictions, center_px, depth.tolist(), boxes.tolist()):
-        box2d = Box2D(*box)
-        in_view = box2d.area > 0.0
-        if backend == "kf2d" and in_view:
-            box2d = motion_mod.kf2d_measurement_to_box(motion_mod.KF2D_OBSERVATION @ motion_state.mean)
-        views.append(motion_mod.PredictedView(position, px, z, box2d, in_view, motion_state))
-    return views
-
-
-def build_affinity_matrix(tracklets, det_states, detections, det_proj_boxes, intrinsics, config):
+def build_affinity_matrix(tracks: FrameRows, dets: FrameRows, in_view, det_proj_boxes, intrinsics, config):
     """Affinity values, keep mask, and appearance components for one frame.
 
-    tracklets carry fresh PredictedView objects; det_states are the decoded
-    world states of the DetectionRecords in detections, det_proj_boxes the
-    projections of the decoded 3D boxes. The keep mask is decided first;
-    every channel is an (n, m) array that is 0 outside it.
+    tracks are the tracklets' predictions and dets the decoded detections;
+    in_view (n,) marks the tracklets predicted into the image, and
+    det_proj_boxes (m, 4) are the projections of the decoded 3D boxes. The
+    keep mask is decided first; every channel is an (n, m) array that is 0
+    outside it.
     """
-    n = len(tracklets)
-    m = len(det_states)
-    in_view = np.array([t.predicted.in_view for t in tracklets], dtype=bool)
+    n, m = len(tracks), len(dets)
     kept = np.repeat(in_view[:, None], m, axis=1)
     if n == 0 or m == 0:
         return AffinityMatrix(np.zeros((n, m)), kept, np.zeros((n, m)))
 
-    track_boxes = [t.predicted.box2d for t in tracklets]
-    track_rects = [b.as_tuple() for b in track_boxes]
-    track_depths = [t.predicted.depth for t in tracklets]
-    det_depths = [d.depth for d in detections]
     if config.use_depth_ordering:
-        track_dims = [t.state.dimensions for t in tracklets]
-        kept &= depth_filter(track_depths, track_dims, det_depths, [s.dimensions for s in det_states])
+        kept &= depth_filter(tracks.depth, tracks.dims, dets.depth, dets.dims)
         a_3d = depth_ordered_overlaps(
-            track_boxes, track_depths, det_proj_boxes, det_depths, kept, config.ord_tie_meters, DEPTH_ORDER_TIE_RATE
+            tracks.box2d, tracks.depth, det_proj_boxes, dets.depth, kept, config.ord_tie_meters, DEPTH_ORDER_TIE_RATE
         )
     else:
-        a_3d = iou_2d_matrix(track_rects, [b.as_tuple() for b in det_proj_boxes])
-    track_features = [
-        deep_feature(t.state, t.predicted.center_px, t.predicted.depth, intrinsics, config)
-        for t in tracklets
-    ]
-    det_features = [
-        deep_feature(s, d.center_proj, d.depth, intrinsics, config)
-        for s, d in zip(det_states, detections)
-    ]
-    lengths = {len(f) for f in track_features + det_features}
-    if len(lengths) > 1:
-        raise LengthMismatch(f"feature lengths differ: {sorted(lengths)}")
-    distance = np.abs(np.array(track_features)[:, None] - np.array(det_features)[None]).sum(axis=-1)
+        a_3d = iou_2d_matrix(tracks.box2d, det_proj_boxes)
+    track_features = deep_feature(tracks, intrinsics, config)
+    det_features = deep_feature(dets, intrinsics, config)
+    if track_features.shape[1] != det_features.shape[1]:
+        raise LengthMismatch(f"feature lengths differ: {track_features.shape[1]} vs {det_features.shape[1]}")
+    distance = np.abs(track_features[:, None] - det_features[None]).sum(axis=-1)
     deep = np.where(kept, np.exp(-distance), 0.0)
-    a_2d = iou_2d_matrix(track_rects, [d.box2d.as_tuple() for d in detections])
+    a_2d = iou_2d_matrix(tracks.box2d, dets.box2d)
     values = np.where(kept, compose_affinity(deep, a_2d, a_3d, config), 0.0)
     return AffinityMatrix(values, kept, deep)
+
+
+# per-tracklet columns of the tracker's store; the motion rows sit beside them
+_COLUMNS = ("ids", "status", "age", "position", "yaw", "dims", "appearance", "velocity")
 
 
 class Tracker:
@@ -243,6 +219,11 @@ class Tracker:
 
     Output at frame t depends only on frames <= t. Dead tracklets never
     come back and their ids are never reused.
+
+    The tracklets live in arrays, row i of each belonging to one tracklet:
+    ids, status (TrackStatus objects), age (frames since the last match),
+    world position, yaw, dims, appearance and velocity, and the motion
+    backend's rows in `motion`.
     """
 
     def __init__(self, config: TrackerConfig, intrinsics, lstm_weights=None):
@@ -252,28 +233,50 @@ class Tracker:
         self.config = config
         self.intrinsics = intrinsics
         self.lstm_weights = lstm_weights
-        self.tracklets: list[Tracklet] = []
+        self.ids = np.zeros(0, dtype=int)
+        self.status = np.zeros(0, dtype=object)
+        self.age = np.zeros(0, dtype=int)
+        self.position = np.zeros((0, 3))
+        self.yaw = np.zeros(0)
+        self.dims = np.zeros((0, 3))
+        self.appearance = np.zeros((0, 0))
+        self.velocity = np.zeros((0, 3))
+        self.motion = motion_mod.init_motion_state(config.motion_backend, self.position, np.zeros(0), np.zeros((0, 4)))
         self.next_id = 0
 
     # -- helpers -------------------------------------------------------------
 
-    def _reproject_state(self, states, pose) -> list:
-        """Image boxes of the emitted states in the current camera, one batch."""
-        _, _, boxes, _ = project_boxes(
-            [s.position for s in states], [s.dimensions for s in states], [s.yaw for s in states], pose, self.intrinsics
-        )
-        return [Box2D(*row) for row in boxes.tolist()]
+    def _reproject_state(self, rows, pose) -> np.ndarray:
+        """(k, 4) image boxes of the tracklets in rows in the current camera, one batch."""
+        _, _, boxes, _ = project_boxes(self.position[rows], self.dims[rows], self.yaw[rows], pose, self.intrinsics)
+        return boxes
 
-    def _spawn(self, det, state: ObjectState) -> Tracklet:
-        tracklet = Tracklet(
-            id=self.next_id,
-            state=state,
-            motion_state=motion_mod.init_motion_state(
-                self.config.motion_backend, state.position, det.depth, det.box2d
-            ),
+    def _keep(self, keep) -> None:
+        for name in _COLUMNS:
+            setattr(self, name, getattr(self, name)[keep])
+        self.motion = motion_mod.take_rows(self.motion, keep)
+
+    def _spawn(self, dets: FrameRows, cols) -> None:
+        k = len(cols)
+        if not k:
+            return
+        new = {
+            "ids": np.arange(self.next_id, self.next_id + k),
+            "status": np.full(k, TrackStatus.TRACKED, dtype=object),
+            "age": np.zeros(k, dtype=int),
+            "position": dets.position[cols],
+            "yaw": dets.yaw[cols],
+            "dims": dets.dims[cols],
+            "appearance": dets.appearance[cols],
+            "velocity": np.zeros((k, 3)),
+        }
+        for name, rows in new.items():
+            setattr(self, name, np.concatenate([getattr(self, name), rows]))
+        born = motion_mod.init_motion_state(
+            self.config.motion_backend, dets.position[cols], dets.depth[cols], dets.box2d[cols]
         )
-        self.next_id += 1
-        return tracklet
+        self.motion = motion_mod.stack_rows(self.motion, born)
+        self.next_id += k
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -285,116 +288,99 @@ class Tracker:
         """
         config = self.config
         backend = config.motion_backend
-        tracklets = self.tracklets
 
-        for t, view in zip(tracklets, predict_views(tracklets, backend, pose, self.intrinsics, self.lstm_weights)):
-            t.predicted = view
+        predicted, candidate = motion_mod.predict_tracklet(backend, self.motion, self.position, self.lstm_weights)
+        center_px, depth, boxes, _ = project_boxes(predicted, self.dims, self.yaw, pose, self.intrinsics)
+        in_view = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1]) > 0.0
+        if backend == "kf2d":
+            # the 2D filter owns the predicted box of an in-view tracklet
+            boxes[in_view] = motion_mod.kf2d_measurement_to_box(candidate.mean[in_view])
+        tracks = FrameRows(predicted, self.yaw, self.dims, self.appearance, center_px, depth, boxes)
 
-        det_states = [decode_detection(d, pose, self.intrinsics) for d in detections]
-        _, center_z, boxes, any_in_front = project_boxes(
-            [s.position for s in det_states],
-            [s.dimensions for s in det_states],
-            [s.yaw for s in det_states],
-            pose,
-            self.intrinsics,
+        dets = decode_detection(detections, pose, self.intrinsics)
+        # an empty side takes the other side's appearance length
+        if not len(self.ids):
+            self.appearance = np.zeros((0, dets.appearance.shape[1]))
+        elif not len(dets):
+            dets.appearance = np.zeros((0, self.appearance.shape[1]))
+        det_proj_boxes, any_in_front = project_hulls(dets.position, dets.dims, dets.yaw, pose, self.intrinsics)
+        # a box wholly behind the camera falls back on the detector's own box
+        det_proj_boxes[~any_in_front] = dets.box2d[~any_in_front]
+
+        matrix = build_affinity_matrix(tracks, dets, in_view, det_proj_boxes, self.intrinsics, config)
+        pairs, unmatched_tracks, unmatched_dets = solve_assignment(matrix, config.affinity_accept_threshold)
+        rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
+        unmatched = np.array(unmatched_tracks, dtype=int)
+
+        # the lifecycle reads covers of unmatched, in-view tracklets only
+        cover_rows = unmatched[in_view[unmatched]] if config.use_occlusion_state else unmatched[:0]
+        covers = cover_fractions(boxes, depth, config.ord_tie_meters, DEPTH_ORDER_TIE_RATE, rows=cover_rows.tolist())
+        is_occluded = np.zeros(len(covers), dtype=bool)
+        is_occluded[cover_rows] = covers[cover_rows] >= config.occlusion_cover_threshold
+        occluded, lost = unmatched[is_occluded[unmatched]], unmatched[~is_occluded[unmatched]]
+
+        prev = self.position[rows]
+        filtered, updated = motion_mod.update_motion_state(
+            backend,
+            motion_mod.take_rows(candidate, rows),
+            predicted[rows],
+            dets.position[cols],
+            dets.depth[cols],
+            dets.box2d[cols],
+            prev,
+            self.lstm_weights,
         )
-        det_proj_boxes = []
-        for d, s, box, z, in_front in zip(detections, det_states, boxes.tolist(), center_z, any_in_front):
-            if not in_front:
-                det_proj_boxes.append(d.box2d)  # wholly behind the camera
-            elif z <= MIN_CAMERA_Z:
-                # center behind, some corner in front: the truncated hull
-                det_proj_boxes.append(project_box(s.box3d(), pose, self.intrinsics))
-            else:
-                det_proj_boxes.append(Box2D(*box))
-
-        matrix = build_affinity_matrix(
-            tracklets, det_states, detections, det_proj_boxes, self.intrinsics, config
+        position, yaw, dims, appearance = motion_mod.blend_update(
+            (prev, self.yaw[rows], self.dims[rows], self.appearance[rows]),
+            (dets.position[cols], dets.yaw[cols], dets.dims[cols], dets.appearance[cols]),
+            matrix.a_deep[rows, cols],
         )
-        pairs, unmatched_tracks, unmatched_dets = solve_assignment(
-            matrix, config.affinity_accept_threshold
-        )
+        if filtered is not None:
+            position = filtered
+        self.velocity[rows] = position - prev
+        self.position[rows] = position
+        self.yaw[rows] = yaw
+        self.dims[rows] = dims
+        self.appearance[rows] = appearance
+        motion_mod.put_rows(self.motion, rows, updated)
+        self.status[rows] = TrackStatus.TRACKED
+        self.age[rows] = 0
 
-        covers = cover_fractions(
-            [t.predicted.box2d for t in tracklets],
-            [t.predicted.depth for t in tracklets],
-            config.ord_tie_meters,
-            DEPTH_ORDER_TIE_RATE,
-        )
+        # occluded: commit the coasting prediction; features and age stay
+        # frozen until reappearance. Candidate rows may share arrays with
+        # self.motion, but occluded rows are not the matched rows written above.
+        self.velocity[occluded] = predicted[occluded] - self.position[occluded]
+        self.position[occluded] = predicted[occluded]
+        motion_mod.put_rows(self.motion, occluded, motion_mod.take_rows(candidate, occluded))
+        self.status[occluded] = TrackStatus.OCCLUDED
+        self.age[occluded] = np.maximum(self.age[occluded], 1)
+        # lost: leave the state pinned where it was
+        self.status[lost] = TrackStatus.LOST
+        self.age[lost] += 1
 
-        for row, col in pairs:
-            t = tracklets[row]
-            det = detections[col]
-            obs_state = det_states[col]
-            prev_position = t.state.position.copy()
-            filtered_pos, new_motion = motion_mod.update_motion_state(
-                backend,
-                t.predicted,
-                obs_state.position,
-                det.depth,
-                det.box2d,
-                prev_position,
-                self.lstm_weights,
+        cam_z = pose.world_to_camera(self.position)[:, 2]
+        out_of_range = (cam_z < config.range_min) | (cam_z > config.range_max)
+        self._keep((self.age <= config.max_lost_age) & ~out_of_range)
+        self._spawn(dets, np.array(unmatched_dets, dtype=int))
+
+        emitted = np.flatnonzero(self.status != TrackStatus.LOST)
+        box2d = self._reproject_state(emitted, pose)
+        area = (box2d[:, 2] - box2d[:, 0]) * (box2d[:, 3] - box2d[:, 1])
+        shown = ~((self.status[emitted] == TrackStatus.OCCLUDED) & (area < config.min_emit_box_area))
+        emitted, box2d = emitted[shown], box2d[shown]
+        # fancy indexing copies, so no record shares memory with the store
+        return [
+            TrackRecord(frame_index, track_id, Box3D(center, dims, yaw), velocity, Box2D(*box), status)
+            for track_id, center, dims, yaw, velocity, box, status in zip(
+                self.ids[emitted].tolist(),
+                self.position[emitted],
+                self.dims[emitted],
+                self.yaw[emitted].tolist(),
+                self.velocity[emitted],
+                box2d.tolist(),
+                self.status[emitted],
             )
-            blended = motion_mod.blend_update(t.state, obs_state, matrix.a_deep[row, col])
-            if filtered_pos is not None:
-                blended.position = filtered_pos
-            blended.velocity = blended.position - prev_position
-            t.state = blended
-            if new_motion is not None:
-                t.motion_state = new_motion
-            t.status = TrackStatus.TRACKED
-            t.age_since_match = 0
-
-        for row in unmatched_tracks:
-            t = tracklets[row]
-            occluded = (
-                config.use_occlusion_state
-                and t.predicted.in_view
-                and covers[row] >= config.occlusion_cover_threshold
-            )
-            if occluded:
-                # commit the coasting prediction; features and age stay
-                # frozen until reappearance
-                prev_position = t.state.position.copy()
-                t.state.position = t.predicted.position.copy()
-                t.state.velocity = t.state.position - prev_position
-                t.motion_state = t.predicted.motion_state
-                t.status = TrackStatus.OCCLUDED
-                if t.age_since_match == 0:
-                    t.age_since_match = 1
-            else:
-                # plain lost handling: leave the state pinned where it was
-                t.status = TrackStatus.LOST
-                t.age_since_match += 1
-
-        records = []
-        survivors = []
-        for t in tracklets:
-            cam_z = float(pose.world_to_camera(t.state.position)[2])
-            out_of_range = cam_z < config.range_min or cam_z > config.range_max
-            if t.age_since_match <= config.max_lost_age and not out_of_range:
-                survivors.append(t)
-
-        for col in unmatched_dets:
-            survivors.append(self._spawn(detections[col], det_states[col]))
-
-        emitted = [t for t in survivors if t.status in (TrackStatus.TRACKED, TrackStatus.OCCLUDED)]
-        for t, box2d in zip(emitted, self._reproject_state([t.state for t in emitted], pose)):
-            if t.status == TrackStatus.OCCLUDED and box2d.area < config.min_emit_box_area:
-                continue
-            records.append(
-                TrackRecord(
-                    frame_index=frame_index,
-                    track_id=t.id,
-                    box3d=t.state.box3d(),
-                    velocity=t.state.velocity.copy(),
-                    box2d_projected=box2d,
-                    status=t.status,
-                )
-            )
-        self.tracklets = survivors
-        return records
+        ]
 
 
 def run_sequence(sequence, config: TrackerConfig, lstm_weights=None):

@@ -1,4 +1,4 @@
-"""Shared record types: detections, object states, track outputs, tracker config."""
+"""Shared record types: detections, track outputs, tracker config."""
 
 from __future__ import annotations
 
@@ -59,35 +59,6 @@ class DetectionRecord:
             raise ValueError("detection dimensions must be positive")
         if not (0.0 <= self.score <= 1.0):
             raise ValueError("detection score must be in [0, 1]")
-
-
-@dataclass
-class ObjectState:
-    """World-frame object state; its camera projection is recomputed per frame."""
-
-    position: np.ndarray  # (3,) meters, world
-    yaw: float  # radians, world, about +z
-    dimensions: np.ndarray  # (3,) meters
-    appearance: np.ndarray
-    velocity: np.ndarray  # (3,) meters/frame, world
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-        self.dimensions = np.asarray(self.dimensions, dtype=float).reshape(3)
-        self.appearance = np.asarray(self.appearance, dtype=float).reshape(-1)
-        self.velocity = np.asarray(self.velocity, dtype=float).reshape(3)
-
-    def box3d(self) -> Box3D:
-        return Box3D(self.position, self.dimensions, self.yaw)
-
-    def copy(self) -> "ObjectState":
-        return ObjectState(
-            self.position.copy(),
-            self.yaw,
-            self.dimensions.copy(),
-            self.appearance.copy(),
-            self.velocity.copy(),
-        )
 
 
 @dataclass

@@ -37,6 +37,18 @@ class NonPositiveDepth(GeometryError):
     """Raised when a backprojection depth is not strictly positive."""
 
 
+def matvec(m, v) -> np.ndarray:
+    """m @ row for one row v or for every row of a (..., n) stack v.
+
+    A stack runs as stacked matrix-vector products, each the same BLAS call
+    as m @ row, so it is bit-equal to running its rows one by one (a GEMM
+    would not be). One row takes m @ v directly, which skips the view
+    handling a one-row call would pay.
+    """
+    v = np.asarray(v, dtype=float)
+    return m @ v if v.ndim == 1 else np.matmul(m, v[..., None])[..., 0]
+
+
 def normalize_angle(theta: float) -> float:
     """Wrap an angle into [0, 2*pi)."""
     theta = math.fmod(theta, TAU)
@@ -94,10 +106,12 @@ class CameraPose:
         return CameraPose(np.eye(3), np.zeros(3))
 
     def world_to_camera(self, point) -> np.ndarray:
-        return self.rotation @ np.asarray(point, dtype=float) + self.translation
+        """Camera-frame coordinates of one (3,) point or of (N, 3) rows, each R @ p + t."""
+        return matvec(self.rotation, point) + self.translation
 
     def camera_to_world(self, point) -> np.ndarray:
-        return self.rotation.T @ (np.asarray(point, dtype=float) - self.translation)
+        """World coordinates of one (3,) camera-frame point or of (N, 3) rows."""
+        return matvec(self.rotation.T, np.asarray(point, dtype=float) - self.translation)
 
 
 def camera_heading(pose: CameraPose) -> float:
@@ -191,14 +205,17 @@ def project_point(point, pose: CameraPose, intrinsics: CameraIntrinsics):
     return np.array([u, v]), z
 
 
-def backproject(pixel, depth: float, pose: CameraPose, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Invert project_point: pixel + camera-frame depth -> world point."""
-    if depth <= 0.0:
+def backproject(pixel, depth, pose: CameraPose, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Invert project_point: pixel + camera-frame depth -> world point.
+
+    (N, 2) pixels and (N,) depths give (N, 3) world rows.
+    """
+    pixel, depth = np.asarray(pixel, dtype=float), np.asarray(depth, dtype=float)
+    if np.any(depth <= 0.0):
         raise NonPositiveDepth(f"depth={depth!r} must be > 0")
-    u, v = float(pixel[0]), float(pixel[1])
-    x = (u - intrinsics.principal_x) / intrinsics.focal_x * depth
-    y = (v - intrinsics.principal_y) / intrinsics.focal_y * depth
-    return pose.camera_to_world(np.array([x, y, depth]))
+    x = (pixel[..., 0] - intrinsics.principal_x) / intrinsics.focal_x * depth
+    y = (pixel[..., 1] - intrinsics.principal_y) / intrinsics.focal_y * depth
+    return pose.camera_to_world(np.stack([x, y, depth], axis=-1))
 
 
 def alpha_to_theta(theta_l: float, x_c: float, intrinsics: CameraIntrinsics) -> float:
@@ -260,13 +277,15 @@ def box3d_corners(box: Box3D) -> np.ndarray:
     return _corners(box.center, box.dimensions, [box.yaw])[0]
 
 
-def _project_hulls(corners, pose: CameraPose, intrinsics: CameraIntrinsics):
-    """Image hulls (N, 4) of (N, 8, 3) world corners, and any-corner-in-front (N,).
+def project_hulls(centers, dims, yaws, pose: CameraPose, intrinsics: CameraIntrinsics):
+    """Image hulls (N, 4) of N oriented boxes' visible corners, and any-corner-in-front (N,).
 
-    Row k is project_box's hull of box k, and the zero box when no corner
-    is in front. The stacked products repeat the one-box float operations,
-    so every row is bit-equal to projecting its box alone.
+    Row k is project_box's hull of box k, truncated where the box is partly
+    behind the camera, and the zero box when no corner is in front. The
+    stacked products repeat the one-box float operations, so every row is
+    bit-equal to projecting its box alone.
     """
+    corners = _corners(centers, dims, yaws)
     cam = np.matmul(pose.rotation, corners.transpose(0, 2, 1)).transpose(0, 2, 1) + pose.translation
     in_front = cam[..., 2] > MIN_CAMERA_Z
     z = np.where(in_front, cam[..., 2], 1.0)
@@ -300,8 +319,8 @@ def project_boxes(centers, dims, yaws, pose: CameraPose, intrinsics: CameraIntri
     BoxBehindCamera.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
-    boxes, any_in_front = _project_hulls(_corners(centers, dims, yaws), pose, intrinsics)
-    cam_centers = np.matmul(pose.rotation, centers[..., None])[..., 0] + pose.translation
+    boxes, any_in_front = project_hulls(centers, dims, yaws, pose, intrinsics)
+    cam_centers = pose.world_to_camera(centers)
     depth = cam_centers[:, 2]
     ahead = depth > MIN_CAMERA_Z
     z = np.where(ahead, depth, 1.0)
@@ -324,7 +343,7 @@ def project_box(box: Box3D, pose: CameraPose, intrinsics: CameraIntrinsics) -> B
     truncated rather than rejected. Raises BoxBehindCamera only when no
     corner is in front.
     """
-    hulls, any_in_front = _project_hulls(box3d_corners(box)[None], pose, intrinsics)
+    hulls, any_in_front = project_hulls(box.center, box.dimensions, [box.yaw], pose, intrinsics)
     if not any_in_front[0]:
         raise BoxBehindCamera("all corners behind camera")
     return Box2D(*hulls[0].tolist())
@@ -448,6 +467,11 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
 DEPTH_ORDER_TIE_RATE = 0.05
 
 
+def _rects(boxes) -> list:
+    """(x_min, y_min, x_max, y_max) rows of Box2D objects or of an (n, 4) array."""
+    return boxes.tolist() if isinstance(boxes, np.ndarray) else [b.as_tuple() for b in boxes]
+
+
 def _rect_area(rect) -> float:
     return (rect[2] - rect[0]) * (rect[3] - rect[1])
 
@@ -502,19 +526,21 @@ def nearer_mask(depths, tie_meters: float, tie_rate: float) -> np.ndarray:
     return d[:, None] - d[None, :] > tie
 
 
-def cover_fractions(boxes, depths, tie_meters: float = 1.0, tie_rate: float = 0.0) -> np.ndarray:
+def cover_fractions(boxes, depths, tie_meters: float = 1.0, tie_rate: float = 0.0, rows=None) -> np.ndarray:
     """Fraction of each box covered by the union of strictly nearer boxes.
 
-    The layer tie is that of nearer_mask. Zero-area boxes report cover 0.
+    boxes are Box2D objects or (n, 4) rows. The layer tie is that of
+    nearer_mask. Zero-area boxes report cover 0. With rows, an iterable of
+    box indices, only those boxes are computed and the others report 0.
     """
-    n = len(boxes)
-    out = np.zeros(n)
-    rects = [b.as_tuple() for b in boxes]
-    for i, row in enumerate(nearer_mask(depths, tie_meters, tie_rate).tolist()):
-        area = boxes[i].area
+    rects = _rects(boxes)
+    out = np.zeros(len(rects))
+    nearer = nearer_mask(depths, tie_meters, tie_rate)
+    for i in range(len(rects)) if rows is None else rows:
+        area = _rect_area(rects[i])
         if area <= 0.0:
             continue
-        occluders = [rects[j] for j in range(n) if row[j]]
+        occluders = [rect for rect, near in zip(rects, nearer[i].tolist()) if near]
         if not occluders:
             continue
         out[i] = _union_area_within(rects[i], occluders) / area
@@ -537,11 +563,12 @@ def depth_ordered_overlaps(
     layers this equals iou_2d exactly, and a tracklet fully claimed by a
     nearer layer scores 0. The layer tie works as in nearer_mask.
 
-    Only the pairs set in the (n, m) bool mask kept are computed; the
-    other entries are 0. Claimants range over all tracklets either way.
+    Boxes are Box2D objects or (k, 4) rows. Only the pairs set in the
+    (n, m) bool mask kept are computed; the other entries are 0. Claimants
+    range over all tracklets either way.
     """
-    rects = [b.as_tuple() for b in track_boxes]
-    det_rects = [b.as_tuple() for b in det_boxes]
+    rects = _rects(track_boxes)
+    det_rects = _rects(det_boxes)
     plain = iou_2d_matrix(rects, det_rects)
     depths = np.asarray(track_depths, dtype=float)
     doi_gap = np.abs(np.subtract.outer(depths, np.asarray(det_depths, dtype=float)))

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import matvec
 from .io import ParseError, UnsupportedFormatVersion
 
 EMBED_DIM = 64
@@ -91,7 +92,7 @@ class LstmWeights:
 
 @dataclass
 class LstmMotionState:
-    """Per-tracklet last refined velocity and both cells' memory; steps return a new state."""
+    """Last refined velocity and both cells' memory, one row or (K, ·) rows; steps return a new state."""
 
     v_last: np.ndarray = field(default_factory=lambda: np.zeros(3))
     h_pred: np.ndarray = field(default_factory=lambda: np.zeros(HIDDEN_DIM))
@@ -102,17 +103,6 @@ class LstmMotionState:
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
-
-
-def _matvec(w, x):
-    """w @ row for one row x or every row of a (B, ·) batch.
-
-    A batch runs as stacked matrix-vector products, each the same BLAS call
-    as w @ row, so it is bit-equal to running its rows one by one (a GEMM
-    would not be). One row takes w @ x directly, which skips the view
-    handling that tracking would pay on every call.
-    """
-    return w @ x if x.ndim == 1 else np.matmul(w, x[..., None])[..., 0]
 
 
 def _rowdot(a, b):
@@ -135,7 +125,7 @@ def _cell_forward(weights: LstmWeights, cell: str, x, h_prev, c_prev):
     """
     gate, head1, head2 = _CELL_LAYERS[cell]
     xh = np.concatenate([x, h_prev], -1)
-    z = _matvec(weights[f"w_{gate}"], xh) + weights[f"b_{gate}"]
+    z = matvec(weights[f"w_{gate}"], xh) + weights[f"b_{gate}"]
     i = _sigmoid(z[..., :HIDDEN_DIM])
     f = _sigmoid(z[..., HIDDEN_DIM : 2 * HIDDEN_DIM])
     g = np.tanh(z[..., 2 * HIDDEN_DIM : 3 * HIDDEN_DIM])
@@ -143,8 +133,8 @@ def _cell_forward(weights: LstmWeights, cell: str, x, h_prev, c_prev):
     c = f * c_prev + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    t = np.tanh(_matvec(weights[f"w_{head1}"], h) + weights[f"b_{head1}"])
-    y = _matvec(weights[f"w_{head2}"], t) + weights[f"b_{head2}"]
+    t = np.tanh(matvec(weights[f"w_{head1}"], h) + weights[f"b_{head1}"])
+    y = matvec(weights[f"w_{head2}"], t) + weights[f"b_{head2}"]
     return h, c, y, (xh, c_prev, i, f, g, o, tanh_c, h, t)
 
 
@@ -175,7 +165,7 @@ def _cell_backward(weights: LstmWeights, cell: str, cache, dy, dh_next, dc_next,
 
 
 def _embed(weights, v):
-    return _matvec(weights["w_embed"], v) + weights["b_embed"]
+    return matvec(weights["w_embed"], v) + weights["b_embed"]
 
 
 def _embed_backward(weights, g, v, rows):
@@ -211,7 +201,7 @@ def ulstm_update(
     p_tilde = np.asarray(p_tilde, dtype=float)
     e1 = _embed(weights, p_tilde - p_prev)
     e2 = _embed(weights, np.asarray(p_obs, dtype=float) - p_prev)
-    h, c, corr, _ = _cell_forward(weights, "u", np.concatenate([e1, e2]), state.h_upd, state.c_upd)
+    h, c, corr, _ = _cell_forward(weights, "u", np.concatenate([e1, e2], -1), state.h_upd, state.c_upd)
     p_bar = p_tilde + corr
     return p_bar, replace(state, v_last=p_bar - p_prev, h_upd=h, c_upd=c)
 

@@ -1,4 +1,4 @@
-"""Per-tracklet motion estimation in world coordinates.
+"""Batched motion estimation in world coordinates.
 
 World-frame modeling cancels ego-motion: a parked car keeps a constant
 state no matter how the camera moves, and its image location is recovered
@@ -10,20 +10,23 @@ by re-projection through the current pose. Backends:
   kf3d  constant-velocity Kalman filter on world position
   lstm  learned prediction/update recurrences (see lstm module)
 
-Backend `predict` methods are pure: they return a candidate state that
-the caller commits only for matched or occlusion-coasting tracklets, so
-a lost tracklet's state stays pinned where it was last estimated.
+Every step works on stacked rows, one per tracklet: a Kalman state is a
+(K, d) mean and a (K, d, d) covariance, an LSTM state (K, ·) arrays. The
+stacked products make the BLAS call of a one-state step for each row, so
+every row is bit-equal to stepping it alone. Prediction is pure: it
+returns candidate rows that the caller commits only for matched or
+occlusion-coasting tracklets, so a lost tracklet's state stays pinned
+where it was last estimated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import ObjectState
-from .geometry import Box2D, normalize_angle
+from .geometry import matvec, normalize_angle
 from . import lstm as lstm_mod
 
 
@@ -33,14 +36,19 @@ class SingularInnovation(RuntimeError):
 
 @dataclass
 class KalmanState:
-    mean: np.ndarray
-    cov: np.ndarray
+    mean: np.ndarray  # (K, d), one row per tracklet
+    cov: np.ndarray  # (K, d, d)
+
+
+def _t(a):
+    """Transpose of the last two axes."""
+    return a.swapaxes(-1, -2)
 
 
 def kf_predict(state: KalmanState, transition: np.ndarray, process_noise: np.ndarray) -> KalmanState:
-    mean = transition @ state.mean
-    cov = transition @ state.cov @ transition.T + process_noise
-    cov = 0.5 * (cov + cov.T)
+    mean = matvec(transition, state.mean)
+    cov = np.matmul(np.matmul(transition, state.cov), transition.T) + process_noise
+    cov = 0.5 * (cov + _t(cov))
     return KalmanState(mean, cov)
 
 
@@ -50,41 +58,51 @@ def kf_update(
     observation_model: np.ndarray,
     observation_noise: np.ndarray,
 ) -> KalmanState:
-    """Measurement update in Joseph form, which preserves PSD covariance."""
+    """Measurement update in Joseph form, which preserves PSD covariance.
+
+    observation is (K, m); observation_noise is one (m, m) matrix or (K, m, m).
+    """
     h = observation_model
-    innovation = np.asarray(observation, dtype=float) - h @ state.mean
-    s = h @ state.cov @ h.T + observation_noise
+    innovation = np.asarray(observation, dtype=float) - matvec(h, state.mean)
+    s = np.matmul(np.matmul(h, state.cov), h.T) + observation_noise
     try:
-        gain = np.linalg.solve(s.T, (state.cov @ h.T).T).T
+        gain = _t(np.linalg.solve(_t(s), _t(np.matmul(state.cov, h.T))))
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation(str(exc)) from exc
     if not np.all(np.isfinite(gain)):
         raise SingularInnovation("non-finite Kalman gain")
-    mean = state.mean + gain @ innovation
-    identity = np.eye(len(state.mean))
-    j = identity - gain @ h
-    cov = j @ state.cov @ j.T + gain @ observation_noise @ gain.T
-    cov = 0.5 * (cov + cov.T)
+    mean = state.mean + matvec(gain, innovation)
+    j = np.eye(state.mean.shape[-1]) - np.matmul(gain, h)
+    cov = np.matmul(np.matmul(j, state.cov), _t(j)) + np.matmul(np.matmul(gain, observation_noise), _t(gain))
+    cov = 0.5 * (cov + _t(cov))
     return KalmanState(mean, cov)
 
 
-def blend_update(prev_state: ObjectState, obs_state: ObjectState, a_deep: float) -> ObjectState:
-    """Convex blend of the full state tuple with ratio alpha = 1 - a_deep.
+def blend_update(prev, obs, a_deep):
+    """Convex blend of k state rows with ratio alpha = 1 - a_deep per row.
 
-    A perfect appearance match (a_deep = 1) keeps the track's state; a
-    total mismatch adopts the observation. Yaw blends along the shorter
-    arc.
+    prev and obs are (position (k, 3), yaw (k,), dims (k, 3), appearance
+    (k, A)); so is the result. A perfect appearance match (a_deep = 1)
+    keeps the track's state; a total mismatch adopts the observation. Yaw
+    blends along the shorter arc, row by row: np.remainder does not
+    round like math.remainder.
     """
-    if not (0.0 <= a_deep <= 1.0):
+    a_deep = np.asarray(a_deep, dtype=float)
+    if not np.all((0.0 <= a_deep) & (a_deep <= 1.0)):
         raise ValueError(f"a_deep={a_deep} outside [0, 1]")
     alpha = 1.0 - a_deep
-    dyaw = math.remainder(obs_state.yaw - prev_state.yaw, 2.0 * math.pi)
-    blended = prev_state.copy()
-    blended.position = prev_state.position + alpha * (obs_state.position - prev_state.position)
-    blended.yaw = normalize_angle(prev_state.yaw + alpha * dyaw)
-    blended.dimensions = prev_state.dimensions + alpha * (obs_state.dimensions - prev_state.dimensions)
-    blended.appearance = prev_state.appearance + alpha * (obs_state.appearance - prev_state.appearance)
-    return blended
+    (position, yaw, dims, appearance), (obs_position, obs_yaw, obs_dims, obs_appearance) = prev, obs
+    blended_yaw = [
+        normalize_angle(y + w * math.remainder(o - y, 2.0 * math.pi))
+        for y, o, w in zip(yaw.tolist(), obs_yaw.tolist(), alpha.tolist())
+    ]
+    col = alpha[:, None]
+    return (
+        position + col * (obs_position - position),
+        np.array(blended_yaw, dtype=float),
+        dims + col * (obs_dims - dims),
+        appearance + col * (obs_appearance - appearance),
+    )
 
 
 # --- KF3D: constant-velocity world-position filter -------------------------
@@ -100,18 +118,21 @@ KF3D_DEPTH_NOISE_RATE = 0.05  # measurement sigma = rate * depth
 KF3D_INITIAL_VELOCITY_VAR = 100.0
 
 KF3D_PROCESS_NOISE = np.diag([0.0, 0.0, 0.0] + [KF3D_VELOCITY_PROCESS_VAR] * 3)
+_EYE3 = np.eye(3)
 
 
-def kf3d_measurement_noise(depth: float) -> np.ndarray:
-    sigma = KF3D_DEPTH_NOISE_RATE * max(depth, 1.0)
-    return np.eye(3) * sigma * sigma
+def kf3d_measurement_noise(depths) -> np.ndarray:
+    """(K, 3, 3) measurement noise for K detection depths."""
+    sigma = KF3D_DEPTH_NOISE_RATE * np.maximum(depths, 1.0)
+    return _EYE3 * (sigma * sigma)[..., None, None]
 
 
-def kf3d_init(position: np.ndarray, depth: float) -> KalmanState:
-    mean = np.concatenate([np.asarray(position, dtype=float), np.zeros(3)])
-    cov = np.zeros((6, 6))
-    cov[:3, :3] = kf3d_measurement_noise(depth)
-    cov[3:, 3:] = np.eye(3) * KF3D_INITIAL_VELOCITY_VAR
+def kf3d_init(positions, depths) -> KalmanState:
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    mean = np.concatenate([positions, np.zeros_like(positions)], axis=1)
+    cov = np.zeros((len(mean), 6, 6))
+    cov[:, :3, :3] = kf3d_measurement_noise(depths)
+    cov[:, 3:, 3:] = _EYE3 * KF3D_INITIAL_VELOCITY_VAR
     return KalmanState(mean, cov)
 
 
@@ -125,120 +146,117 @@ KF2D_OBSERVATION[0, 0] = KF2D_OBSERVATION[1, 1] = 1.0
 KF2D_OBSERVATION[2, 2] = KF2D_OBSERVATION[3, 3] = 1.0
 KF2D_PROCESS_NOISE = np.diag([1.0, 1.0, 1e-4, 10.0, 1.0, 1.0, 10.0])
 KF2D_MEASUREMENT_NOISE = np.diag([4.0, 4.0, 1e-2, 100.0])
+KF2D_INITIAL_COV = np.diag([10.0, 10.0, 1e-2, 100.0, 100.0, 100.0, 1000.0])
 
 
-def box_to_kf2d_measurement(box: Box2D) -> np.ndarray:
-    w = max(box.width, 1e-6)
-    h = max(box.height, 1e-6)
-    cx, cy = box.center
-    return np.array([cx, cy, w / h, w * h])
+def box_to_kf2d_measurement(boxes) -> np.ndarray:
+    """(K, 4) measurements (cx, cy, w / h, w * h) of (K, 4) image box rows."""
+    x0, y0, x1, y1 = np.asarray(boxes, dtype=float).reshape(-1, 4).T
+    w = np.maximum(x1 - x0, 1e-6)
+    h = np.maximum(y1 - y0, 1e-6)
+    return np.stack([0.5 * (x0 + x1), 0.5 * (y0 + y1), w / h, w * h], axis=1)
 
 
-def kf2d_measurement_to_box(vec) -> Box2D:
-    cx, cy, ratio, area = (float(v) for v in vec[:4])
-    area = max(area, 1e-6)
-    ratio = max(ratio, 1e-6)
-    w = math.sqrt(area * ratio)
+def kf2d_measurement_to_box(vec) -> np.ndarray:
+    """(K, 4) image box rows of (K, >= 4) measurement rows."""
+    cx, cy, ratio, area = np.asarray(vec, dtype=float)[:, :4].T
+    area = np.maximum(area, 1e-6)
+    ratio = np.maximum(ratio, 1e-6)
+    w = np.sqrt(area * ratio)
     h = area / w
-    return Box2D(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+    return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
 
 
-def kf2d_init(box: Box2D) -> KalmanState:
-    mean = np.zeros(7)
-    mean[:4] = box_to_kf2d_measurement(box)
-    cov = np.diag([10.0, 10.0, 1e-2, 100.0, 100.0, 100.0, 1000.0])
-    return KalmanState(mean, cov)
+def kf2d_init(boxes) -> KalmanState:
+    measurement = box_to_kf2d_measurement(boxes)
+    mean = np.zeros((len(measurement), 7))
+    mean[:, :4] = measurement
+    return KalmanState(mean, np.repeat(KF2D_INITIAL_COV[None], len(mean), axis=0))
 
 
-# --- prediction -------------------------------------------------------------
+# --- rows of a motion state -------------------------------------------------
 
 
-@dataclass
-class PredictedView:
-    """One-frame-ahead world prediction re-projected into the current camera."""
-
-    position: np.ndarray  # (3,) world
-    center_px: np.ndarray  # (2,) valid only when in_view
-    depth: float  # camera-frame z (may be <= 0 when behind)
-    box2d: Box2D  # zero box when not in view
-    in_view: bool
-    motion_state: object  # candidate state to commit on match/coast
+def take_rows(state, index):
+    """Rows `index` of every array of a motion state (None stays None)."""
+    if state is None:
+        return None
+    return replace(state, **{f.name: getattr(state, f.name)[index] for f in fields(state)})
 
 
-def predict_tracklet(tracklet, backend: str, lstm_weights=None):
-    """Advance a tracklet one frame with the chosen backend.
+def stack_rows(state, rows):
+    """state's rows followed by rows'."""
+    if state is None:
+        return None
+    return replace(
+        state, **{f.name: np.concatenate([getattr(state, f.name), getattr(rows, f.name)]) for f in fields(state)}
+    )
 
-    Returns (predicted world position, candidate motion state); the
-    tracker projects the positions of all tracklets in one batch. The
-    tracklet is not mutated; the caller decides whether to commit the
-    returned motion state. Occluded tracklets keep calling this every
-    frame, so inference motion continues until reappearance.
+
+def put_rows(state, index, rows) -> None:
+    """Overwrite rows `index` of state in place with the rows of rows."""
+    if state is not None:
+        for f in fields(state):
+            getattr(state, f.name)[index] = getattr(rows, f.name)
+
+
+# --- the per-frame steps ----------------------------------------------------
+
+
+def init_motion_state(backend: str, positions, depths, boxes):
+    """Fresh backend rows for tracklets spawned from detections.
+
+    positions (K, 3) and depths (K,) are the decoded world positions and
+    camera depths, boxes (K, 4) the detected image boxes.
     """
-    state = tracklet.state
-    if backend == "none":
-        return state.position.copy(), tracklet.motion_state
-    if backend == "kf2d":
-        return state.position.copy(), kf_predict(tracklet.motion_state, KF2D_TRANSITION, KF2D_PROCESS_NOISE)
-    if backend == "kf3d":
-        motion_state = kf_predict(tracklet.motion_state, KF3D_TRANSITION, KF3D_PROCESS_NOISE)
-        return motion_state.mean[:3].copy(), motion_state
-    if backend == "lstm":
-        if lstm_weights is None:
-            raise ValueError("lstm backend requires weights")
-        position, motion_state = lstm_mod.plstm_predict(tracklet.motion_state, lstm_weights, state.position)
-        return np.asarray(position, dtype=float), motion_state
-    raise ValueError(f"unknown motion backend {backend!r}")
-
-
-def init_motion_state(backend: str, position, depth: float, box2d: Box2D):
-    """Fresh backend state for a tracklet spawned from a detection."""
     if backend == "none":
         return None
     if backend == "kf2d":
-        return kf2d_init(box2d)
+        return kf2d_init(boxes)
     if backend == "kf3d":
-        return kf3d_init(position, depth)
+        return kf3d_init(positions, depths)
     if backend == "lstm":
-        return lstm_mod.LstmMotionState()
+        k = len(positions)
+        return lstm_mod.LstmMotionState(np.zeros((k, 3)), *(np.zeros((k, lstm_mod.HIDDEN_DIM)) for _ in range(4)))
     raise ValueError(f"unknown motion backend {backend!r}")
+
+
+def predict_tracklet(backend: str, motion, positions, lstm_weights=None):
+    """Advance every tracklet one frame with the chosen backend.
+
+    motion holds the backend rows of the tracklets at world positions
+    (N, 3). Returns (predicted positions (N, 3), candidate motion rows);
+    nothing passed in is mutated, and the caller decides which rows to
+    commit. Occluded tracklets keep being predicted every frame, so
+    inference motion continues until reappearance.
+    """
+    if backend == "kf3d":
+        motion = kf_predict(motion, KF3D_TRANSITION, KF3D_PROCESS_NOISE)
+        return motion.mean[:, :3], motion
+    if backend == "lstm":
+        return lstm_mod.plstm_predict(motion, lstm_weights, positions)
+    if backend == "kf2d":
+        motion = kf_predict(motion, KF2D_TRANSITION, KF2D_PROCESS_NOISE)
+    return positions.copy(), motion
 
 
 def update_motion_state(
-    backend: str,
-    predicted: PredictedView,
-    obs_position,
-    obs_depth: float,
-    obs_box2d: Box2D,
-    prev_position,
-    lstm_weights=None,
+    backend: str, motion, predicted, obs_positions, obs_depths, obs_boxes, prev_positions, lstm_weights=None
 ):
-    """Fold a matched observation into the predicted motion state.
+    """Fold K matched observations into their predicted motion rows.
 
-    Returns (filtered world position or None, committed motion state).
-    A None position means the backend does not filter world coordinates
-    and the caller should rely on blend_update alone.
+    motion and predicted (K, 3) are the candidate rows and positions of
+    predict_tracklet; the observations are decoded world positions (K, 3),
+    camera depths (K,) and detected image boxes (K, 4). Returns (filtered
+    world positions or None, updated motion rows). None means the backend
+    does not filter world coordinates and the caller relies on
+    blend_update alone.
     """
-    if backend == "none":
-        return None, None
-    if backend == "kf2d":
-        new_state = kf_update(
-            predicted.motion_state,
-            box_to_kf2d_measurement(obs_box2d),
-            KF2D_OBSERVATION,
-            KF2D_MEASUREMENT_NOISE,
-        )
-        return None, new_state
     if backend == "kf3d":
-        new_state = kf_update(
-            predicted.motion_state,
-            np.asarray(obs_position, dtype=float),
-            KF3D_OBSERVATION,
-            kf3d_measurement_noise(obs_depth),
-        )
-        return new_state.mean[:3].copy(), new_state
+        motion = kf_update(motion, obs_positions, KF3D_OBSERVATION, kf3d_measurement_noise(obs_depths))
+        return motion.mean[:, :3], motion
     if backend == "lstm":
-        refined, new_state = lstm_mod.ulstm_update(
-            predicted.motion_state, lstm_weights, predicted.position, obs_position, prev_position
-        )
-        return refined, new_state
-    raise ValueError(f"unknown motion backend {backend!r}")
+        return lstm_mod.ulstm_update(motion, lstm_weights, predicted, obs_positions, prev_positions)
+    if backend == "kf2d":
+        motion = kf_update(motion, box_to_kf2d_measurement(obs_boxes), KF2D_OBSERVATION, KF2D_MEASUREMENT_NOISE)
+    return None, motion

@@ -1,5 +1,6 @@
 """Affinity, depth-ordered matching, assignment, and lifecycle tests."""
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -18,6 +19,7 @@ from mono3dt.association import (
     solve_assignment,
 )
 from mono3dt.data import DetectionRecord, SequenceInput, TrackerConfig, TrackStatus
+from mono3dt.lstm import LstmWeights
 from mono3dt.geometry import DEPTH_ORDER_TIE_RATE, Box2D, cover_fractions, iou_2d, nearer_mask
 from mono3dt.simulator import ScenarioConfig, generate_world, ground_truth_records, render_detections
 
@@ -322,34 +324,47 @@ class TestDepthOrderedOverlapsArrays:
         assert geometry.depth_ordered_overlaps(box, [5.0], [], [], np.zeros((1, 0), bool)).shape == (1, 0)
 
 
-def affinity_per_pair(tracklets, det_states, detections, det_proj_boxes, intrinsics, config):
+def feature_row(rows, i, intrinsics, config):
+    """deep_feature's definition for row i alone."""
+    return np.concatenate(
+        [
+            rows.appearance[i],
+            rows.dims[i] / 10.0,
+            rows.center_px[i] / intrinsics.image_diagonal,
+            [rows.yaw[i] / math.pi],
+            [rows.depth[i] / config.range_max],
+        ]
+    )
+
+
+def affinity_per_pair(tracks, dets, in_view, det_proj_boxes, intrinsics, config):
     """build_affinity_matrix's definition, one pair at a time."""
-    n, m = len(tracklets), len(detections)
+    n, m = len(tracks), len(dets)
     values, deep, kept = np.zeros((n, m)), np.zeros((n, m)), np.zeros((n, m), dtype=bool)
-    track_boxes = [t.predicted.box2d for t in tracklets]
+    track_boxes = [Box2D(*b) for b in tracks.box2d.tolist()]
+    det_boxes = [Box2D(*b) for b in dets.box2d.tolist()]
+    proj_boxes = [Box2D(*b) for b in det_proj_boxes.tolist()]
     for i, j in np.ndindex(n, m):
-        t, s, d = tracklets[i], det_states[j], detections[j]
-        kept[i, j] = t.predicted.in_view and (
-            not config.use_depth_ordering or depth_filter(t.predicted.depth, t.state.dimensions, d.depth, s.dimensions)
+        assert in_view[i] == (track_boxes[i].area > 0.0)
+        kept[i, j] = in_view[i] and (
+            not config.use_depth_ordering or depth_filter(tracks.depth[i], tracks.dims[i], dets.depth[j], dets.dims[j])
         )
     if config.use_depth_ordering:
         overlaps = geometry.depth_ordered_overlaps(
             track_boxes,
-            [t.predicted.depth for t in tracklets],
-            det_proj_boxes,
-            [d.depth for d in detections],
+            tracks.depth.tolist(),
+            proj_boxes,
+            dets.depth.tolist(),
             kept,
             config.ord_tie_meters,
             DEPTH_ORDER_TIE_RATE,
         )
     for i, j in np.argwhere(kept).tolist():
-        t, s, d = tracklets[i], det_states[j], detections[j]
         deep[i, j] = affinity_deep(
-            association.deep_feature(t.state, t.predicted.center_px, t.predicted.depth, intrinsics, config),
-            association.deep_feature(s, d.center_proj, d.depth, intrinsics, config),
+            feature_row(tracks, i, intrinsics, config), feature_row(dets, j, intrinsics, config)
         )
-        a_2d = iou_2d(track_boxes[i], d.box2d)
-        a_3d = overlaps[i, j] if config.use_depth_ordering else iou_2d(track_boxes[i], det_proj_boxes[j])
+        a_2d = iou_2d(track_boxes[i], det_boxes[j])
+        a_3d = overlaps[i, j] if config.use_depth_ordering else iou_2d(track_boxes[i], proj_boxes[j])
         values[i, j] = compose_affinity(deep[i, j], a_2d, a_3d, config)
     return values, kept, deep
 
@@ -407,9 +422,10 @@ class TestDetectionProjection:
         real = association.build_affinity_matrix
         monkeypatch.setattr(association, "build_affinity_matrix", lambda *a: seen.append(a[3]) or real(*a))
         Tracker(TrackerConfig(), intr).step(0, dets, pose)
-        truncated = geometry.project_box(association.decode_detection(dets[0], pose, intr).box3d(), pose, intr)
+        rows = association.decode_detection(dets[:1], pose, intr)
+        truncated = geometry.project_box(geometry.Box3D(rows.position[0], rows.dims[0], rows.yaw[0]), pose, intr)
         assert truncated.area > 0.0
-        assert seen == [[truncated, own_box]]
+        assert len(seen) == 1 and np.array_equal(seen[0], [truncated.as_tuple(), own_box.as_tuple()])
 
 
 class TestNearerMask:
@@ -456,6 +472,26 @@ class TestCoverFractions:
         assert cover_fractions([a, b], [59.0, 61.0], 1.0, 0.0)[1] == pytest.approx(1.0)
 
 
+    def test_rows_match_the_full_computation(self):
+        rng = np.random.default_rng(43)
+        grid = np.arange(5.0, 30.0, 0.5)  # depths on a grid tie layer gaps
+        covered = 0
+        for frame in range(100):
+            n = int(rng.integers(1, 26))
+            # some zero-area boxes, as tracklets out of view have
+            boxes = [random_box(rng) if rng.random() < 0.9 else Box2D(0, 0, 0, 0) for _ in range(n)]
+            depths = rng.choice(grid, n) if frame % 2 else rng.uniform(5, 30, n)
+            rows = sorted(rng.choice(n, int(rng.integers(0, n + 1)), replace=False).tolist())
+            full = cover_fractions(boxes, depths, 1.0, DEPTH_ORDER_TIE_RATE)
+            rects = np.array([b.as_tuple() for b in boxes])
+            got = cover_fractions(rects, depths, 1.0, DEPTH_ORDER_TIE_RATE, rows=rows)
+            assert np.array_equal(got[rows], full[rows])
+            assert not np.any(np.delete(got, rows))
+            assert np.array_equal(cover_fractions(rects, depths, 1.0, DEPTH_ORDER_TIE_RATE), full)
+            covered += int(np.count_nonzero(full[rows]))
+        assert covered > 100  # the draws do exercise covered rows
+
+
 def simulate(preset, seed, noiseless=True, **overrides):
     cfg = ScenarioConfig.make_preset(preset, seed=seed, noiseless=noiseless, **overrides)
     world = generate_world(cfg)
@@ -480,14 +516,14 @@ class TestLifecycle:
         tracker = Tracker(config, seq.intrinsics)
         pose = seq.poses[0]
         tracker.step(0, seq.detections[0], pose)
-        assert tracker.tracklets
+        assert len(tracker.ids)
         # starve the tracker: statuses go lost, ages run out at 21 steps
         for k in range(1, 21):
             tracker.step(k, [], pose)
-            assert all(t.status == TrackStatus.LOST for t in tracker.tracklets)
-            assert all(t.age_since_match == k for t in tracker.tracklets)
+            assert all(status == TrackStatus.LOST for status in tracker.status)
+            assert all(age == k for age in tracker.age)
         tracker.step(21, [], pose)
-        assert tracker.tracklets == []
+        assert len(tracker.ids) == 0
 
     def test_ids_never_reused(self):
         cfg, world, seq, gt = simulate("dense", seed=3, noiseless=False)
@@ -495,12 +531,12 @@ class TestLifecycle:
         seen = set()
         for f, (pose, dets) in enumerate(zip(seq.poses, seq.detections)):
             tracker.step(f, dets, pose)
-            ids = [t.id for t in tracker.tracklets]
+            ids = tracker.ids.tolist()
             assert len(ids) == len(set(ids))
-            for t in tracker.tracklets:
-                if t.id in seen:
+            for track_id in ids:
+                if track_id in seen:
                     continue
-                seen.add(t.id)
+                seen.add(track_id)
         assert max(seen) == len(seen) - 1  # dense, contiguous allocation
 
     def test_lost_state_is_pinned(self):
@@ -508,11 +544,11 @@ class TestLifecycle:
         tracker = Tracker(TrackerConfig(), seq.intrinsics)
         tracker.step(0, seq.detections[0], seq.poses[0])
         tracker.step(1, seq.detections[1], seq.poses[1])
-        positions = {t.id: t.state.position.copy() for t in tracker.tracklets}
+        positions = dict(zip(tracker.ids.tolist(), tracker.position.copy()))
         tracker.step(2, [], seq.poses[2])
-        for t in tracker.tracklets:
-            assert t.status == TrackStatus.LOST
-            assert np.array_equal(t.state.position, positions[t.id])
+        for track_id, status, position in zip(tracker.ids.tolist(), tracker.status, tracker.position):
+            assert status == TrackStatus.LOST
+            assert np.array_equal(position, positions[track_id])
 
     def test_occlusion_freezes_appearance_and_age(self):
         cfg, world, seq, gt = simulate("crossing_occlusion", seed=1)
@@ -523,23 +559,24 @@ class TestLifecycle:
         post = None
         for f, (pose, dets) in enumerate(zip(seq.poses, seq.detections)):
             tracker.step(f, dets, pose)
-            by_id = {t.id: t for t in tracker.tracklets}
+            row_of = {track_id: i for i, track_id in enumerate(tracker.ids.tolist())}
             if f == 0:
                 # vehicle 1 is the crosser; its tracklet spawns at frame 0
                 # and is the one nearest the crosser's world position
                 world_pos = world.vehicles[1].positions[0]
                 crosser_id = min(
-                    by_id, key=lambda i: np.linalg.norm(by_id[i].state.position - world_pos)
+                    row_of, key=lambda i: np.linalg.norm(tracker.position[row_of[i]] - world_pos)
                 )
-            t = by_id.get(crosser_id)
-            assert t is not None, "crosser tracklet must survive the occlusion"
-            if t.status == TrackStatus.OCCLUDED:
-                during.append((t.age_since_match, t.state.appearance.copy()))
-            elif t.status == TrackStatus.TRACKED:
+            i = row_of.get(crosser_id)
+            assert i is not None, "crosser tracklet must survive the occlusion"
+            age, appearance = int(tracker.age[i]), tracker.appearance[i].copy()
+            if tracker.status[i] == TrackStatus.OCCLUDED:
+                during.append((age, appearance))
+            elif tracker.status[i] == TrackStatus.TRACKED:
                 if during:
-                    post = post or (t.age_since_match, t.state.appearance.copy())
+                    post = post or (age, appearance)
                 else:
-                    pre = (t.age_since_match, t.state.appearance.copy())
+                    pre = (age, appearance)
         assert during, "scenario must contain an occlusion stretch"
         assert post is not None, "crosser must be re-acquired"
         ages = {a for a, _ in during}
@@ -548,6 +585,42 @@ class TestLifecycle:
             assert np.array_equal(app, pre[1])  # bit-identical features
         assert pre[0] == 0 and post[0] == 0
         assert np.array_equal(post[1], pre[1])
+
+    @pytest.mark.parametrize("backend", ["none", "kf2d", "kf3d", "lstm"])
+    def test_records_stay_unchanged_through_empty_and_starved_frames(self, backend):
+        """Records share no memory with the store, and lost rows keep their motion state."""
+        cfg, world, seq, gt = simulate("open_road", seed=0)
+        weights = LstmWeights.initialize(np.random.default_rng(0), scale=0.5) if backend == "lstm" else None
+        tracker = Tracker(TrackerConfig(motion_backend=backend), seq.intrinsics, weights)
+        emitted = []  # (record, deep copy taken when it was emitted)
+        for f in range(40):
+            starved = f < 3 or 12 <= f < 15
+            if backend == "kf3d" and f == 13:
+                means = dict(zip(tracker.ids.tolist(), tracker.motion.mean.copy()))
+                covs = dict(zip(tracker.ids.tolist(), tracker.motion.cov.copy()))
+            records = tracker.step(f, [] if starved else seq.detections[f], seq.poses[f])
+            if f < 3:
+                assert records == [] and len(tracker.ids) == 0
+            if 12 <= f < 15:
+                assert len(tracker.ids) and all(status == TrackStatus.LOST for status in tracker.status)
+            if f == 11:
+                before = set(tracker.ids.tolist())
+            if f == 15:
+                # recovery: the tracklets starved into lost are matched again
+                assert before <= {r.track_id for r in records if r.status == TrackStatus.TRACKED}
+            if backend == "kf3d" and f == 13:
+                for i, track_id in enumerate(tracker.ids.tolist()):
+                    assert np.array_equal(tracker.motion.mean[i], means[track_id])
+                    assert np.array_equal(tracker.motion.cov[i], covs[track_id])
+            emitted += [(r, copy.deepcopy(r)) for r in records]
+            for r, kept in emitted:
+                if r.frame_index <= f - 10:
+                    assert np.array_equal(r.box3d.center, kept.box3d.center)
+                    assert np.array_equal(r.box3d.dimensions, kept.box3d.dimensions)
+                    assert r.box3d.yaw == kept.box3d.yaw
+                    assert np.array_equal(r.velocity, kept.velocity)
+                    assert r.box2d_projected == kept.box2d_projected
+        assert len(emitted) > 100
 
     def test_crossing_keeps_identity(self):
         cfg, world, seq, gt = simulate("crossing_occlusion", seed=4)

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from mono3dt import lstm, motion
 from mono3dt.io import ParseError
 from mono3dt.lstm import (
     EMBED_DIM,
@@ -76,6 +77,47 @@ def make_window(rng, T=6):
     gt = np.cumsum(rng.normal(scale=0.4, size=(T, 3)), axis=0)
     obs = gt + rng.normal(scale=0.1, size=(T, 3))
     return obs, gt
+
+
+def plstm_predict_one(state: LstmMotionState, weights, p_prev):
+    """One tracklet's prediction step, as tracking ran it before it batched its rows."""
+    ep = lstm._embed(weights, state.v_last)
+    h, c, v_hat, _ = lstm._cell_forward(weights, "p", ep, state.h_pred, state.c_pred)
+    return p_prev + v_hat, h, c
+
+
+def ulstm_update_one(state: LstmMotionState, weights, p_tilde, p_obs, p_prev):
+    """One tracklet's update step, as tracking ran it before it batched its rows."""
+    e1 = lstm._embed(weights, p_tilde - p_prev)
+    e2 = lstm._embed(weights, p_obs - p_prev)
+    h, c, corr, _ = lstm._cell_forward(weights, "u", np.concatenate([e1, e2]), state.h_upd, state.c_upd)
+    p_bar = p_tilde + corr
+    return p_bar, p_bar - p_prev, h, c
+
+
+@pytest.mark.parametrize("k", [0, 1, 14])
+def test_tracking_rows_bit_equal_to_one_tracklet_steps(k):
+    """The tracker's batched predict and update give each row the bits of stepping it alone."""
+    rng = np.random.default_rng(400 + k)
+    weights = LstmWeights.initialize(rng, scale=0.5)
+    rows = LstmMotionState(rng.normal(scale=0.5, size=(k, 3)), *rng.uniform(-1, 1, (4, k, HIDDEN_DIM)))
+    positions = rng.normal(scale=20.0, size=(k, 3))
+    observed = positions + rng.normal(scale=0.5, size=(k, 3))
+    predicted, candidate = motion.predict_tracklet("lstm", rows, positions, weights)
+    refined, updated = motion.update_motion_state(
+        "lstm", candidate, predicted, observed, None, None, positions, weights
+    )
+    assert predicted.shape == refined.shape == (k, 3) and updated.h_upd.shape == (k, HIDDEN_DIM)
+    for i in range(k):
+        one = LstmMotionState(rows.v_last[i], rows.h_pred[i], rows.c_pred[i], rows.h_upd[i], rows.c_upd[i])
+        p_tilde, h_pred, c_pred = plstm_predict_one(one, weights, positions[i])
+        assert np.array_equal(predicted[i], p_tilde)
+        assert np.array_equal(candidate.h_pred[i], h_pred) and np.array_equal(candidate.c_pred[i], c_pred)
+        assert np.array_equal(candidate.v_last[i], one.v_last)
+        p_bar, v_last, h_upd, c_upd = ulstm_update_one(one, weights, p_tilde, observed[i], positions[i])
+        assert np.array_equal(refined[i], p_bar) and np.array_equal(updated.v_last[i], v_last)
+        assert np.array_equal(updated.h_upd[i], h_upd) and np.array_equal(updated.c_upd[i], c_upd)
+        assert np.array_equal(updated.h_pred[i], h_pred)
 
 
 class TestForward:

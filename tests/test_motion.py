@@ -1,13 +1,12 @@
 """Kalman filter, blend update, and prediction-through-camera contracts."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from mono3dt.association import Tracklet, predict_views
-from mono3dt.data import ObjectState, TrackStatus
-from mono3dt.geometry import CameraPose, normalize_angle
+from mono3dt.geometry import Box2D, CameraPose, normalize_angle, project_boxes
 from mono3dt.motion import (
     KF2D_MEASUREMENT_NOISE,
     KF2D_OBSERVATION,
@@ -22,24 +21,49 @@ from mono3dt.motion import (
     box_to_kf2d_measurement,
     init_motion_state,
     kf2d_init,
+    kf2d_measurement_to_box,
     kf3d_init,
     kf3d_measurement_noise,
     kf_predict,
     kf_update,
+    predict_tracklet,
     update_motion_state,
 )
-from mono3dt.geometry import Box2D
 
 from conftest import default_intrinsics
 
 
-def make_state(position, yaw=0.0, dims=(4.2, 1.8, 1.5), app=None, vel=(0, 0, 0)):
-    return ObjectState(
-        position=np.asarray(position, dtype=float),
-        yaw=yaw,
-        dimensions=np.asarray(dims, dtype=float),
-        appearance=np.zeros(4) if app is None else np.asarray(app, dtype=float),
-        velocity=np.asarray(vel, dtype=float),
+@dataclasses.dataclass
+class State:
+    """One object's blended state, as the tracker kept it per tracklet before it stored rows."""
+
+    position: np.ndarray
+    yaw: float
+    dimensions: np.ndarray
+    appearance: np.ndarray
+
+
+def make_state(position, yaw=0.0, dims=(4.2, 1.8, 1.5), app=None):
+    return State(
+        np.asarray(position, dtype=float),
+        yaw,
+        np.asarray(dims, dtype=float),
+        np.zeros(4) if app is None else np.asarray(app, dtype=float),
+    )
+
+
+def one_state(mean, cov) -> KalmanState:
+    """A Kalman state of one tracklet: the K = 1 case of the stacked rows."""
+    return KalmanState(np.asarray(mean, dtype=float)[None], np.asarray(cov, dtype=float)[None])
+
+
+def state_rows(*states):
+    """(position, yaw, dims, appearance) rows of States with 4-long appearances, as blend_update takes them."""
+    return (
+        np.array([s.position for s in states]).reshape(-1, 3),
+        np.array([s.yaw for s in states], dtype=float),
+        np.array([s.dimensions for s in states]).reshape(-1, 3),
+        np.array([s.appearance for s in states]).reshape(len(states), 4),
     )
 
 
@@ -50,76 +74,76 @@ class TestKalman:
         h = np.array([[1.0, 0.0]])
         q = np.zeros((2, 2))
         r = np.array([[1e-12]])
-        state = KalmanState(np.array([0.0, 0.0]), np.diag([1.0, 1.0]))
+        state = one_state([0.0, 0.0], np.diag([1.0, 1.0]))
         truth_v = 0.7
         for k in range(1, 11):
             state = kf_predict(state, f, q)
-            state = kf_update(state, np.array([truth_v * k]), h, r)
-        assert abs(state.mean[0] - truth_v * 10) < 1e-6
-        assert abs(state.mean[1] - truth_v) < 1e-6
+            state = kf_update(state, np.array([[truth_v * k]]), h, r)
+        assert abs(state.mean[0, 0] - truth_v * 10) < 1e-6
+        assert abs(state.mean[0, 1] - truth_v) < 1e-6
 
     def test_scalar_gain_closed_form(self):
         p0, r0 = 2.5, 0.5
-        state = KalmanState(np.array([1.0]), np.array([[p0]]))
-        z = np.array([4.0])
+        state = one_state([1.0], [[p0]])
+        z = np.array([[4.0]])
         updated = kf_update(state, z, np.eye(1), np.array([[r0]]))
-        gain = (updated.mean[0] - state.mean[0]) / (z[0] - state.mean[0])
+        gain = (updated.mean[0, 0] - state.mean[0, 0]) / (z[0, 0] - state.mean[0, 0])
         assert gain == pytest.approx(p0 / (p0 + r0), abs=1e-12)
         # Joseph-form covariance equals (1-K) P for the scalar case
-        assert updated.cov[0, 0] == pytest.approx((1 - gain) * p0, abs=1e-12)
+        assert updated.cov[0, 0, 0] == pytest.approx((1 - gain) * p0, abs=1e-12)
 
     def test_zero_velocity_prediction_is_stationary(self):
-        state = kf3d_init(np.array([3.0, -2.0, 1.0]), depth=10.0)
+        state = kf3d_init(np.array([[3.0, -2.0, 1.0]]), [10.0])
         predicted = kf_predict(state, KF3D_TRANSITION, KF3D_PROCESS_NOISE)
-        assert np.array_equal(predicted.mean[:3], state.mean[:3])
+        assert np.array_equal(predicted.mean[:, :3], state.mean[:, :3])
 
     def test_covariance_stays_symmetric_psd(self):
         rng = np.random.default_rng(8)
-        state = kf3d_init(rng.normal(size=3), depth=20.0)
+        state = kf3d_init(rng.normal(size=(1, 3)), [20.0])
         for _ in range(200):
             state = kf_predict(state, KF3D_TRANSITION, KF3D_PROCESS_NOISE)
             if rng.random() < 0.7:
-                z = rng.normal(scale=10.0, size=3)
-                state = kf_update(state, z, KF3D_OBSERVATION, kf3d_measurement_noise(20.0))
-            assert np.allclose(state.cov, state.cov.T, atol=1e-9)
-            assert np.linalg.eigvalsh(state.cov).min() >= -1e-9
+                z = rng.normal(scale=10.0, size=(1, 3))
+                state = kf_update(state, z, KF3D_OBSERVATION, kf3d_measurement_noise([20.0]))
+            assert np.allclose(state.cov[0], state.cov[0].T, atol=1e-9)
+            assert np.linalg.eigvalsh(state.cov[0]).min() >= -1e-9
 
-        box_state = kf2d_init(Box2D(100, 100, 300, 260))
+        box_state = kf2d_init([[100, 100, 300, 260]])
         for _ in range(100):
             box_state = kf_predict(box_state, KF2D_TRANSITION, KF2D_PROCESS_NOISE)
-            z = box_to_kf2d_measurement(Box2D(100, 100, 300 + rng.normal(), 260))
+            z = box_to_kf2d_measurement([[100, 100, 300 + rng.normal(), 260]])
             box_state = kf_update(box_state, z, KF2D_OBSERVATION, KF2D_MEASUREMENT_NOISE)
-            assert np.allclose(box_state.cov, box_state.cov.T, atol=1e-9)
-            assert np.linalg.eigvalsh(box_state.cov).min() >= -1e-9
+            assert np.allclose(box_state.cov[0], box_state.cov[0].T, atol=1e-9)
+            assert np.linalg.eigvalsh(box_state.cov[0]).min() >= -1e-9
 
     def test_singular_innovation_raises(self):
-        state = KalmanState(np.zeros(1), np.zeros((1, 1)))
+        state = one_state(np.zeros(1), np.zeros((1, 1)))
         with pytest.raises(SingularInnovation):
-            kf_update(state, np.array([1.0]), np.eye(1), np.zeros((1, 1)))
+            kf_update(state, np.array([[1.0]]), np.eye(1), np.zeros((1, 1)))
 
 
 class TestBlendUpdate:
     def test_perfect_appearance_keeps_state(self):
         prev = make_state([0, 0, 0], yaw=0.3)
         obs = make_state([5, 5, 5], yaw=1.0)
-        blended = blend_update(prev, obs, a_deep=1.0)
-        assert np.array_equal(blended.position, prev.position)
-        assert blended.yaw == prev.yaw
-        assert np.array_equal(blended.appearance, prev.appearance)
+        position, yaw, _, appearance = blend_update(state_rows(prev), state_rows(obs), [1.0])
+        assert np.array_equal(position[0], prev.position)
+        assert yaw[0] == prev.yaw
+        assert np.array_equal(appearance[0], prev.appearance)
 
     def test_zero_appearance_adopts_observation(self):
         prev = make_state([0, 0, 0], yaw=0.3, app=[1, 1, 1, 1])
         obs = make_state([5, 5, 5], yaw=1.0, app=[2, 2, 2, 2])
-        blended = blend_update(prev, obs, a_deep=0.0)
-        assert np.allclose(blended.position, obs.position)
-        assert blended.yaw == pytest.approx(obs.yaw)
-        assert np.allclose(blended.appearance, obs.appearance)
+        position, yaw, _, appearance = blend_update(state_rows(prev), state_rows(obs), [0.0])
+        assert np.allclose(position[0], obs.position)
+        assert yaw[0] == pytest.approx(obs.yaw)
+        assert np.allclose(appearance[0], obs.appearance)
 
     def test_partial_blend(self):
         prev = make_state([0, 0, 0])
         obs = make_state([1, 0, 0])
-        blended = blend_update(prev, obs, a_deep=0.6)
-        assert np.allclose(blended.position, [0.4, 0.0, 0.0])
+        position, _, _, _ = blend_update(state_rows(prev), state_rows(obs), [0.6])
+        assert np.allclose(position[0], [0.4, 0.0, 0.0])
 
     def test_yaw_takes_shorter_arc(self):
         rng = np.random.default_rng(31)
@@ -128,13 +152,136 @@ class TestBlendUpdate:
             alpha = 1 - a_deep
             prev = make_state([0, 0, 0], yaw=rng.uniform(0, 2 * math.pi))
             obs = make_state([0, 0, 0], yaw=rng.uniform(0, 2 * math.pi))
-            blended = blend_update(prev, obs, a_deep)
-            diff = abs(math.remainder(blended.yaw - prev.yaw, 2 * math.pi))
+            _, yaw, _, _ = blend_update(state_rows(prev), state_rows(obs), [a_deep])
+            diff = abs(math.remainder(yaw[0] - prev.yaw, 2 * math.pi))
             assert diff <= math.pi * alpha + 1e-9
 
     def test_rejects_bad_ratio(self):
-        with pytest.raises(ValueError):
-            blend_update(make_state([0, 0, 0]), make_state([1, 1, 1]), a_deep=1.5)
+        rows = state_rows(make_state([0, 0, 0]), make_state([1, 1, 1]))
+        for a_deep in ([0.5, 1.5], [-0.1, 0.5], [0.5, math.nan]):
+            with pytest.raises(ValueError):
+                blend_update(rows, rows, a_deep)
+
+
+# --- the batched steps against the per-state code they replaced ---------------
+
+
+def kf_predict_one(mean, cov, transition, process_noise):
+    mean = transition @ mean
+    cov = transition @ cov @ transition.T + process_noise
+    return mean, 0.5 * (cov + cov.T)
+
+
+def kf_update_one(mean, cov, observation, h, noise):
+    innovation = np.asarray(observation, dtype=float) - h @ mean
+    s = h @ cov @ h.T + noise
+    gain = np.linalg.solve(s.T, (cov @ h.T).T).T
+    mean = mean + gain @ innovation
+    j = np.eye(len(mean)) - gain @ h
+    cov = j @ cov @ j.T + gain @ noise @ gain.T
+    return mean, 0.5 * (cov + cov.T)
+
+
+def kf3d_noise_one(depth):
+    sigma = 0.05 * max(depth, 1.0)
+    return np.eye(3) * sigma * sigma
+
+
+def kf2d_measurement_one(box: Box2D):
+    w = max(box.width, 1e-6)
+    h = max(box.height, 1e-6)
+    cx, cy = box.center
+    return np.array([cx, cy, w / h, w * h])
+
+
+def kf2d_box_one(vec) -> Box2D:
+    cx, cy, ratio, area = (float(v) for v in vec[:4])
+    area = max(area, 1e-6)
+    ratio = max(ratio, 1e-6)
+    w = math.sqrt(area * ratio)
+    h = area / w
+    return Box2D(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+
+
+def blend_one(prev: State, obs: State, a_deep: float) -> State:
+    alpha = 1.0 - a_deep
+    dyaw = math.remainder(obs.yaw - prev.yaw, 2.0 * math.pi)
+    return State(
+        prev.position + alpha * (obs.position - prev.position),
+        normalize_angle(prev.yaw + alpha * dyaw),
+        prev.dimensions + alpha * (obs.dimensions - prev.dimensions),
+        prev.appearance + alpha * (obs.appearance - prev.appearance),
+    )
+
+
+def random_kalman(rng, k, d) -> KalmanState:
+    a = rng.normal(size=(k, d, d))
+    return KalmanState(rng.normal(scale=10.0, size=(k, d)), a @ a.swapaxes(1, 2) + 0.1 * np.eye(d))
+
+
+def random_boxes(rng, k):
+    x0, y0 = rng.uniform(0, 1500, (2, k))
+    return np.stack([x0, y0, x0 + rng.uniform(1, 300, k), y0 + rng.uniform(1, 200, k)], axis=1)
+
+
+@pytest.mark.parametrize("k", [0, 1, 14])
+class TestBatchedStepsBitEqual:
+    def test_kf3d(self, k):
+        rng = np.random.default_rng(100 + k)
+        state = random_kalman(rng, k, 6)
+        obs, depths = rng.normal(scale=10.0, size=(k, 3)), rng.uniform(0.5, 80.0, k)
+        predicted = kf_predict(state, KF3D_TRANSITION, KF3D_PROCESS_NOISE)
+        noise = kf3d_measurement_noise(depths)
+        updated = kf_update(predicted, obs, KF3D_OBSERVATION, noise)
+        assert predicted.mean.shape == (k, 6) and updated.cov.shape == (k, 6, 6)
+        for i in range(k):
+            mean, cov = kf_predict_one(state.mean[i], state.cov[i], KF3D_TRANSITION, KF3D_PROCESS_NOISE)
+            assert np.array_equal(predicted.mean[i], mean) and np.array_equal(predicted.cov[i], cov)
+            assert np.array_equal(noise[i], kf3d_noise_one(depths[i]))
+            mean, cov = kf_update_one(mean, cov, obs[i], KF3D_OBSERVATION, kf3d_noise_one(depths[i]))
+            assert np.array_equal(updated.mean[i], mean) and np.array_equal(updated.cov[i], cov)
+
+    def test_kf2d(self, k):
+        rng = np.random.default_rng(200 + k)
+        state = random_kalman(rng, k, 7)
+        boxes = random_boxes(rng, k)
+        predicted = kf_predict(state, KF2D_TRANSITION, KF2D_PROCESS_NOISE)
+        measured = box_to_kf2d_measurement(boxes)
+        updated = kf_update(predicted, measured, KF2D_OBSERVATION, KF2D_MEASUREMENT_NOISE)
+        predicted_boxes = kf2d_measurement_to_box(predicted.mean)
+        assert predicted.mean.shape == (k, 7) and updated.cov.shape == (k, 7, 7)
+        assert predicted_boxes.shape == (k, 4)
+        for i in range(k):
+            mean, cov = kf_predict_one(state.mean[i], state.cov[i], KF2D_TRANSITION, KF2D_PROCESS_NOISE)
+            assert np.array_equal(predicted.mean[i], mean) and np.array_equal(predicted.cov[i], cov)
+            assert predicted_boxes[i].tolist() == list(kf2d_box_one(KF2D_OBSERVATION @ mean).as_tuple())
+            z = kf2d_measurement_one(Box2D(*boxes[i]))
+            assert np.array_equal(measured[i], z)
+            mean, cov = kf_update_one(mean, cov, z, KF2D_OBSERVATION, KF2D_MEASUREMENT_NOISE)
+            assert np.array_equal(updated.mean[i], mean) and np.array_equal(updated.cov[i], cov)
+
+    def test_blend(self, k):
+        rng = np.random.default_rng(300 + k)
+        def draw():
+            return make_state(rng.normal(size=3), rng.uniform(0, 2 * math.pi), rng.uniform(1, 5, 3), rng.normal(size=4))
+
+        prev, obs = [draw() for _ in range(k)], [draw() for _ in range(k)]
+        a_deep = list(rng.uniform(0, 1, k))
+        if k > 1:
+            # dyaw of exactly +pi and -pi, and yaws at both ends of [0, 2 pi)
+            below_tau, above_zero = np.nextafter(2 * math.pi, 0.0), np.nextafter(0.0, 1.0)
+            yaws = [(0.0, math.pi), (math.pi, 0.0), (below_tau, above_zero), (above_zero, below_tau)]
+            for i, (y0, y1) in enumerate(yaws):
+                prev[i].yaw, obs[i].yaw = y0, y1
+            a_deep[:3] = [0.0, 1.0, 0.5]
+        position, yaw, dims, appearance = blend_update(state_rows(*prev), state_rows(*obs), a_deep)
+        assert position.shape == (k, 3) and yaw.shape == (k,) and appearance.shape == (k, 4)
+        for i in range(k):
+            want = blend_one(prev[i], obs[i], a_deep[i])
+            assert np.array_equal(position[i], want.position)
+            assert yaw[i] == want.yaw
+            assert np.array_equal(dims[i], want.dimensions)
+            assert np.array_equal(appearance[i], want.appearance)
 
 
 def moving_camera_pose(x):
@@ -148,81 +295,78 @@ def moving_camera_pose(x):
     return CameraPose(rot, -rot @ center)
 
 
+DIMS = np.array([[4.2, 1.8, 1.5]])
+
+
 class TestPredictTracklet:
     def test_static_object_world_invariant_under_ego_motion(self):
         intr = default_intrinsics()
-        state = make_state([20.0, 3.0, 0.75])
-        tracklet = Tracklet(id=0, state=state, motion_state=kf3d_init(state.position, 20.0))
+        position = np.array([[20.0, 3.0, 0.75]])
+        motion = kf3d_init(position, [20.0])
         pixels = []
         for ego_x in (0.0, 1.0, 2.0):
-            view = predict_views([tracklet], "kf3d", moving_camera_pose(ego_x), intr)[0]
-            assert np.allclose(view.position, state.position)
-            assert view.in_view
-            pixels.append(view.center_px.copy())
+            predicted, _ = predict_tracklet("kf3d", motion, position)
+            center_px, _, boxes, _ = project_boxes(predicted, DIMS, [0.0], moving_camera_pose(ego_x), intr)
+            assert np.allclose(predicted, position)
+            assert Box2D(*boxes[0]).area > 0.0  # in view
+            pixels.append(center_px[0])
         # approaching camera pushes the lateral offset outward
         assert pixels[0][0] != pytest.approx(pixels[2][0])
 
     def test_kf3d_beats_carry_forward_on_constant_velocity(self):
-        intr = default_intrinsics()
-        pose = moving_camera_pose(0.0)
         velocity = np.array([0.5, 0.1, 0.0])
         start = np.array([20.0, -2.0, 0.75])
-        state = make_state(start)
-        tracklet = Tracklet(id=0, state=state, motion_state=kf3d_init(start, 20.0))
+        position = start[None].copy()
+        motion = kf3d_init(position, [20.0])
         truth = start.copy()
         for _ in range(5):
             truth = truth + velocity
-            view = predict_views([tracklet], "kf3d", pose, intr)[0]
-            _, tracklet.motion_state = update_motion_state(
-                "kf3d", view, truth, float(truth[0]), None, tracklet.state.position
+            predicted, candidate = predict_tracklet("kf3d", motion, position)
+            filtered, motion = update_motion_state(
+                "kf3d", candidate, predicted, truth[None], [truth[0]], None, position
             )
-            tracklet.state.position = tracklet.motion_state.mean[:3].copy()
-        view_kf = predict_views([tracklet], "kf3d", pose, intr)[0]
-        err_kf = np.linalg.norm(view_kf.position - (truth + velocity))
+            position = filtered.copy()
+        predicted_kf, _ = predict_tracklet("kf3d", motion, position)
+        err_kf = np.linalg.norm(predicted_kf[0] - (truth + velocity))
 
-        none_track = Tracklet(id=1, state=make_state(truth), motion_state=None)
-        view_none = predict_views([none_track], "none", pose, intr)[0]
-        err_none = np.linalg.norm(view_none.position - (truth + velocity))
+        predicted_none, _ = predict_tracklet("none", None, truth[None])
+        err_none = np.linalg.norm(predicted_none[0] - (truth + velocity))
         assert err_kf < err_none
 
     def test_occluded_coasting_continues_without_observations(self):
-        intr = default_intrinsics()
-        pose = moving_camera_pose(0.0)
         start = np.array([15.0, 0.0, 0.75])
         velocity = np.array([0.0, 0.6, 0.0])
-        tracklet = Tracklet(id=0, state=make_state(start), motion_state=kf3d_init(start, 15.0))
+        position = start[None].copy()
+        motion = kf3d_init(position, [15.0])
         truth = start.copy()
         for _ in range(8):
             truth = truth + velocity
-            view = predict_views([tracklet], "kf3d", pose, intr)[0]
-            _, tracklet.motion_state = update_motion_state(
-                "kf3d", view, truth, 15.0, None, tracklet.state.position
-            )
-            tracklet.state.position = tracklet.motion_state.mean[:3].copy()
+            predicted, candidate = predict_tracklet("kf3d", motion, position)
+            filtered, motion = update_motion_state("kf3d", candidate, predicted, truth[None], [15.0], None, position)
+            position = filtered.copy()
         # no observations: keep committing the prediction, as the occluded path does
-        coasted = tracklet.state.position.copy()
+        coasted = position.copy()
         for k in range(1, 6):
-            view = predict_views([tracklet], "kf3d", pose, intr)[0]
-            tracklet.motion_state = view.motion_state
-            tracklet.state.position = view.position.copy()
+            predicted, motion = predict_tracklet("kf3d", motion, position)
+            position = predicted.copy()
             expected = truth + k * velocity
-            assert np.linalg.norm(tracklet.state.position - expected) < 0.05
-        assert not np.allclose(tracklet.state.position, coasted)
+            assert np.linalg.norm(position[0] - expected) < 0.05
+        assert not np.allclose(position, coasted)
 
     def test_behind_camera_flagged_not_raised(self):
         intr = default_intrinsics()
         pose = moving_camera_pose(0.0)
-        state = make_state([-5.0, 0.0, 0.75])  # behind the camera at x=0
-        tracklet = Tracklet(id=0, state=state, motion_state=None)
-        view = predict_views([tracklet], "none", pose, intr)[0]
-        assert not view.in_view
-        assert view.depth < 0
+        predicted, _ = predict_tracklet("none", None, np.array([[-5.0, 0.0, 0.75]]))  # behind the camera at x=0
+        _, depth, boxes, _ = project_boxes(predicted, DIMS, [0.0], pose, intr)
+        assert Box2D(*boxes[0]).area == 0.0  # not in view
+        assert depth[0] < 0
 
     def test_init_motion_state_backends(self):
-        box = Box2D(0, 0, 10, 10)
-        assert init_motion_state("none", np.zeros(3), 5.0, box) is None
-        assert init_motion_state("kf2d", np.zeros(3), 5.0, box).mean.shape == (7,)
-        assert init_motion_state("kf3d", np.zeros(3), 5.0, box).mean.shape == (6,)
-        assert init_motion_state("lstm", np.zeros(3), 5.0, box).v_last.shape == (3,)
+        boxes = np.array([[0.0, 0.0, 10.0, 10.0]])
+        position, depth = np.zeros((1, 3)), [5.0]
+        assert init_motion_state("none", position, depth, boxes) is None
+        assert init_motion_state("kf2d", position, depth, boxes).mean.shape == (1, 7)
+        assert init_motion_state("kf3d", position, depth, boxes).mean.shape == (1, 6)
+        assert init_motion_state("lstm", position, depth, boxes).v_last.shape == (1, 3)
         with pytest.raises(ValueError):
-            init_motion_state("bogus", np.zeros(3), 5.0, box)
+            init_motion_state("bogus", position, depth, boxes)

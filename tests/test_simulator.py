@@ -103,19 +103,19 @@ class TestRendering:
         checked = 0
         for t, frame_dets in enumerate(detections):
             pose = world.poses[t]
-            for det in frame_dets:
-                state = decode_detection(det, pose, world.intrinsics)
+            rows = decode_detection(frame_dets, pose, world.intrinsics)
+            for position, yaw, dims in zip(rows.position, rows.yaw, rows.dims):
                 truth = [
                     veh
                     for veh in world.vehicles
-                    if np.linalg.norm(veh.positions[t] - state.position) < 0.5
+                    if np.linalg.norm(veh.positions[t] - position) < 0.5
                 ]
                 assert truth, "decoded detection must land on a vehicle"
                 veh = truth[0]
-                assert np.max(np.abs(state.position - veh.positions[t])) < 1e-6
-                dyaw = abs((state.yaw - veh.yaws[t] + math.pi) % (2 * math.pi) - math.pi)
+                assert np.max(np.abs(position - veh.positions[t])) < 1e-6
+                dyaw = abs((yaw - veh.yaws[t] + math.pi) % (2 * math.pi) - math.pi)
                 assert dyaw < 1e-9
-                assert np.array_equal(state.dimensions, veh.dims)
+                assert np.array_equal(dims, veh.dims)
                 checked += 1
         assert checked > 100
 
