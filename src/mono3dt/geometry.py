@@ -262,11 +262,16 @@ def _corners(centers, dims, yaws) -> np.ndarray:
     dims = np.asarray(dims, dtype=float).reshape(-1, 3)
     if np.any(dims <= 0):
         raise GeometryError("box dimensions must be positive")
+    # normalize_angle on every yaw: fmod is exact, then the same two wraps
+    yaws = np.fmod(np.asarray(yaws, dtype=float).reshape(-1), TAU)
+    np.add(yaws, TAU, out=yaws, where=yaws < 0.0)
+    np.subtract(yaws, TAU, out=yaws, where=yaws >= TAU)
+    c, s = np.cos(yaws), np.sin(yaws)
     # rotations about +z taking +x toward +y for positive yaw
     rot = np.zeros((len(centers), 3, 3))
-    for k, yaw in enumerate(map(normalize_angle, map(float, yaws))):
-        c, s = math.cos(yaw), math.sin(yaw)
-        rot[k, :2, :2] = ((c, -s), (s, c))
+    rot[:, 0, 0] = rot[:, 1, 1] = c
+    rot[:, 0, 1] = -s
+    rot[:, 1, 0] = s
     rot[:, 2, 2] = 1.0
     offsets = _CORNER_SIGNS * (dims / 2.0)[:, None, :]
     return centers[:, None, :] + np.matmul(offsets, rot.transpose(0, 2, 1))
@@ -390,71 +395,75 @@ def iou_2d_matrix(a, b) -> np.ndarray:
     return np.where(valid, inter / np.where(valid, union, 1.0), 0.0)
 
 
-def _bev_rect(box: Box3D) -> np.ndarray:
-    """4x2 counterclockwise ground-plane footprint of an oriented box."""
-    half = box.dimensions[:2] / 2.0
-    local = np.array(
-        [[half[0], half[1]], [-half[0], half[1]], [-half[0], -half[1]], [half[0], -half[1]]]
-    )
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    rot = np.array([[c, -s], [s, c]])
-    return box.center[:2] + local @ rot.T
+def _successors(poly: np.ndarray, count: np.ndarray):
+    """Valid-vertex mask (K, V) and each vertex's cyclic successor (K, V, 2)."""
+    v = np.arange(poly.shape[1])
+    successor = np.where(v + 1 < count[:, None], v + 1, 0)
+    return v < count[:, None], np.take_along_axis(poly, successor[..., None], axis=1)
 
 
-def _clip_polygon(poly: np.ndarray, edge_a: np.ndarray, edge_b: np.ndarray) -> np.ndarray:
-    """Clip a convex polygon against the half-plane left of edge a->b."""
-    if len(poly) == 0:
-        return poly
-    edge = edge_b - edge_a
-    # signed area sign: >= -tol keeps points on or left of the edge
+def _clip_polygons(poly: np.ndarray, count: np.ndarray, edge_a: np.ndarray, edge_b: np.ndarray):
+    """Clip K convex polygons, each against the half-plane left of its edge a->b.
+
+    Polygon k is the first count[k] of its V padded vertices. Sutherland-
+    Hodgman on all K at once: a vertex on or left of the edge (signed area
+    >= -1e-12) is kept, followed by the crossing with the edge wherever the
+    side changes. Returns the (K, V', 2) clipped polygons and their counts.
+    """
     tol = 1e-12
-    rel = poly - edge_a
-    side = edge[0] * rel[:, 1] - edge[1] * rel[:, 0]
-    out = []
-    n = len(poly)
-    for i in range(n):
-        j = (i + 1) % n
-        si, sj = side[i], side[j]
-        if si >= -tol:
-            out.append(poly[i])
-        if (si >= -tol) != (sj >= -tol):
-            denom = si - sj
-            if abs(denom) > tol:
-                t = si / denom
-                out.append(poly[i] + t * (poly[j] - poly[i]))
-    return np.array(out) if out else np.empty((0, 2))
+    valid, succ = _successors(poly, count)
+    edge = (edge_b - edge_a)[:, None, :]
+    rel = np.stack([poly, succ]) - edge_a[:, None, :]
+    side, side_succ = edge[..., 0] * rel[..., 1] - edge[..., 1] * rel[..., 0]
+    inside = side >= -tol
+    denom = side - side_succ
+    cross = valid & (inside != (side_succ >= -tol)) & (np.abs(denom) > tol)
+    t = side / np.where(cross, denom, 1.0)
+    slots = (len(poly), 2 * poly.shape[1])  # each vertex, then its crossing
+    candidates = np.stack([poly, poly + t[..., None] * (succ - poly)], axis=2).reshape(*slots, 2)
+    keep = np.stack([valid & inside, cross], axis=2).reshape(slots)
+    count = keep.sum(axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")[:, : count.max(initial=0)]
+    return np.take_along_axis(candidates, order[..., None], axis=1), count
 
 
-def _polygon_area(poly: np.ndarray) -> float:
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+def _bev_intersections(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
+    """(K,) ground-plane intersection areas of K box pairs given as (K, 8, 3) corners."""
+    # reversed, the bottom corners run counterclockwise around the footprint
+    poly, rect_b = corners_a[:, 3::-1, :2], corners_b[:, 3::-1, :2]
+    count = np.full(len(poly), 4)
+    for i in range(4):
+        poly, count = _clip_polygons(poly, count, rect_b[:, i], rect_b[:, (i + 1) % 4])
+    valid, succ = _successors(poly, count)
+    twice = np.where(valid, poly[..., 0] * succ[..., 1] - poly[..., 1] * succ[..., 0], 0.0).sum(axis=1)
+    return np.where(count >= 3, 0.5 * np.abs(twice), 0.0)
 
 
 def bev_intersection_area(a: Box3D, b: Box3D) -> float:
     """Ground-plane intersection area of two oriented boxes (convex clipping)."""
-    poly = _bev_rect(a)
-    rect_b = _bev_rect(b)
-    for i in range(4):
-        poly = _clip_polygon(poly, rect_b[i], rect_b[(i + 1) % 4])
-        if len(poly) == 0:
-            return 0.0
-    return _polygon_area(poly)
+    return float(_bev_intersections(box3d_corners(a)[None], box3d_corners(b)[None])[0])
+
+
+def iou_3d_pairs(a, b) -> np.ndarray:
+    """(K,) volumetric IoU of Box3D a[k] with Box3D b[k] for each of K pairs.
+
+    The BEV rotated-rectangle intersections of all pairs are clipped at
+    once, then multiplied by each pair's vertical overlap.
+    """
+    dims_a, dims_b = (np.array([box.dimensions for box in boxes]).reshape(-1, 3) for boxes in (a, b))
+    corners_a = _corners([box.center for box in a], dims_a, [box.yaw for box in a])
+    corners_b = _corners([box.center for box in b], dims_b, [box.yaw for box in b])
+    # corners 0 and 4 lie on the bottom and top faces
+    dz = np.minimum(corners_a[:, 4, 2], corners_b[:, 4, 2]) - np.maximum(corners_a[:, 0, 2], corners_b[:, 0, 2])
+    inter = _bev_intersections(corners_a, corners_b) * dz
+    overlap = (dz > 0.0) & (inter > 0.0)
+    union = np.prod(dims_a, axis=1) + np.prod(dims_b, axis=1) - inter
+    return np.where(overlap, inter / np.where(overlap, union, 1.0), 0.0)
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volumetric IoU: BEV rotated-rectangle intersection times vertical overlap."""
-    z_lo = max(a.center[2] - a.height / 2.0, b.center[2] - b.height / 2.0)
-    z_hi = min(a.center[2] + a.height / 2.0, b.center[2] + b.height / 2.0)
-    dz = z_hi - z_lo
-    if dz <= 0.0:
-        return 0.0
-    inter = bev_intersection_area(a, b) * dz
-    if inter <= 0.0:
-        return 0.0
-    union = a.volume + b.volume - inter
-    return inter / union
+    return float(iou_3d_pairs([a], [b])[0])
 
 
 # --- painter's occlusion: nearer image boxes cover farther ones ------------

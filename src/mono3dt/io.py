@@ -255,7 +255,9 @@ def write_tracks(records, path) -> None:
 
 
 def load_tracks(path):
+    """Read tracks.jsonl into a list of TrackRecord (file order); a repeated (frame, id) is a ParseError."""
     records = []
+    seen = set()
     for line_no, obj in _read_jsonl(path, "tracks"):
         try:
             rec = TrackRecord(
@@ -273,6 +275,10 @@ def load_tracks(path):
                 raise ValueError("track fields must be finite")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(path, line_no, str(exc)) from exc
+        key = (rec.frame_index, rec.track_id)
+        if key in seen:
+            raise ParseError(path, line_no, f"repeated (frame, id) {key}")
+        seen.add(key)
         records.append(rec)
     return records
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .data import TrackStatus
-from .geometry import iou_2d, iou_3d
+from .geometry import iou_2d_matrix, iou_3d, iou_3d_pairs
 
 IOU_GATE_2D = 0.5
 CENTER_GATE_3D_M = 2.0
@@ -77,21 +77,41 @@ class ClearReport:
         }
 
 
-def _pair_quality(gt_rec, pred_rec, mode: str):
-    """(passes gate, overlap in [0,1], assignment score) for one pair.
+def _frame_gate(gt_records, pred_records, mode: str):
+    """(n, m) gate mask and assignment quality of every gt x prediction pair.
 
-    In 3d mode a pair outside the center gate reports overlap 0 without
-    computing iou_3d.
+    2d: the quality is the image-box IoU (also the overlap), gated at IOU_GATE_2D.
+    3d: it is 1 - d / CENTER_GATE_3D_M for the BEV center distance d, gated at
+    d <= CENTER_GATE_3D_M; sqrt(vecdot) is bit-equal to np.linalg.norm per pair.
     """
     if mode == "2d":
-        overlap = iou_2d(gt_rec.box2d_projected, pred_rec.box2d_projected)
-        return overlap >= IOU_GATE_2D, overlap, overlap
-    dist = float(np.linalg.norm(gt_rec.box3d.center[:2] - pred_rec.box3d.center[:2]))
-    quality = 1.0 - dist / CENTER_GATE_3D_M
-    if not dist <= CENTER_GATE_3D_M:
-        # no caller reads the overlap of a pair outside the gate
-        return False, 0.0, quality
-    return True, iou_3d(gt_rec.box3d, pred_rec.box3d), quality
+        boxes = [[r.box2d_projected.as_tuple() for r in records] for records in (gt_records, pred_records)]
+        overlap = iou_2d_matrix(*boxes)
+        return overlap >= IOU_GATE_2D, overlap
+    gt_xy = np.array([r.box3d.center[:2] for r in gt_records]).reshape(-1, 1, 2)
+    diff = gt_xy - np.array([r.box3d.center[:2] for r in pred_records]).reshape(1, -1, 2)
+    dist = np.sqrt(np.vecdot(diff, diff))
+    return dist <= CENTER_GATE_3D_M, 1.0 - dist / CENTER_GATE_3D_M
+
+
+def _pair_quality(gt_rec, pred_rec, mode: str):
+    """(passes gate, overlap in [0,1], assignment score) for one pair: the frame gate's one-pair call.
+
+    In 3d mode a pair outside the center gate reports overlap 0 without computing iou_3d.
+    """
+    gate, quality = _frame_gate([gt_rec], [pred_rec], mode)
+    ok, quality = bool(gate[0, 0]), float(quality[0, 0])
+    if mode == "2d":
+        return ok, quality, quality
+    return ok, iou_3d(gt_rec.box3d, pred_rec.box3d) if ok else 0.0, quality
+
+
+def _rows_by_id(records, kind: str) -> dict:
+    rows = {}
+    for i, r in enumerate(records):
+        if rows.setdefault(r.track_id, i) != i:
+            raise ValueError(f"{kind} id {r.track_id} repeats in frame {r.frame_index}")
+    return rows
 
 
 def match_frame(gt_records, pred_records, prev_pairs: dict, mode: str = "3d") -> FrameMatching:
@@ -99,7 +119,8 @@ def match_frame(gt_records, pred_records, prev_pairs: dict, mode: str = "3d") ->
 
     prev_pairs maps gt_id -> pred_id from the previous frame; such pairs
     are kept whenever they still pass the gate, before the remaining
-    records are assigned by maximum total quality.
+    records are assigned by maximum total quality. A track id may appear
+    at most once among each side's records (ValueError otherwise).
 
     Occlusion-flagged rows are don't-care regions, the usual benchmark
     treatment of fully hidden objects: an occluded ground-truth row may be
@@ -107,57 +128,50 @@ def match_frame(gt_records, pred_records, prev_pairs: dict, mode: str = "3d") ->
     miss, and an unmatched occluded prediction is dead-reckoning output
     rather than a detection claim, so it never counts as a false positive.
     """
-    gt_ids = [r.track_id for r in gt_records]
-    pred_ids = [r.track_id for r in pred_records]
-    gt_by_id = {r.track_id: r for r in gt_records}
-    pred_by_id = {r.track_id: r for r in pred_records}
-    gt_ignored = frozenset(r.track_id for r in gt_records if r.status == _OCCLUDED)
+    return _match_frames([(gt_records, pred_records)], prev_pairs, mode)[0]
 
-    pairs = []
-    used_gt = set()
-    used_pred = set()
-    for gt_id, pred_id in prev_pairs.items():
-        if gt_id in gt_by_id and pred_id in pred_by_id:
-            ok, overlap, _ = _pair_quality(gt_by_id[gt_id], pred_by_id[pred_id], mode)
-            if ok:
-                pairs.append((gt_id, pred_id, overlap))
-                used_gt.add(gt_id)
-                used_pred.add(pred_id)
 
-    rest_gt = [g for g in gt_ids if g not in used_gt]
-    rest_pred = [p for p in pred_ids if p not in used_pred]
-    if rest_gt and rest_pred:
-        score = np.full((len(rest_gt), len(rest_pred)), -1e9)
-        overlaps = np.zeros_like(score)
-        for i, g in enumerate(rest_gt):
-            for j, p in enumerate(rest_pred):
-                ok, overlap, quality = _pair_quality(gt_by_id[g], pred_by_id[p], mode)
-                if ok:
-                    score[i, j] = quality
-                    overlaps[i, j] = overlap
-        rows, cols = linear_sum_assignment(score, maximize=True)
-        for r, c in zip(rows, cols):
-            if score[r, c] <= -1e8:
-                continue
-            pairs.append((rest_gt[r], rest_pred[c], float(overlaps[r, c])))
-            used_gt.add(rest_gt[r])
-            used_pred.add(rest_pred[c])
+def _match_frames(frames, prev_pairs: dict, mode: str) -> list:
+    """match_frame over consecutive (gt_records, pred_records) frames.
 
-    fn = sum(1 for g in gt_ids if g not in used_gt and g not in gt_ignored)
-    fp = 0
-    for r in pred_records:
-        if r.track_id in used_pred:
-            continue
-        if r.status == _OCCLUDED:
-            continue
-        fp += 1
-    return FrameMatching(
-        pairs=pairs,
-        fp=fp,
-        fn=fn,
-        gt_ids=gt_ids,
-        gt_ignored=gt_ignored,
-    )
+    Each frame's previous pairs are those of the frame before (prev_pairs
+    for the first). The 3d assignment reads only the distance quality, so
+    the 3d overlaps of all pairs come from one iou_3d_pairs call at the
+    end, written back in pair order.
+    """
+    matchings = []
+    gt_boxes, pred_boxes = [], []  # 3d mode: the boxes of every pair, in pair order
+    for gt_records, pred_records in frames:
+        gt_rows, pred_rows = _rows_by_id(gt_records, "ground-truth"), _rows_by_id(pred_records, "prediction")
+        gate, quality = _frame_gate(gt_records, pred_records, mode)
+        pairs = [(gt_rows.get(g), pred_rows.get(p)) for g, p in prev_pairs.items()]  # (gt row, pred row)
+        pairs = [(i, j) for i, j in pairs if i is not None and j is not None and gate[i, j]]
+        rest_gt = np.setdiff1d(np.arange(len(gt_records)), [i for i, _ in pairs])
+        rest_pred = np.setdiff1d(np.arange(len(pred_records)), [j for _, j in pairs])
+        if rest_gt.size and rest_pred.size:
+            rest = np.ix_(rest_gt, rest_pred)
+            rows, cols = linear_sum_assignment(np.where(gate[rest], quality[rest], -1e9), maximize=True)
+            hit = gate[rest][rows, cols]
+            pairs += zip(rest_gt[rows[hit]].tolist(), rest_pred[cols[hit]].tolist())
+        matched_gt, matched_pred = {i for i, _ in pairs}, {j for _, j in pairs}
+        if mode == "3d":
+            gt_boxes.extend(gt_records[i].box3d for i, _ in pairs)
+            pred_boxes.extend(pred_records[j].box3d for _, j in pairs)
+        matching = FrameMatching(
+            # the quality is the overlap in 2d mode; 3d overlaps replace it below
+            pairs=[(gt_records[i].track_id, pred_records[j].track_id, float(quality[i, j])) for i, j in pairs],
+            fp=sum(1 for j, r in enumerate(pred_records) if j not in matched_pred and r.status != _OCCLUDED),
+            fn=sum(1 for i, r in enumerate(gt_records) if i not in matched_gt and r.status != _OCCLUDED),
+            gt_ids=[r.track_id for r in gt_records],
+            gt_ignored=frozenset(r.track_id for r in gt_records if r.status == _OCCLUDED),
+        )
+        matchings.append(matching)
+        prev_pairs = {g: p for g, p, _ in matching.pairs}
+    if mode == "3d":
+        overlaps = iter(iou_3d_pairs(gt_boxes, pred_boxes).tolist())
+        for matching in matchings:
+            matching.pairs = [(g, p, next(overlaps)) for g, p, _ in matching.pairs]
+    return matchings
 
 
 def _records_by_frame(records):
@@ -172,13 +186,7 @@ def match_sequence(gt_records, pred_records, mode: str = "3d"):
     gt_frames = _records_by_frame(gt_records)
     pred_frames = _records_by_frame(pred_records)
     frames = sorted(set(gt_frames) | set(pred_frames))
-    matchings = []
-    prev_pairs: dict = {}
-    for f in frames:
-        matching = match_frame(gt_frames.get(f, []), pred_frames.get(f, []), prev_pairs, mode)
-        matchings.append(matching)
-        prev_pairs = {g: p for g, p, _ in matching.pairs}
-    return matchings
+    return _match_frames([(gt_frames.get(f, []), pred_frames.get(f, [])) for f in frames], {}, mode)
 
 
 def compute_clear(matchings) -> ClearReport:
@@ -321,19 +329,23 @@ def ap_3d(gt_records, pred_records_scored, iou_thresholds=(0.25, 0.5, 0.7)) -> d
     gt_frames = _records_by_frame(gt_records)
     n_gt = len(gt_records)
     preds = sorted(pred_records_scored, key=lambda rs: -rs[1])
+    rows_by_frame = defaultdict(list)
+    for k, (rec, _score) in enumerate(preds):
+        rows_by_frame[rec.frame_index].append(k)
+    ious = {}  # prediction k -> 3D IoU with each ground-truth box of its frame
+    for frame, rows in rows_by_frame.items():
+        gt_boxes = [g.box3d for g in gt_frames.get(frame, [])]
+        pairs = iou_3d_pairs([preds[k][0].box3d for k in rows for _ in gt_boxes], gt_boxes * len(rows))
+        ious.update(zip(rows, pairs.reshape(len(rows), len(gt_boxes)).tolist()))
     results = {}
     for threshold in iou_thresholds:
         claimed = defaultdict(set)
         tp_flags = []
-        for rec, _score in preds:
-            candidates = gt_frames.get(rec.frame_index, [])
+        for k, (rec, _score) in enumerate(preds):
             best_iou = 0.0
             best_idx = None
-            for idx, gt_rec in enumerate(candidates):
-                if idx in claimed[rec.frame_index]:
-                    continue
-                overlap = iou_3d(rec.box3d, gt_rec.box3d)
-                if overlap > best_iou:
+            for idx, overlap in enumerate(ious[k]):
+                if idx not in claimed[rec.frame_index] and overlap > best_iou:
                     best_iou = overlap
                     best_idx = idx
             if best_idx is not None and best_iou >= threshold:
@@ -344,14 +356,9 @@ def ap_3d(gt_records, pred_records_scored, iou_thresholds=(0.25, 0.5, 0.7)) -> d
         if n_gt == 0:
             results[threshold] = 0.0
             continue
-        tp = np.cumsum(tp_flags) if tp_flags else np.array([])
-        fp = np.cumsum([not f for f in tp_flags]) if tp_flags else np.array([])
-        recalls = tp / n_gt if len(tp) else np.array([0.0])
-        precisions = tp / np.maximum(tp + fp, 1) if len(tp) else np.array([0.0])
-        ap = 0.0
-        for r in np.linspace(0.0, 1.0, 11):
-            mask = recalls >= r - 1e-12
-            ap += float(np.max(precisions[mask])) if np.any(mask) else 0.0
+        tp = np.cumsum(tp_flags, dtype=float)
+        recalls, precisions = tp / n_gt, tp / np.arange(1, len(tp) + 1)
+        ap = sum(float(np.max(precisions[recalls >= r - 1e-12], initial=0.0)) for r in np.linspace(0.0, 1.0, 11))
         results[threshold] = ap / 11.0
     return results
 

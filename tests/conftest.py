@@ -123,6 +123,77 @@ def monte_carlo_iou_3d(a: Box3D, b: Box3D, samples: np.ndarray) -> float:
     return inter / union
 
 
+# --- reference 3D IoU: the scalar Sutherland-Hodgman clipper, one pair at a
+# time, whose arithmetic geometry.iou_3d_pairs repeats over K pairs at once
+
+
+def _bev_rect(box: Box3D) -> np.ndarray:
+    """4x2 counterclockwise ground-plane footprint of an oriented box."""
+    half = box.dimensions[:2] / 2.0
+    local = np.array(
+        [[half[0], half[1]], [-half[0], half[1]], [-half[0], -half[1]], [half[0], -half[1]]]
+    )
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    rot = np.array([[c, -s], [s, c]])
+    return box.center[:2] + local @ rot.T
+
+
+def _clip_polygon(poly: np.ndarray, edge_a: np.ndarray, edge_b: np.ndarray) -> np.ndarray:
+    """Clip a convex polygon against the half-plane left of edge a->b."""
+    if len(poly) == 0:
+        return poly
+    edge = edge_b - edge_a
+    # signed area sign: >= -tol keeps points on or left of the edge
+    tol = 1e-12
+    rel = poly - edge_a
+    side = edge[0] * rel[:, 1] - edge[1] * rel[:, 0]
+    out = []
+    n = len(poly)
+    for i in range(n):
+        j = (i + 1) % n
+        si, sj = side[i], side[j]
+        if si >= -tol:
+            out.append(poly[i])
+        if (si >= -tol) != (sj >= -tol):
+            denom = si - sj
+            if abs(denom) > tol:
+                t = si / denom
+                out.append(poly[i] + t * (poly[j] - poly[i]))
+    return np.array(out) if out else np.empty((0, 2))
+
+
+def _polygon_area(poly: np.ndarray) -> float:
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def reference_bev_intersection_area(a: Box3D, b: Box3D) -> float:
+    """Ground-plane intersection area of two oriented boxes (convex clipping)."""
+    poly = _bev_rect(a)
+    rect_b = _bev_rect(b)
+    for i in range(4):
+        poly = _clip_polygon(poly, rect_b[i], rect_b[(i + 1) % 4])
+        if len(poly) == 0:
+            return 0.0
+    return _polygon_area(poly)
+
+
+def reference_iou_3d(a: Box3D, b: Box3D) -> float:
+    """Volumetric IoU: BEV rotated-rectangle intersection times vertical overlap."""
+    z_lo = max(a.center[2] - a.height / 2.0, b.center[2] - b.height / 2.0)
+    z_hi = min(a.center[2] + a.height / 2.0, b.center[2] + b.height / 2.0)
+    dz = z_hi - z_lo
+    if dz <= 0.0:
+        return 0.0
+    inter = reference_bev_intersection_area(a, b) * dz
+    if inter <= 0.0:
+        return 0.0
+    union = a.volume + b.volume - inter
+    return inter / union
+
+
 @pytest.fixture(scope="session")
 def mc_samples():
     rng = np.random.default_rng(20240917)

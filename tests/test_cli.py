@@ -272,6 +272,18 @@ class TestEvaluate:
         assert code == 1
         assert f"{bad}:4: " in capsys.readouterr().err
 
+    def test_repeated_frame_and_id_exit_1_with_line(self, scenario, tmp_path, capsys):
+        lines = (scenario / "gt_tracks.jsonl").read_text().splitlines()
+        record = json.loads(lines[3])
+        record["P_m"][0] += 0.4  # a second row for the same (frame, id)
+        lines.insert(4, json.dumps(record))
+        bad = tmp_path / "pred.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run(["evaluate", "--gt", str(scenario / "gt_tracks.jsonl"), "--pred", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{bad}:5: " in err and "Traceback" not in err
+
     def test_row_without_pose_exit_1(self, scenario, tmp_path, capsys):
         lines = (scenario / "gt_tracks.jsonl").read_text().splitlines()
         record = json.loads(lines[3])

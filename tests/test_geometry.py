@@ -23,6 +23,7 @@ from mono3dt.geometry import (
     iou_2d,
     iou_2d_matrix,
     iou_3d,
+    iou_3d_pairs,
     normalize_angle,
     project_box,
     project_boxes,
@@ -37,6 +38,8 @@ from conftest import (
     random_pose,
     raster_bev_intersection,
     raster_iou_2d,
+    reference_bev_intersection_area,
+    reference_iou_3d,
 )
 
 
@@ -469,6 +472,67 @@ class TestIou3d:
             assert got == pytest.approx(iou_3d(b, a), abs=1e-12)
             assert abs(got - monte_carlo_iou_3d(a, b, mc_samples)) < 1e-2
 
+
+
+def oracle_pairs() -> list:
+    """Seeded Box3D pairs: 2,000 random, 400 on a half-metre grid, and named edge cases.
+
+    Grid pairs have quarter-turn yaws, so edges coincide, touch or cross at
+    vertices; the named cases pin touching, containment, identity, 45 and
+    90 degree turns and boxes without vertical overlap.
+    """
+    rng = np.random.default_rng(31)
+    pairs = []
+    for _ in range(2000):
+        a = Box3D(rng.normal(scale=2.0, size=3), rng.uniform(0.5, 5.0, 3), rng.uniform(-7.0, 7.0))
+        b = Box3D(a.center + rng.normal(scale=1.5, size=3), rng.uniform(0.5, 5.0, 3), rng.uniform(-7.0, 7.0))
+        pairs.append((a, b))
+    for _ in range(400):
+        a = Box3D(rng.integers(-4, 5, 3) * 0.5, rng.integers(1, 9, 3) * 0.5, rng.integers(0, 4) * math.pi / 2)
+        b = Box3D(a.center + rng.integers(-6, 7, 3) * 0.5, rng.integers(1, 9, 3) * 0.5, rng.integers(0, 4) * math.pi / 2)
+        pairs.append((a, b))
+    unit = Box3D([0, 0, 0], [2, 2, 1], 0.0)
+    pairs += [
+        (unit, Box3D([2, 0, 0], [2, 2, 1], 0.0)),  # touching along an edge
+        (unit, Box3D([2, 2, 0], [2, 2, 1], 0.0)),  # touching at a corner
+        (unit, Box3D([1, 0, 0], [2, 2, 1], 0.0)),  # half overlap on the grid
+        (unit, Box3D([0.2, 0.1, 0.1], [1, 1, 0.5], 0.3)),  # contained
+        (Box3D([0.2, 0.1, 0.1], [1, 1, 0.5], 0.3), unit),  # containing
+        (unit, unit),
+        (Box3D([3, -1, 2], [4.2, 1.8, 1.5], 1.1), Box3D([3, -1, 2], [4.2, 1.8, 1.5], 1.1)),
+        (unit, Box3D([0, 0, 0], [2, 2, 1], math.pi / 4)),
+        (Box3D([0, 0, 0], [4, 2, 1], 0.0), Box3D([0, 0, 0], [4, 2, 1], math.pi / 2)),
+        (unit, Box3D([0, 0, 2], [2, 2, 1], 0.0)),  # no vertical overlap
+        (unit, Box3D([0, 0, 1], [2, 2, 1], 0.0)),  # vertical faces touch
+    ]
+    return pairs
+
+
+class TestIou3dPairs:
+    """iou_3d_pairs against the scalar clipper it replaced (tests/conftest.py)."""
+
+    def test_matches_scalar_reference(self):
+        pairs = oracle_pairs()
+        got = iou_3d_pairs([a for a, _ in pairs], [b for _, b in pairs])
+        ref = np.array([reference_iou_3d(a, b) for a, b in pairs])
+        assert got.shape == (len(pairs),) and len(pairs) >= 2000
+        assert np.max(np.abs(got - ref)) <= 1e-12
+        assert np.count_nonzero(ref > 0.0) > 1000 and np.count_nonzero(ref == 0.0) > 100
+
+    def test_named_cases(self):
+        got = iou_3d_pairs(*zip(*oracle_pairs()[-11:]))
+        octagon = 8.0 * (math.sqrt(2.0) - 1.0)  # two unit squares a 45 degree turn apart
+        expected = [0.0, 0.0, 1.0 / 3.0, 0.5 / 4.0, 0.5 / 4.0, 1.0, 1.0]
+        expected += [octagon / (8.0 - octagon), 1.0 / 3.0, 0.0, 0.0]
+        assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_bev_intersection_matches_scalar_reference(self):
+        for a, b in oracle_pairs()[::5]:
+            ref = reference_bev_intersection_area(a, b)
+            assert abs(bev_intersection_area(a, b) - ref) <= 1e-12 * max(1.0, ref)
+
+    def test_empty_batch(self):
+        assert iou_3d_pairs([], []).shape == (0,)
 
 class TestCameraHeading:
     def test_heading_round_trip(self):

@@ -32,8 +32,9 @@ import pytest
 
 from mono3dt.association import run_sequence
 from mono3dt.data import TrackerConfig
-from mono3dt.io import load_sequence, write_tracks
+from mono3dt.io import load_sequence, load_tracks, write_tracks
 from mono3dt.lstm import LstmWeights, MotionTrainConfig, sample_trajectories, save_weights, train_lstm
+from mono3dt.metrics import evaluate_tracks
 from mono3dt.simulator import ScenarioConfig, write_scenario
 
 DIGEST_NUMPY = "2.4.6"
@@ -82,6 +83,21 @@ LSTM_TRACKING_DIGESTS = {
 # workload -> tracks.jsonl digest of bench/scenegen.py's seed-0 scene 0,
 # tracked with the default kf3d TrackerConfig
 BENCH_SCENE_DIGESTS = {"crowd": "50cd9cafce553647", "jam": "c0f4bdfaa35a26db"}
+
+# (scene, mode) -> evaluate_tracks report of that scene's kf3d tracks against
+# its ground truth, both read back with load_tracks: the bench scenes above
+# and the open_road scene of TRACKS_DIGESTS. Integer fields are pinned
+# exactly, the others to 1e-12 (MOTP sums the pairs' 3D IoUs).
+EVALUATE_REPORTS = {
+    ("crowd", "3d"): {"MOTA": 0.8888888888888888, "MOTP": 0.7756047786586239, "MM": 4, "FP": 13, "FN": 87, "FRAG": 67,
+                      "MT": 0.90625, "ML": 0.0, "GT": 936, "matches": 849},
+    ("jam", "3d"): {"MOTA": 0.9703075291622482, "MOTP": 0.8234867617001201, "MM": 1, "FP": 0, "FN": 27, "FRAG": 26,
+                    "MT": 1.0, "ML": 0.0, "GT": 943, "matches": 916},
+    ("open_road", "3d"): {"MOTA": 1.0, "MOTP": 0.8372007533179594, "MM": 0, "FP": 0, "FN": 0, "FRAG": 0,
+                          "MT": 1.0, "ML": 0.0, "GT": 766, "matches": 766},
+    ("open_road", "2d"): {"MOTA": 1.0, "MOTP": 0.9637543304743855, "MM": 0, "FP": 0, "FN": 0, "FRAG": 0,
+                          "MT": 1.0, "ML": 0.0, "GT": 766, "matches": 766},
+}
 
 pytestmark = pytest.mark.skipif(
     np.__version__ != DIGEST_NUMPY,
@@ -162,3 +178,24 @@ def test_bench_scene_digests(workload, tmp_path):
     )
     write_tracks(records, tmp_path / "tracks.jsonl")
     assert digest(tmp_path / "tracks.jsonl") == BENCH_SCENE_DIGESTS[workload]
+
+
+@pytest.mark.parametrize("scene, mode", list(EVALUATE_REPORTS), ids=lambda v: v)
+def test_evaluate_reports(scene, mode, tmp_path):
+    if scene == "open_road":
+        paths = write_scenario(ScenarioConfig.make_preset("open_road", seed=0, n_vehicles=12), tmp_path)
+        gt_path = paths["gt_tracks"]
+    else:
+        scenegen = load_scenegen()
+        paths = scenegen.write_inputs(scenegen.make_scene(scene, 0, 0), tmp_path)
+        gt_path = paths["gt"]
+    records = run_sequence(
+        load_sequence(paths["detections"], paths["poses"]), TrackerConfig(motion_backend="kf3d").validate()
+    )
+    write_tracks(records, tmp_path / "tracks.jsonl")
+    got = evaluate_tracks(load_tracks(gt_path), load_tracks(tmp_path / "tracks.jsonl"), mode).as_dict()
+    pinned = EVALUATE_REPORTS[(scene, mode)]
+    assert {k: v for k, v in got.items() if isinstance(v, int)} == {k: v for k, v in pinned.items() if isinstance(v, int)}
+    assert {k: v for k, v in got.items() if isinstance(v, float)} == pytest.approx(
+        {k: v for k, v in pinned.items() if isinstance(v, float)}, rel=0, abs=1e-12
+    )

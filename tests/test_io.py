@@ -200,12 +200,13 @@ class TestTracks:
         rng = np.random.default_rng(5)
         statuses = [TrackStatus.TRACKED, TrackStatus.OCCLUDED, TrackStatus.LOST]
         records = []
-        for i in range(10_000):
+        # distinct (frame, id) keys: a file repeats none
+        for key in rng.choice(500 * 200, size=10_000, replace=False).tolist():
             x0, y0 = rng.uniform(0, 1000, 2)
             records.append(
                 TrackRecord(
-                    frame_index=int(rng.integers(0, 500)),
-                    track_id=int(rng.integers(0, 200)),
+                    frame_index=key // 200,
+                    track_id=key % 200,
                     box3d=Box3D(rng.normal(scale=40, size=3), rng.uniform(0.5, 8, 3), rng.uniform(0, 2 * math.pi)),
                     velocity=rng.normal(scale=1.0, size=3),
                     box2d_projected=Box2D(x0, y0, x0 + rng.uniform(0, 500), y0 + rng.uniform(0, 300)),
@@ -249,6 +250,18 @@ class TestTracks:
         with pytest.raises(ParseError) as err:
             load_tracks(path)
         assert str(err.value).startswith(f"{path}:3: ")
+
+    def test_repeated_frame_and_id_reports_line(self, tmp_path):
+        rec = TrackRecord(0, 7, Box3D([10.0, 0.0, 0.75], [4.0, 2.0, 1.5], 0.0), np.zeros(3), Box2D(0, 0, 9, 9), TrackStatus.TRACKED)
+        other = TrackRecord(0, 7, Box3D([10.4, 0.0, 0.75], [4.0, 2.0, 1.5], 0.0), np.zeros(3), Box2D(0, 0, 9, 9), TrackStatus.TRACKED)
+        later = TrackRecord(1, 7, Box3D([10.4, 0.0, 0.75], [4.0, 2.0, 1.5], 0.0), np.zeros(3), Box2D(0, 0, 9, 9), TrackStatus.TRACKED)
+        path = tmp_path / "tracks.jsonl"
+        write_tracks([rec, later], path)
+        assert len(load_tracks(path)) == 2  # one id in two frames is fine
+        write_tracks([rec, other, later], path)
+        with pytest.raises(ParseError) as err:
+            load_tracks(path)
+        assert str(err.value).startswith(f"{path}:3: ") and "repeated (frame, id)" in str(err.value)
 
     def test_write_then_read_is_sorted(self, tmp_path):
         recs = [

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from mono3dt.data import TrackRecord, TrackStatus
-from mono3dt.geometry import Box2D, Box3D
+from mono3dt.geometry import Box2D, Box3D, iou_2d, iou_3d
 from mono3dt.metrics import (
     CENTER_GATE_3D_M,
+    IOU_GATE_2D,
     DegenerateBox,
     EmptyInput,
     ap_3d,
@@ -23,6 +25,9 @@ from mono3dt.metrics import (
     match_sequence,
     orientation_score,
 )
+from mono3dt.metrics import _frame_gate, _pair_quality
+
+from conftest import reference_iou_3d
 
 
 def rec(frame, tid, x, y=0.0, status=TrackStatus.TRACKED, dims=(4.0, 2.0, 1.5), yaw=0.0):
@@ -75,6 +80,142 @@ class TestMatchFrame:
         assert {(g, p + 10) for g, p in best} == got
         assert m.fn == 1 and m.fp == 1
 
+
+
+def reference_match_frame(gt_records, pred_records, prev_pairs, mode):
+    """The per-pair matcher that match_frame's frame gate replaced, kept as its oracle."""
+
+    def pair_quality(gt_rec, pred_rec):
+        if mode == "2d":
+            overlap = iou_2d(gt_rec.box2d_projected, pred_rec.box2d_projected)
+            return overlap >= IOU_GATE_2D, overlap, overlap
+        dist = float(np.linalg.norm(gt_rec.box3d.center[:2] - pred_rec.box3d.center[:2]))
+        quality = 1.0 - dist / CENTER_GATE_3D_M
+        if not dist <= CENTER_GATE_3D_M:
+            return False, 0.0, quality
+        return True, reference_iou_3d(gt_rec.box3d, pred_rec.box3d), quality
+
+    gt_by_id = {r.track_id: r for r in gt_records}
+    pred_by_id = {r.track_id: r for r in pred_records}
+    pairs, used_gt, used_pred = [], set(), set()
+    for gt_id, pred_id in prev_pairs.items():
+        if gt_id in gt_by_id and pred_id in pred_by_id:
+            ok, overlap, _ = pair_quality(gt_by_id[gt_id], pred_by_id[pred_id])
+            if ok:
+                pairs.append((gt_id, pred_id, overlap))
+                used_gt.add(gt_id)
+                used_pred.add(pred_id)
+    rest_gt = [r.track_id for r in gt_records if r.track_id not in used_gt]
+    rest_pred = [r.track_id for r in pred_records if r.track_id not in used_pred]
+    if rest_gt and rest_pred:
+        score = np.full((len(rest_gt), len(rest_pred)), -1e9)
+        overlaps = np.zeros_like(score)
+        for i, g in enumerate(rest_gt):
+            for j, p in enumerate(rest_pred):
+                ok, overlap, quality = pair_quality(gt_by_id[g], pred_by_id[p])
+                if ok:
+                    score[i, j] = quality
+                    overlaps[i, j] = overlap
+        rows, cols = linear_sum_assignment(score, maximize=True)
+        for r, c in zip(rows, cols):
+            if score[r, c] > -1e8:
+                pairs.append((rest_gt[r], rest_pred[c], float(overlaps[r, c])))
+                used_gt.add(rest_gt[r])
+                used_pred.add(rest_pred[c])
+    fn = sum(1 for r in gt_records if r.track_id not in used_gt and r.status != TrackStatus.OCCLUDED)
+    fp = sum(1 for r in pred_records if r.track_id not in used_pred and r.status != TrackStatus.OCCLUDED)
+    return pairs, fp, fn
+
+
+def random_frames(seed, frames=40):
+    """Crowded frames on a half-metre grid, so center distances of exactly 2 m and
+    tied qualities occur; prediction ids mostly follow their ground truth."""
+    rng = np.random.default_rng(seed)
+    gt, pred = [], []
+    for f in range(frames):
+        gt_ids = rng.choice(15, size=rng.integers(0, 13), replace=False).tolist()
+        clutter = rng.choice(10, size=rng.integers(0, 4), replace=False) + 60
+        for tid in gt_ids:
+            x, y = rng.integers(0, 16, 2) * 0.5
+            status = TrackStatus.OCCLUDED if rng.random() < 0.15 else TrackStatus.TRACKED
+            gt.append(rec(f, tid, 10.0 + x, y, status=status, yaw=rng.uniform(0, 2 * math.pi)))
+            if rng.random() < 0.85:
+                dx, dy = rng.integers(-4, 5, 2) * 0.5 if rng.random() < 0.5 else rng.normal(scale=0.8, size=2)
+                pid = tid + 20 if rng.random() < 0.9 else tid + 40
+                pred.append(rec(f, pid, 10.0 + x + dx, y + dy, status=status, yaw=rng.uniform(0, 2 * math.pi)))
+        for pid in clutter.tolist():
+            x, y = rng.integers(0, 16, 2) * 0.5
+            pred.append(rec(f, pid, 10.0 + x, y))
+    return gt, pred
+
+
+class TestFrameGate:
+    def test_3d_gate_bit_equal_to_per_pair_norm(self):
+        rng = np.random.default_rng(41)
+        # half on a half-metre grid (distances of exactly 2 m), half anywhere
+        xy = np.concatenate([rng.integers(0, 12, (40, 2)) * 0.5, rng.uniform(0, 6, (30, 2))])
+        gt = [rec(0, i, 10.0 + x, y) for i, (x, y) in enumerate(xy[::2].tolist())]
+        pred = [rec(0, i, 10.0 + x, y) for i, (x, y) in enumerate(xy[1::2].tolist())]
+        gate, quality = _frame_gate(gt, pred, "3d")
+        at_gate = 0
+        for i, g in enumerate(gt):
+            for j, p in enumerate(pred):
+                dist = float(np.linalg.norm(g.box3d.center[:2] - p.box3d.center[:2]))
+                assert quality[i, j] == 1.0 - dist / CENTER_GATE_3D_M
+                assert gate[i, j] == (dist <= CENTER_GATE_3D_M)
+                at_gate += dist == CENTER_GATE_3D_M
+        assert at_gate > 0 and 0 < np.count_nonzero(gate) < gate.size
+
+    def test_2d_gate_bit_equal_to_per_pair_iou(self):
+        gt, pred = random_frames(43, frames=1)[0], random_frames(44, frames=1)[1]
+        gate, quality = _frame_gate(gt, pred, "2d")
+        for i, g in enumerate(gt):
+            for j, p in enumerate(pred):
+                assert quality[i, j] == iou_2d(g.box2d_projected, p.box2d_projected)
+        assert np.array_equal(gate, quality >= IOU_GATE_2D) and np.any(gate)
+
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    def test_pair_quality_is_the_one_pair_gate(self, mode):
+        gt, pred = random_frames(45, frames=1)
+        gate, quality = _frame_gate(gt, pred, mode)
+        for i, g in enumerate(gt):
+            for j, p in enumerate(pred):
+                ok, overlap, score = _pair_quality(g, p, mode)
+                assert type(ok) is bool and ok == gate[i, j] and score == quality[i, j]
+                if mode == "3d":
+                    assert overlap == (iou_3d(g.box3d, p.box3d) if ok else 0.0)
+
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sequence_matches_per_pair_reference(self, mode, seed):
+        gt, pred = random_frames(seed)
+        prev, matched = {}, 0
+        frames = sorted({r.frame_index for r in gt + pred})
+        for f, matching in zip(frames, match_sequence(gt, pred, mode), strict=True):
+            frame_gt = [r for r in gt if r.frame_index == f]
+            pairs, fp, fn = reference_match_frame(frame_gt, [r for r in pred if r.frame_index == f], prev, mode)
+            assert [(g, p) for g, p, _ in matching.pairs] == [(g, p) for g, p, _ in pairs]
+            got = np.array([ov for _, _, ov in matching.pairs])
+            assert np.max(np.abs(got - [ov for _, _, ov in pairs]), initial=0.0) <= (0.0 if mode == "2d" else 1e-12)
+            assert (matching.fp, matching.fn, matching.gt_ids) == (fp, fn, [r.track_id for r in frame_gt])
+            prev = {g: p for g, p, _ in pairs}
+            matched += len(pairs)
+        assert matched > 50
+
+
+class TestRepeatedIds:
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    def test_repeated_prediction_id_raises(self, mode):
+        # two rows of prediction 7 near two ground-truth cars: the matching
+        # must not pick one of them silently
+        gt = [rec(0, 1, 10.0), rec(0, 2, 10.5)]
+        pred = [rec(0, 7, 10.0), rec(0, 7, 10.4)]
+        with pytest.raises(ValueError, match="prediction id 7 repeats in frame 0"):
+            evaluate_tracks(gt, pred, mode)
+
+    def test_repeated_ground_truth_id_raises(self):
+        with pytest.raises(ValueError, match="ground-truth id 1 repeats in frame 3"):
+            match_frame([rec(3, 1, 10.0), rec(3, 1, 30.0)], [rec(3, 5, 10.0)], {}, "3d")
 
 class TestComputeClear:
     def test_perfect_tracking(self):
