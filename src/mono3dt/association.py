@@ -31,6 +31,7 @@ from .geometry import (
     DEPTH_ORDER_TIE_RATE,
     Box2D,
     Box3D,
+    CameraPose,
     alpha_to_theta,
     backproject,
     camera_heading,
@@ -210,20 +211,27 @@ def build_affinity_matrix(tracks: FrameRows, dets: FrameRows, in_view, det_proj_
     return AffinityMatrix(values, kept, deep)
 
 
-# per-tracklet columns of the tracker's store; the motion rows sit beside them
-_COLUMNS = ("ids", "status", "age", "position", "yaw", "dims", "appearance", "velocity")
+@dataclass
+class Tracklets:
+    """The tracker's store: row i of every field belongs to one tracklet."""
+
+    ids: np.ndarray  # (N,)
+    status: np.ndarray  # (N,) TrackStatus objects
+    age: np.ndarray  # (N,) frames since the last match
+    position: np.ndarray  # (N, 3) world
+    yaw: np.ndarray  # (N,) world
+    dims: np.ndarray  # (N, 3)
+    appearance: np.ndarray  # (N, A)
+    velocity: np.ndarray  # (N, 3) world, per frame
+    motion: object  # the backend's rows (see motion.init_motion_state), or None
 
 
 class Tracker:
     """Strictly online tracker: one lifecycle step per frame.
 
     Output at frame t depends only on frames <= t. Dead tracklets never
-    come back and their ids are never reused.
-
-    The tracklets live in arrays, row i of each belonging to one tracklet:
-    ids, status (TrackStatus objects), age (frames since the last match),
-    world position, yaw, dims, appearance and velocity, and the motion
-    backend's rows in `motion`.
+    come back and their ids are never reused. The tracklets live in
+    `rows`, one Tracklets store.
     """
 
     def __init__(self, config: TrackerConfig, intrinsics, lstm_weights=None):
@@ -233,50 +241,33 @@ class Tracker:
         self.config = config
         self.intrinsics = intrinsics
         self.lstm_weights = lstm_weights
-        self.ids = np.zeros(0, dtype=int)
-        self.status = np.zeros(0, dtype=object)
-        self.age = np.zeros(0, dtype=int)
-        self.position = np.zeros((0, 3))
-        self.yaw = np.zeros(0)
-        self.dims = np.zeros((0, 3))
-        self.appearance = np.zeros((0, 0))
-        self.velocity = np.zeros((0, 3))
-        self.motion = motion_mod.init_motion_state(config.motion_backend, self.position, np.zeros(0), np.zeros((0, 4)))
         self.next_id = 0
+        self.rows = self._born(decode_detection([], CameraPose.identity(), intrinsics), [])
 
     # -- helpers -------------------------------------------------------------
 
     def _reproject_state(self, rows, pose) -> np.ndarray:
         """(k, 4) image boxes of the tracklets in rows in the current camera, one batch."""
-        _, _, boxes, _ = project_boxes(self.position[rows], self.dims[rows], self.yaw[rows], pose, self.intrinsics)
+        store = self.rows
+        _, _, boxes, _ = project_boxes(store.position[rows], store.dims[rows], store.yaw[rows], pose, self.intrinsics)
         return boxes
 
-    def _keep(self, keep) -> None:
-        for name in _COLUMNS:
-            setattr(self, name, getattr(self, name)[keep])
-        self.motion = motion_mod.take_rows(self.motion, keep)
-
-    def _spawn(self, dets: FrameRows, cols) -> None:
+    def _born(self, dets: FrameRows, cols) -> Tracklets:
+        """Fresh tracked rows for the detections in cols, with the next ids."""
         k = len(cols)
-        if not k:
-            return
-        new = {
-            "ids": np.arange(self.next_id, self.next_id + k),
-            "status": np.full(k, TrackStatus.TRACKED, dtype=object),
-            "age": np.zeros(k, dtype=int),
-            "position": dets.position[cols],
-            "yaw": dets.yaw[cols],
-            "dims": dets.dims[cols],
-            "appearance": dets.appearance[cols],
-            "velocity": np.zeros((k, 3)),
-        }
-        for name, rows in new.items():
-            setattr(self, name, np.concatenate([getattr(self, name), rows]))
-        born = motion_mod.init_motion_state(
-            self.config.motion_backend, dets.position[cols], dets.depth[cols], dets.box2d[cols]
+        return Tracklets(
+            np.arange(self.next_id, self.next_id + k),
+            np.full(k, TrackStatus.TRACKED, dtype=object),
+            np.zeros(k, dtype=int),
+            dets.position[cols],
+            dets.yaw[cols],
+            dets.dims[cols],
+            dets.appearance[cols],
+            np.zeros((k, 3)),
+            motion_mod.init_motion_state(
+                self.config.motion_backend, dets.position[cols], dets.depth[cols], dets.box2d[cols]
+            ),
         )
-        self.motion = motion_mod.stack_rows(self.motion, born)
-        self.next_id += k
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -288,21 +279,22 @@ class Tracker:
         """
         config = self.config
         backend = config.motion_backend
+        store = self.rows
 
-        predicted, candidate = motion_mod.predict_tracklet(backend, self.motion, self.position, self.lstm_weights)
-        center_px, depth, boxes, _ = project_boxes(predicted, self.dims, self.yaw, pose, self.intrinsics)
+        predicted, candidate = motion_mod.predict_tracklet(backend, store.motion, store.position, self.lstm_weights)
+        center_px, depth, boxes, _ = project_boxes(predicted, store.dims, store.yaw, pose, self.intrinsics)
         in_view = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1]) > 0.0
         if backend == "kf2d":
             # the 2D filter owns the predicted box of an in-view tracklet
             boxes[in_view] = motion_mod.kf2d_measurement_to_box(candidate.mean[in_view])
-        tracks = FrameRows(predicted, self.yaw, self.dims, self.appearance, center_px, depth, boxes)
+        tracks = FrameRows(predicted, store.yaw, store.dims, store.appearance, center_px, depth, boxes)
 
         dets = decode_detection(detections, pose, self.intrinsics)
         # an empty side takes the other side's appearance length
-        if not len(self.ids):
-            self.appearance = np.zeros((0, dets.appearance.shape[1]))
+        if not len(store.ids):
+            store.appearance = np.zeros((0, dets.appearance.shape[1]))
         elif not len(dets):
-            dets.appearance = np.zeros((0, self.appearance.shape[1]))
+            dets.appearance = np.zeros((0, store.appearance.shape[1]))
         det_proj_boxes, any_in_front = project_hulls(dets.position, dets.dims, dets.yaw, pose, self.intrinsics)
         # a box wholly behind the camera falls back on the detector's own box
         det_proj_boxes[~any_in_front] = dets.box2d[~any_in_front]
@@ -319,7 +311,7 @@ class Tracker:
         is_occluded[cover_rows] = covers[cover_rows] >= config.occlusion_cover_threshold
         occluded, lost = unmatched[is_occluded[unmatched]], unmatched[~is_occluded[unmatched]]
 
-        prev = self.position[rows]
+        prev = store.position[rows]
         filtered, updated = motion_mod.update_motion_state(
             backend,
             motion_mod.take_rows(candidate, rows),
@@ -331,54 +323,62 @@ class Tracker:
             self.lstm_weights,
         )
         position, yaw, dims, appearance = motion_mod.blend_update(
-            (prev, self.yaw[rows], self.dims[rows], self.appearance[rows]),
+            (prev, store.yaw[rows], store.dims[rows], store.appearance[rows]),
             (dets.position[cols], dets.yaw[cols], dets.dims[cols], dets.appearance[cols]),
             matrix.a_deep[rows, cols],
         )
         if filtered is not None:
             position = filtered
-        self.velocity[rows] = position - prev
-        self.position[rows] = position
-        self.yaw[rows] = yaw
-        self.dims[rows] = dims
-        self.appearance[rows] = appearance
-        motion_mod.put_rows(self.motion, rows, updated)
-        self.status[rows] = TrackStatus.TRACKED
-        self.age[rows] = 0
+        k = len(rows)
+        matched = Tracklets(
+            store.ids[rows],
+            np.full(k, TrackStatus.TRACKED, dtype=object),
+            np.zeros(k, dtype=int),
+            position,
+            yaw,
+            dims,
+            appearance,
+            position - prev,
+            updated,
+        )
+        motion_mod.put_rows(store, rows, matched)
 
         # occluded: commit the coasting prediction; features and age stay
         # frozen until reappearance. Candidate rows may share arrays with
-        # self.motion, but occluded rows are not the matched rows written above.
-        self.velocity[occluded] = predicted[occluded] - self.position[occluded]
-        self.position[occluded] = predicted[occluded]
-        motion_mod.put_rows(self.motion, occluded, motion_mod.take_rows(candidate, occluded))
-        self.status[occluded] = TrackStatus.OCCLUDED
-        self.age[occluded] = np.maximum(self.age[occluded], 1)
+        # store.motion, but occluded rows are not the matched rows written above.
+        store.velocity[occluded] = predicted[occluded] - store.position[occluded]
+        store.position[occluded] = predicted[occluded]
+        motion_mod.put_rows(store.motion, occluded, motion_mod.take_rows(candidate, occluded))
+        store.status[occluded] = TrackStatus.OCCLUDED
+        store.age[occluded] = np.maximum(store.age[occluded], 1)
         # lost: leave the state pinned where it was
-        self.status[lost] = TrackStatus.LOST
-        self.age[lost] += 1
+        store.status[lost] = TrackStatus.LOST
+        store.age[lost] += 1
 
-        cam_z = pose.world_to_camera(self.position)[:, 2]
+        cam_z = pose.world_to_camera(store.position)[:, 2]
         out_of_range = (cam_z < config.range_min) | (cam_z > config.range_max)
-        self._keep((self.age <= config.max_lost_age) & ~out_of_range)
-        self._spawn(dets, np.array(unmatched_dets, dtype=int))
+        store = motion_mod.take_rows(store, (store.age <= config.max_lost_age) & ~out_of_range)
+        if unmatched_dets:
+            store = motion_mod.stack_rows(store, self._born(dets, np.array(unmatched_dets)))
+            self.next_id += len(unmatched_dets)
+        self.rows = store
 
-        emitted = np.flatnonzero(self.status != TrackStatus.LOST)
+        emitted = np.flatnonzero(store.status != TrackStatus.LOST)
         box2d = self._reproject_state(emitted, pose)
         area = (box2d[:, 2] - box2d[:, 0]) * (box2d[:, 3] - box2d[:, 1])
-        shown = ~((self.status[emitted] == TrackStatus.OCCLUDED) & (area < config.min_emit_box_area))
+        shown = ~((store.status[emitted] == TrackStatus.OCCLUDED) & (area < config.min_emit_box_area))
         emitted, box2d = emitted[shown], box2d[shown]
         # fancy indexing copies, so no record shares memory with the store
         return [
             TrackRecord(frame_index, track_id, Box3D(center, dims, yaw), velocity, Box2D(*box), status)
             for track_id, center, dims, yaw, velocity, box, status in zip(
-                self.ids[emitted].tolist(),
-                self.position[emitted],
-                self.dims[emitted],
-                self.yaw[emitted].tolist(),
-                self.velocity[emitted],
+                store.ids[emitted].tolist(),
+                store.position[emitted],
+                store.dims[emitted],
+                store.yaw[emitted].tolist(),
+                store.velocity[emitted],
                 box2d.tolist(),
-                self.status[emitted],
+                store.status[emitted],
             )
         ]
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import multiprocessing
 import os
 import sys
@@ -106,9 +107,9 @@ def cmd_simulate(args) -> int:
 # --- track -------------------------------------------------------------------
 
 
-def _track_one(detections_path, poses_path, calib_path, config: TrackerConfig, weights, out_path):
+def _track_one(detections_path, poses_path, config: TrackerConfig, weights, out_path):
     t0 = time.perf_counter()
-    sequence = load_sequence(detections_path, poses_path, calib_path)
+    sequence = load_sequence(detections_path, poses_path)
     t_load = time.perf_counter()
     records = run_sequence(sequence, config, weights)
     t_track = time.perf_counter()
@@ -137,7 +138,6 @@ def cmd_track(args) -> int:
 
     detections = Path(args.detections)
     poses = Path(args.poses)
-    calib = Path(args.calib) if args.calib else None
     out = Path(args.out)
 
     if detections.is_dir():
@@ -158,7 +158,6 @@ def cmd_track(args) -> int:
                     _track_one,
                     seq_dir / "detections.jsonl",
                     seq_dir / "poses.json",
-                    calib,
                     config,
                     weights,
                     out / seq_dir.name / "tracks.jsonl",
@@ -180,13 +179,13 @@ def cmd_track(args) -> int:
             print(f"{name}: {n} track records")
         return 0
 
-    timings, n_records = _track_one(detections, poses, calib, config, weights, out)
+    timings, n_records = _track_one(detections, poses, config, weights, out)
     _write_manifest(
         out.parent if out.suffix else out,
         "track",
         config.to_dict(),
         None,
-        {"detections": detections, "poses": poses, **({"calib": calib} if calib else {})},
+        {"detections": detections, "poses": poses},
         {"tracks": out},
         timings,
     )
@@ -208,16 +207,16 @@ def _camera_depths(records, poses, tracks_path):
 
 def cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
-    gt = load_tracks(args.gt)
-    pred = load_tracks(args.pred)
-    ranges = []
-    if args.ranges:
-        try:
-            ranges = [float(r) for r in args.ranges.split(",") if r.strip()]
-        except ValueError as exc:
-            raise UsageError(f"bad --ranges: {args.ranges!r}") from exc
+    try:
+        ranges = [float(r) for r in args.ranges.split(",") if r.strip()]
+    except ValueError as exc:
+        raise UsageError(f"bad --ranges: {args.ranges!r}") from exc
+    if not all(0.0 < r < math.inf for r in ranges):
+        raise UsageError(f"bad --ranges: {args.ranges!r}: cutoffs must be finite and positive meters")
     if ranges and not args.poses:
         raise UsageError("--ranges needs --poses to compute camera distances")
+    gt = load_tracks(args.gt)
+    pred = load_tracks(args.pred)
 
     reports = {"all": evaluate_tracks(gt, pred, args.mode)}
     if ranges:
@@ -344,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="run the online tracker over a sequence")
     p.add_argument("--detections", required=True)
     p.add_argument("--poses", required=True)
-    p.add_argument("--calib", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--motion", choices=("none", "kf2d", "kf3d", "lstm"), default=None)
     p.add_argument("--weights", default=None)

@@ -316,12 +316,13 @@ def project_boxes(centers, dims, yaws, pose: CameraPose, intrinsics: CameraIntri
     """Project N objects at once: center pixels, depths, image boxes, corner mask.
 
     Returns (center_px (N, 2), depth (N,), boxes (N, 4),
-    any_corner_in_front (N,)). Row k is project_object of Box3D(centers[k], dims[k], yaws[k]): an
-    object whose center is behind the camera gets zero pixels, its
-    camera-frame z (at or below MIN_CAMERA_Z) and the zero box; a box only
-    partly behind is truncated. Boxes are (x_min, y_min, x_max, y_max)
-    rows. any_corner_in_front is false where project_box would raise
-    BoxBehindCamera.
+    any_corner_in_front (N,)). Row k holds project_point's center pixels
+    and depth and project_box's hull of Box3D(centers[k], dims[k],
+    yaws[k]), except that an object whose center is behind the camera gets
+    zero pixels, its camera-frame z (at or below MIN_CAMERA_Z) and the
+    zero box; a box only partly behind is truncated. Boxes are (x_min,
+    y_min, x_max, y_max) rows. any_corner_in_front is false where
+    project_box would raise BoxBehindCamera.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
     boxes, any_in_front = project_hulls(centers, dims, yaws, pose, intrinsics)
@@ -352,16 +353,6 @@ def project_box(box: Box3D, pose: CameraPose, intrinsics: CameraIntrinsics) -> B
     if not any_in_front[0]:
         raise BoxBehindCamera("all corners behind camera")
     return Box2D(*hulls[0].tolist())
-
-
-def project_object(box: Box3D, pose: CameraPose, intrinsics: CameraIntrinsics):
-    """Project an object's center and box: ((u, v) pixels, camera-frame depth, Box2D).
-
-    The one-box call of project_boxes: an object whose center is behind
-    the camera yields zero pixels, its camera-frame z and the zero box.
-    """
-    center_px, depth, boxes, _ = project_boxes(box.center, box.dimensions, [box.yaw], pose, intrinsics)
-    return center_px[0], float(depth[0]), Box2D(*boxes[0].tolist())
 
 
 def iou_2d(a: Box2D, b: Box2D) -> float:

@@ -1,9 +1,9 @@
 """Readers and writers for the on-disk sequence formats.
 
 All files are UTF-8. Streamed record files (detections, tracks) are JSON
-Lines with a first-line header carrying the format version; poses and
-calibration are single JSON documents. Angles are radians, lengths meters,
-and every field name carries its unit.
+Lines with a first-line header carrying the format version; the poses,
+with the camera intrinsics, are one JSON document. Angles are radians,
+lengths meters, and every field name carries its unit.
 """
 
 from __future__ import annotations
@@ -168,7 +168,15 @@ def load_poses(path):
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise UnsupportedFormatVersion(path, 1, f"unsupported format_version {version!r}")
-    intr = load_calibration_dict(doc["intrinsics"])
+    data = doc["intrinsics"]
+    intr = CameraIntrinsics(
+        focal_x=float(data["focal_x"]),
+        focal_y=float(data["focal_y"]),
+        principal_x=float(data["principal_x"]),
+        principal_y=float(data["principal_y"]),
+        image_width=float(data["image_width"]),
+        image_height=float(data["image_height"]),
+    )
     frames = sorted(doc["frames"], key=lambda f: f["frame"])
     indices = [f["frame"] for f in frames]
     if indices != list(range(len(indices))):
@@ -180,36 +188,13 @@ def load_poses(path):
     return intr, poses
 
 
-def load_calibration_dict(data: dict) -> CameraIntrinsics:
-    return CameraIntrinsics(
-        focal_x=float(data["focal_x"]),
-        focal_y=float(data["focal_y"]),
-        principal_x=float(data["principal_x"]),
-        principal_y=float(data["principal_y"]),
-        image_width=float(data["image_width"]),
-        image_height=float(data["image_height"]),
-    )
-
-
-def load_calibration(path) -> CameraIntrinsics:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, str(exc)) from exc
-    return load_calibration_dict(doc.get("intrinsics", doc))
-
-
-def load_sequence(detections_path, poses_path, calib_path=None) -> SequenceInput:
+def load_sequence(detections_path, poses_path) -> SequenceInput:
     """Assemble a frame-aligned SequenceInput from the on-disk files.
 
-    poses.json embeds the intrinsics; a standalone calibration file, when
-    given, overrides them. Detection frames must fall inside the pose
-    range; frames without detections get empty lists.
+    poses.json embeds the intrinsics. Detection frames must fall inside
+    the pose range; frames without detections get empty lists.
     """
     intrinsics, poses = load_poses(poses_path)
-    if calib_path is not None:
-        intrinsics = load_calibration(calib_path)
     records = load_detections(detections_path)
     per_frame = [[] for _ in range(len(poses))]
     for det in records:

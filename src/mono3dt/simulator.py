@@ -29,7 +29,7 @@ from .geometry import (
     camera_heading,
     cover_fractions,
     normalize_angle,
-    project_object,
+    project_boxes,
     theta_to_alpha,
 )
 from .io import write_detections, write_poses, write_tracks
@@ -38,6 +38,17 @@ PRESETS = ("open_road", "crossing_occlusion", "reappearance", "dense")
 
 CAR_DIMS = np.array([4.2, 1.8, 1.5])
 TRUCK_DIMS = np.array([6.0, 2.5, 3.0])
+
+APPEARANCE_DIM = 16
+IMAGE_WIDTH = 1920.0  # px
+IMAGE_HEIGHT = 1080.0  # px
+FOCAL = 1000.0  # px
+INTRINSICS = CameraIntrinsics(FOCAL, FOCAL, IMAGE_WIDTH / 2.0, IMAGE_HEIGHT / 2.0, IMAGE_WIDTH, IMAGE_HEIGHT)
+CAMERA_HEIGHT = 1.4  # m
+SPAWN_RADIUS = 120.0  # m, farther vehicles are out of view
+MIN_BOX_AREA = 256.0  # px^2, smaller boxes are not detectable
+FULL_COVER_THRESHOLD = 0.95  # cover at which the detection vanishes
+MIN_GT_DEPTH = 1.0  # m
 
 
 @dataclass
@@ -55,16 +66,7 @@ class ScenarioConfig:
     dim_sigma: float = 0.02
     appearance_sigma: float = 0.01
     dropout: float = 0.0
-    appearance_dim: int = 16
     preset: str = "open_road"
-    image_width: float = 1920.0
-    image_height: float = 1080.0
-    focal: float = 1000.0
-    camera_height: float = 1.4
-    spawn_radius: float = 120.0
-    min_box_area: float = 256.0  # px^2, smaller boxes are not detectable
-    full_cover_threshold: float = 0.95  # cover at which the detection vanishes
-    min_gt_depth: float = 1.0
 
     def validate(self) -> "ScenarioConfig":
         if self.frames < 1:
@@ -105,16 +107,6 @@ class ScenarioConfig:
             )
         params.update(overrides)
         return ScenarioConfig(**params).validate()
-
-    def intrinsics(self) -> CameraIntrinsics:
-        return CameraIntrinsics(
-            self.focal,
-            self.focal,
-            self.image_width / 2.0,
-            self.image_height / 2.0,
-            self.image_width,
-            self.image_height,
-        )
 
 
 @dataclass
@@ -292,7 +284,7 @@ def generate_world(config: ScenarioConfig) -> WorldTruth:
     x = y = 0.0
     heading = 0.0
     for _ in range(frames):
-        poses.append(_ego_pose(x, y, heading, config.camera_height))
+        poses.append(_ego_pose(x, y, heading, CAMERA_HEIGHT))
         if config.ego_path in ("straight", "turning"):
             x += config.ego_speed * math.cos(heading)
             y += config.ego_speed * math.sin(heading)
@@ -309,61 +301,51 @@ def generate_world(config: ScenarioConfig) -> WorldTruth:
         vehicles = _spawn_dense(rng, config)
     else:  # pragma: no cover - validate() guards this
         raise ValueError(config.preset)
-    return WorldTruth(config, config.intrinsics(), poses, vehicles)
+    return WorldTruth(config, INTRINSICS, poses, vehicles)
 
 
 @dataclass
 class FrameVisibility:
-    """Per-frame render bookkeeping for one vehicle."""
+    """One frame's render bookkeeping, row v for vehicle v."""
 
-    in_view: bool
-    box2d: Box2D  # zero box when the center is behind the camera
-    center_px: np.ndarray
-    depth: float  # camera-frame z
-    cover: float = 0.0
-
-    @property
-    def view_detectable(self) -> bool:
-        return self.in_view and self.box2d.area > 0.0
-
-    def detectable(self, config: ScenarioConfig) -> bool:
-        return self.view_detectable and self.cover < config.full_cover_threshold
+    in_view: np.ndarray  # (V,) bool: in range and large enough
+    box2d: np.ndarray  # (V, 4) image boxes, the zero box when the center is behind the camera
+    center_px: np.ndarray  # (V, 2)
+    depth: np.ndarray  # (V,) camera-frame z
+    cover: np.ndarray  # (V,) fraction covered by strictly nearer in-view vehicles
+    view_detectable: np.ndarray  # (V,) bool: in view with a non-empty box
+    detectable: np.ndarray  # (V,) bool: view-detectable and not nearly fully covered
 
 
-def _frame_visibility(world: WorldTruth, t: int) -> list:
-    config = world.config
-    pose = world.poses[t]
-    intr = world.intrinsics
-    vis = []
-    for veh in world.vehicles:
-        center_px, depth, box2d = project_object(veh.box3d(t), pose, intr)
-        in_view = (
-            config.min_gt_depth <= depth <= config.spawn_radius
-            and box2d.area >= config.min_box_area
-        )
-        vis.append(FrameVisibility(in_view, box2d, center_px, depth))
+def _frame_visibility(world: WorldTruth, t: int) -> FrameVisibility:
+    vehicles = world.vehicles
+    centers = np.array([veh.positions[t] for veh in vehicles]).reshape(-1, 3)
+    dims = np.array([veh.dims for veh in vehicles]).reshape(-1, 3)
+    yaws = np.array([veh.yaws[t] for veh in vehicles])
+    center_px, depth, boxes, _ = project_boxes(centers, dims, yaws, world.poses[t], world.intrinsics)
+    area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    in_view = (MIN_GT_DEPTH <= depth) & (depth <= SPAWN_RADIUS) & (area >= MIN_BOX_AREA)
     # the tracker's painter layering: its default 1 m tie, widened with depth
-    boxes = [e.box2d for e in vis]
-    depths = [e.depth if e.in_view else -1e9 for e in vis]
-    covers = cover_fractions(boxes, depths, 1.0, DEPTH_ORDER_TIE_RATE)
-    for entry, cover in zip(vis, covers):
-        entry.cover = float(cover)
-    return vis
+    cover = cover_fractions(boxes, np.where(in_view, depth, -1e9), 1.0, DEPTH_ORDER_TIE_RATE)
+    view_detectable = in_view & (area > 0.0)
+    return FrameVisibility(
+        in_view, boxes, center_px, depth, cover, view_detectable, view_detectable & (cover < FULL_COVER_THRESHOLD)
+    )
 
 
 def appearance_basis(config: ScenarioConfig, vehicle_id: int) -> np.ndarray:
     """Per-identity embedding, fixed across the scenario."""
     rng = np.random.default_rng([config.seed, 7777, vehicle_id])
-    return rng.normal(size=config.appearance_dim)
+    return rng.normal(size=APPEARANCE_DIM)
 
 
 def render_detections(world: WorldTruth):
     """Noisy detections plus per-frame visibility annotations.
 
-    Returns (detections_per_frame, visibility) where visibility[t][v] is a
-    FrameVisibility. A vehicle yields no detection when it is outside the
-    view, its box is tiny, it is nearly fully covered by a nearer vehicle,
-    or the dropout coin says so.
+    Returns (detections_per_frame, visibility) where visibility[t] is
+    frame t's FrameVisibility. A vehicle yields no detection when it is
+    outside the view, its box is tiny, it is nearly fully covered by a
+    nearer vehicle, or the dropout coin says so.
     """
     config = world.config
     rng = np.random.default_rng([config.seed, 202])
@@ -374,18 +356,15 @@ def render_detections(world: WorldTruth):
         vis = _frame_visibility(world, t)
         visibility.append(vis)
         frame_dets = []
-        pose = world.poses[t]
-        heading = camera_heading(pose)
-        for vi, veh in enumerate(world.vehicles):
-            entry = vis[vi]
-            if not entry.detectable(config):
-                continue
+        heading = camera_heading(world.poses[t])
+        for vi in np.flatnonzero(vis.detectable).tolist():
             if config.dropout > 0.0 and rng.random() < config.dropout:
                 continue
-            c = entry.center_px + rng.normal(scale=config.pixel_sigma, size=2) if config.pixel_sigma > 0 else entry.center_px.copy()
-            depth = entry.depth
+            veh, center_px, true_depth = world.vehicles[vi], vis.center_px[vi], vis.depth[vi]
+            c = center_px + rng.normal(scale=config.pixel_sigma, size=2) if config.pixel_sigma > 0 else center_px.copy()
+            depth = true_depth
             if config.depth_sigma_per_m > 0:
-                depth = max(0.2, depth + rng.normal(scale=config.depth_sigma_per_m * entry.depth))
+                depth = max(0.2, depth + rng.normal(scale=config.depth_sigma_per_m * true_depth))
             yaw_cam = normalize_angle(veh.yaws[t] - heading)
             yaw_local = theta_to_alpha(yaw_cam, float(c[0]), world.intrinsics)
             if config.yaw_sigma > 0:
@@ -395,12 +374,12 @@ def render_detections(world: WorldTruth):
                 dims = np.maximum(0.2, dims + rng.normal(scale=config.dim_sigma, size=3))
             appearance = bases[vi].copy()
             if config.appearance_sigma > 0:
-                appearance = appearance + rng.normal(scale=config.appearance_sigma, size=config.appearance_dim)
+                appearance = appearance + rng.normal(scale=config.appearance_sigma, size=APPEARANCE_DIM)
             score = 1.0 if config.appearance_sigma == 0 else float(np.clip(rng.normal(0.9, 0.05), 0.05, 1.0))
             frame_dets.append(
                 DetectionRecord(
                     frame_index=t,
-                    box2d=entry.box2d,
+                    box2d=Box2D(*vis.box2d[vi].tolist()),
                     center_proj=c,
                     depth=float(depth),
                     yaw_local=float(yaw_local),
@@ -420,29 +399,22 @@ def ground_truth_records(world: WorldTruth, visibility) -> list:
     contributes a row for every later frame in which it is view-detectable;
     rows during near-full occlusion carry status "occluded".
     """
-    config = world.config
     records = []
     for vi, veh in enumerate(world.vehicles):
-        first = None
-        for t in range(config.frames):
-            if visibility[t][vi].detectable(config):
-                first = t
-                break
+        first = next((t for t, vis in enumerate(visibility) if vis.detectable[vi]), None)
         if first is None:
             continue
-        for t in range(first, config.frames):
-            entry = visibility[t][vi]
-            if not entry.view_detectable:
+        for t, vis in enumerate(visibility[first:], first):
+            if not vis.view_detectable[vi]:
                 continue
-            occluded = entry.cover >= config.full_cover_threshold
             records.append(
                 TrackRecord(
                     frame_index=t,
                     track_id=veh.id,
                     box3d=veh.box3d(t),
                     velocity=veh.velocities[t].copy(),
-                    box2d_projected=entry.box2d,
-                    status=TrackStatus.OCCLUDED if occluded else TrackStatus.TRACKED,
+                    box2d_projected=Box2D(*vis.box2d[vi].tolist()),
+                    status=TrackStatus.OCCLUDED if vis.cover[vi] >= FULL_COVER_THRESHOLD else TrackStatus.TRACKED,
                 )
             )
     return records

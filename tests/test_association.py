@@ -516,14 +516,14 @@ class TestLifecycle:
         tracker = Tracker(config, seq.intrinsics)
         pose = seq.poses[0]
         tracker.step(0, seq.detections[0], pose)
-        assert len(tracker.ids)
+        assert len(tracker.rows.ids)
         # starve the tracker: statuses go lost, ages run out at 21 steps
         for k in range(1, 21):
             tracker.step(k, [], pose)
-            assert all(status == TrackStatus.LOST for status in tracker.status)
-            assert all(age == k for age in tracker.age)
+            assert all(status == TrackStatus.LOST for status in tracker.rows.status)
+            assert all(age == k for age in tracker.rows.age)
         tracker.step(21, [], pose)
-        assert len(tracker.ids) == 0
+        assert len(tracker.rows.ids) == 0
 
     def test_ids_never_reused(self):
         cfg, world, seq, gt = simulate("dense", seed=3, noiseless=False)
@@ -531,7 +531,7 @@ class TestLifecycle:
         seen = set()
         for f, (pose, dets) in enumerate(zip(seq.poses, seq.detections)):
             tracker.step(f, dets, pose)
-            ids = tracker.ids.tolist()
+            ids = tracker.rows.ids.tolist()
             assert len(ids) == len(set(ids))
             for track_id in ids:
                 if track_id in seen:
@@ -544,9 +544,9 @@ class TestLifecycle:
         tracker = Tracker(TrackerConfig(), seq.intrinsics)
         tracker.step(0, seq.detections[0], seq.poses[0])
         tracker.step(1, seq.detections[1], seq.poses[1])
-        positions = dict(zip(tracker.ids.tolist(), tracker.position.copy()))
+        positions = dict(zip(tracker.rows.ids.tolist(), tracker.rows.position.copy()))
         tracker.step(2, [], seq.poses[2])
-        for track_id, status, position in zip(tracker.ids.tolist(), tracker.status, tracker.position):
+        for track_id, status, position in zip(tracker.rows.ids.tolist(), tracker.rows.status, tracker.rows.position):
             assert status == TrackStatus.LOST
             assert np.array_equal(position, positions[track_id])
 
@@ -559,20 +559,20 @@ class TestLifecycle:
         post = None
         for f, (pose, dets) in enumerate(zip(seq.poses, seq.detections)):
             tracker.step(f, dets, pose)
-            row_of = {track_id: i for i, track_id in enumerate(tracker.ids.tolist())}
+            row_of = {track_id: i for i, track_id in enumerate(tracker.rows.ids.tolist())}
             if f == 0:
                 # vehicle 1 is the crosser; its tracklet spawns at frame 0
                 # and is the one nearest the crosser's world position
                 world_pos = world.vehicles[1].positions[0]
                 crosser_id = min(
-                    row_of, key=lambda i: np.linalg.norm(tracker.position[row_of[i]] - world_pos)
+                    row_of, key=lambda i: np.linalg.norm(tracker.rows.position[row_of[i]] - world_pos)
                 )
             i = row_of.get(crosser_id)
             assert i is not None, "crosser tracklet must survive the occlusion"
-            age, appearance = int(tracker.age[i]), tracker.appearance[i].copy()
-            if tracker.status[i] == TrackStatus.OCCLUDED:
+            age, appearance = int(tracker.rows.age[i]), tracker.rows.appearance[i].copy()
+            if tracker.rows.status[i] == TrackStatus.OCCLUDED:
                 during.append((age, appearance))
-            elif tracker.status[i] == TrackStatus.TRACKED:
+            elif tracker.rows.status[i] == TrackStatus.TRACKED:
                 if during:
                     post = post or (age, appearance)
                 else:
@@ -596,22 +596,22 @@ class TestLifecycle:
         for f in range(40):
             starved = f < 3 or 12 <= f < 15
             if backend == "kf3d" and f == 13:
-                means = dict(zip(tracker.ids.tolist(), tracker.motion.mean.copy()))
-                covs = dict(zip(tracker.ids.tolist(), tracker.motion.cov.copy()))
+                means = dict(zip(tracker.rows.ids.tolist(), tracker.rows.motion.mean.copy()))
+                covs = dict(zip(tracker.rows.ids.tolist(), tracker.rows.motion.cov.copy()))
             records = tracker.step(f, [] if starved else seq.detections[f], seq.poses[f])
             if f < 3:
-                assert records == [] and len(tracker.ids) == 0
+                assert records == [] and len(tracker.rows.ids) == 0
             if 12 <= f < 15:
-                assert len(tracker.ids) and all(status == TrackStatus.LOST for status in tracker.status)
+                assert len(tracker.rows.ids) and all(status == TrackStatus.LOST for status in tracker.rows.status)
             if f == 11:
-                before = set(tracker.ids.tolist())
+                before = set(tracker.rows.ids.tolist())
             if f == 15:
                 # recovery: the tracklets starved into lost are matched again
                 assert before <= {r.track_id for r in records if r.status == TrackStatus.TRACKED}
             if backend == "kf3d" and f == 13:
-                for i, track_id in enumerate(tracker.ids.tolist()):
-                    assert np.array_equal(tracker.motion.mean[i], means[track_id])
-                    assert np.array_equal(tracker.motion.cov[i], covs[track_id])
+                for i, track_id in enumerate(tracker.rows.ids.tolist()):
+                    assert np.array_equal(tracker.rows.motion.mean[i], means[track_id])
+                    assert np.array_equal(tracker.rows.motion.cov[i], covs[track_id])
             emitted += [(r, copy.deepcopy(r)) for r in records]
             for r, kept in emitted:
                 if r.frame_index <= f - 10:

@@ -304,6 +304,29 @@ class TestEvaluate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("ranges", ["nan,-5,inf", "nan", "-5", "0", "30,inf"])
+    def test_non_finite_or_non_positive_range_exit_2(self, scenario, tmp_path, ranges):
+        """A cutoff that is not a finite positive distance exits 2 with an error line and writes no report."""
+        out = tmp_path / "report.json"
+        src = str(Path(mono3dt.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "mono3dt.cli", "evaluate",
+                "--gt", str(scenario / "gt_tracks.jsonl"),
+                "--pred", str(scenario / "gt_tracks.jsonl"),
+                "--ranges", ranges,
+                "--poses", str(scenario / "poses.json"),
+                "--out", str(out),
+            ],
+            cwd=src,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "--ranges" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists() and not (tmp_path / "manifest.json").exists()
+
 
 class TestTrainMotion:
     def test_zero_epochs_usage_error(self, tmp_path):

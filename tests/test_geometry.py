@@ -27,7 +27,6 @@ from mono3dt.geometry import (
     normalize_angle,
     project_box,
     project_boxes,
-    project_object,
     project_point,
     theta_to_alpha,
 )
@@ -205,6 +204,12 @@ class TestProjectBox:
             done += 1
 
 
+def project_one(box, pose, intr):
+    """project_boxes on the one row of box: (center pixels (2,), depth, Box2D)."""
+    center_px, depth, boxes, _ = project_boxes(box.center, box.dimensions, [box.yaw], pose, intr)
+    return center_px[0], float(depth[0]), Box2D(*boxes[0].tolist())
+
+
 class TestProjectObject:
     def test_in_front_matches_point_and_box(self):
         rng = np.random.default_rng(11)
@@ -213,14 +218,14 @@ class TestProjectObject:
             pose = random_pose(rng)
             center = pose.camera_to_world([rng.uniform(-8, 8), rng.uniform(-4, 4), rng.uniform(8, 60)])
             box = Box3D(center, rng.uniform(0.5, 4.0, size=3), rng.uniform(0, 2 * math.pi))
-            center_px, depth, box2d = project_object(box, pose, intr)
+            center_px, depth, box2d = project_one(box, pose, intr)
             expected_px, expected_depth = project_point(box.center, pose, intr)
             assert np.array_equal(center_px, expected_px)
             assert depth == expected_depth
             assert box2d == project_box(box, pose, intr)
 
     def test_center_behind_gives_zero_pixels_and_box(self):
-        center_px, depth, box2d = project_object(
+        center_px, depth, box2d = project_one(
             Box3D([0, 0, -3.0], [4, 4, 4], 0.0), CameraPose.identity(), default_intrinsics()
         )
         assert np.array_equal(center_px, [0.0, 0.0])
@@ -232,7 +237,7 @@ class TestProjectObject:
         intr = default_intrinsics()
         # center 1 m ahead, the 4 m long box reaches 1 m behind the camera
         box = Box3D([0, 0, 1.0], [2, 2, 4], 0.0)
-        center_px, depth, box2d = project_object(box, CameraPose.identity(), intr)
+        center_px, depth, box2d = project_one(box, CameraPose.identity(), intr)
         assert depth == pytest.approx(1.0)
         assert np.allclose(center_px, [intr.principal_x, intr.principal_y])
         assert box2d.area > 0.0
@@ -265,7 +270,7 @@ def scalar_project_box(box, pose, intr):
 
 
 def scalar_project_object(box, pose, intr):
-    """(center pixels, depth, box tuple, any corner in front) with project_object's semantics."""
+    """(center pixels, depth, box tuple, any corner in front) with project_boxes' semantics for one box."""
     p_cam = pose.rotation @ box.center + pose.translation
     depth = float(p_cam[2])
     hull, in_front = scalar_project_box(box, pose, intr)
@@ -302,9 +307,6 @@ class TestProjectBoxes:
                 assert depth[k] == ref_depth
                 assert tuple(boxes[k]) == ref_box
                 assert in_front[k] == ref_in_front
-                got_px, got_depth, got_box = project_object(box, pose, intr)
-                assert np.array_equal(got_px, ref_px) and got_depth == ref_depth
-                assert got_box.as_tuple() == ref_box
                 if not ref_in_front:
                     kinds["wholly behind"] += 1
                     with pytest.raises(BoxBehindCamera):

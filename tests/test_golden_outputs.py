@@ -16,6 +16,10 @@ follow from them, and should show that the re-pinned tracks keep their
 fixed, untrained weights, so they pin the tracking path apart from
 training and must not move with it.
 
+SCENARIO_DIGESTS pin the simulator's own detections and ground truth
+for the same scenes, so a change to the render shows apart from the
+tracker.
+
 BENCH_SCENE_DIGESTS pin the benchmark's own seed-0 scene-0 inputs,
 which hold far more tracklets a nearer one claims than the simulator
 presets. The benchmark's generator (bench/scenegen.py) is loaded from
@@ -78,6 +82,15 @@ LSTM_TRACKING_DIGESTS = {
     ("open_road", 0, (("n_vehicles", 12),)): "39e02fd598836371",
     ("crossing_occlusion", 3, ()): "d44332e08dead7a3",
     ("reappearance", 5, ()): "eec92be8d1e8b1c4",
+}
+
+# the simulator's own files for the scenes above: (detections.jsonl,
+# gt_tracks.jsonl) digests
+SCENARIO_DIGESTS = {
+    ("dense", 3, ()): ("a98db0d58b9982f7", "5a9a35c342e76b46"),
+    ("open_road", 0, (("n_vehicles", 12),)): ("7bc79580b9eae596", "25bab6c8481f18a6"),
+    ("crossing_occlusion", 3, ()): ("6824ddbf052b77e1", "203f71780363425b"),
+    ("reappearance", 5, ()): ("41397bb3803eac09", "315f7fcf6639a52e"),
 }
 
 # workload -> tracks.jsonl digest of bench/scenegen.py's seed-0 scene 0,
@@ -158,6 +171,13 @@ def test_lstm_tracking_digests(scene, tmp_path):
     weights = LstmWeights.initialize(np.random.default_rng(0), scale=0.5)
     got = track_digests(scene, weights, tmp_path, backends=("lstm",))
     assert got == {"lstm": LSTM_TRACKING_DIGESTS[scene]}
+
+
+@pytest.mark.parametrize("scene", list(SCENARIO_DIGESTS), ids=lambda s: f"{s[0]}-s{s[1]}")
+def test_scenario_digests(scene, tmp_path):
+    preset, seed, overrides = scene
+    paths = write_scenario(ScenarioConfig.make_preset(preset, seed=seed, **dict(overrides)), tmp_path)
+    assert (digest(paths["detections"]), digest(paths["gt_tracks"])) == SCENARIO_DIGESTS[scene]
 
 
 def load_scenegen():

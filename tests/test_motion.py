@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from mono3dt.association import Tracklets
+from mono3dt.data import TrackStatus
 from mono3dt.geometry import Box2D, CameraPose, normalize_angle, project_boxes
+from mono3dt.lstm import HIDDEN_DIM, LstmMotionState
 from mono3dt.motion import (
     KF2D_MEASUREMENT_NOISE,
     KF2D_OBSERVATION,
@@ -27,6 +30,9 @@ from mono3dt.motion import (
     kf_predict,
     kf_update,
     predict_tracklet,
+    put_rows,
+    stack_rows,
+    take_rows,
     update_motion_state,
 )
 
@@ -370,3 +376,72 @@ class TestPredictTracklet:
         assert init_motion_state("lstm", position, depth, boxes).v_last.shape == (1, 3)
         with pytest.raises(ValueError):
             init_motion_state("bogus", position, depth, boxes)
+
+
+def random_tracklets(rng, motion_kind, k) -> Tracklets:
+    """k store rows of random content whose motion rows are a KalmanState, an LstmMotionState or None."""
+    motion = {
+        "none": None,
+        "kalman": random_kalman(rng, k, 6),
+        "lstm": LstmMotionState(rng.normal(size=(k, 3)), *(rng.normal(size=(k, HIDDEN_DIM)) for _ in range(4))),
+    }[motion_kind]
+    statuses = list(TrackStatus)
+    return Tracklets(
+        rng.integers(0, 1000, k),
+        np.array([statuses[i] for i in rng.integers(0, 3, k)], dtype=object),
+        rng.integers(0, 20, k),
+        rng.normal(size=(k, 3)),
+        rng.normal(size=k),
+        rng.uniform(1, 5, (k, 3)),
+        rng.normal(size=(k, 4)),
+        rng.normal(size=(k, 3)),
+        motion,
+    )
+
+
+def leaves(rows) -> list:
+    """Every array of a row dataclass, nested ones included, in field order."""
+    if rows is None:
+        return []
+    if isinstance(rows, np.ndarray):
+        return [rows]
+    return [leaf for f in dataclasses.fields(rows) for leaf in leaves(getattr(rows, f.name))]
+
+
+@pytest.mark.parametrize("k", [0, 6])
+@pytest.mark.parametrize("motion_kind", ["none", "kalman", "lstm"])
+class TestRowHelpers:
+    """take_rows / stack_rows / put_rows on the tracker's store and its nested motion rows."""
+
+    def test_take_returns_copies_of_the_rows(self, motion_kind, k):
+        rng = np.random.default_rng(k)
+        store = random_tracklets(rng, motion_kind, k)
+        for index in (rng.permutation(k)[: k // 2], rng.random(k) < 0.5, np.arange(k)):
+            taken = take_rows(store, index)
+            assert type(taken.motion) is type(store.motion)
+            assert len(leaves(taken)) == len(leaves(store)) == {"none": 8, "kalman": 10, "lstm": 13}[motion_kind]
+            for got, full in zip(leaves(taken), leaves(store)):
+                assert got.dtype == full.dtype and np.array_equal(got, full[index])
+                assert not np.shares_memory(got, full)
+
+    def test_stack_then_take_round_trip(self, motion_kind, k):
+        rng = np.random.default_rng(10 + k)
+        first, second = random_tracklets(rng, motion_kind, k), random_tracklets(rng, motion_kind, 3)
+        stacked = stack_rows(first, second)
+        assert type(stacked.motion) is type(first.motion)
+        assert len(stacked.ids) == k + 3
+        for part, index in ((first, np.arange(k)), (second, np.arange(k, k + 3))):
+            for got, expected in zip(leaves(take_rows(stacked, index)), leaves(part)):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    def test_put_writes_only_the_listed_rows(self, motion_kind, k):
+        rng = np.random.default_rng(20 + k)
+        store = random_tracklets(rng, motion_kind, k)
+        before = take_rows(store, np.arange(k))
+        index = np.array([i for i in (4, 1) if i < k], dtype=int)
+        values = random_tracklets(rng, motion_kind, len(index))
+        put_rows(store, index, values)
+        others = np.setdiff1d(np.arange(k), index)
+        for now, old, new in zip(leaves(store), leaves(before), leaves(values)):
+            assert np.array_equal(now[index], new)
+            assert np.array_equal(now[others], old[others])

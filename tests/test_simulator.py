@@ -13,6 +13,7 @@ from mono3dt.association import decode_detection
 from mono3dt.data import SequenceInput, TrackStatus
 from mono3dt.geometry import backproject
 from mono3dt.simulator import (
+    FULL_COVER_THRESHOLD,
     ScenarioConfig,
     appearance_basis,
     generate_world,
@@ -138,11 +139,12 @@ class TestRendering:
         rel_errors = []
         for t, frame_dets in enumerate(detections):
             for det in frame_dets:
-                entry = min(
-                    (e for e in visibility[t] if e.in_view),
-                    key=lambda e: float(np.linalg.norm(e.center_px - det.center_proj)),
+                vis = visibility[t]
+                v = min(
+                    np.flatnonzero(vis.in_view),
+                    key=lambda v: float(np.linalg.norm(vis.center_px[v] - det.center_proj)),
                 )
-                rel_errors.append((det.depth - entry.depth) / entry.depth)
+                rel_errors.append((det.depth - vis.depth[v]) / vis.depth[v])
         rel_errors = np.array(rel_errors)
         assert len(rel_errors) > 10_000
         assert abs(rel_errors.std() - 0.03) / 0.03 < 0.1
@@ -153,12 +155,12 @@ class TestRendering:
         detections, visibility = render_detections(world)
         hidden_frames = 0
         for t in range(cfg.frames):
-            entry = visibility[t][1]  # the crossing car
-            if entry.cover >= cfg.full_cover_threshold:
+            vis = visibility[t]  # vehicle 1 is the crossing car
+            if vis.cover[1] >= FULL_COVER_THRESHOLD:
                 hidden_frames += 1
                 assert not any(
-                    abs(det.depth - entry.depth) < 1.0
-                    and np.linalg.norm(det.center_proj - entry.center_px) < 40
+                    abs(det.depth - vis.depth[1]) < 1.0
+                    and np.linalg.norm(det.center_proj - vis.center_px[1]) < 40
                     for det in detections[t]
                 )
         assert hidden_frames >= 5
@@ -168,7 +170,7 @@ class TestRendering:
             cfg = ScenarioConfig.make_preset("crossing_occlusion", seed=seed, noiseless=True)
             world = generate_world(cfg)
             _, visibility = render_detections(world)
-            covers = [visibility[t][1].cover for t in range(cfg.frames)]
+            covers = [visibility[t].cover[1] for t in range(cfg.frames)]
             assert max(covers) >= 0.7
 
     def test_dropout_removes_detections(self):
@@ -218,10 +220,9 @@ class TestGroundTruth:
             if not rows:
                 continue
             first = min(r.frame_index for r in rows)
-            entry = visibility[first][veh.id]
-            assert entry.detectable(cfg)
+            assert visibility[first].detectable[veh.id]
             for t in range(first):
-                assert not visibility[t][veh.id].detectable(cfg)
+                assert not visibility[t].detectable[veh.id]
 
     def test_every_detection_has_a_gt_row(self):
         cfg = ScenarioConfig.make_preset("dense", seed=6, noiseless=True)
@@ -232,6 +233,6 @@ class TestGroundTruth:
         for t, frame_dets in enumerate(detections):
             for det in frame_dets:
                 veh = min(
-                    world.vehicles, key=lambda v: abs(visibility[t][v.id].depth - det.depth)
+                    world.vehicles, key=lambda v: abs(visibility[t].depth[v.id] - det.depth)
                 )
                 assert (t, veh.id) in gt_keys
