@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .association import run_sequence
 from .data import ConfigError, TrackerConfig
-from .geometry import GeometryError
+from .geometry import GeometryError, matvec
 from .io import (
     FORMAT_VERSION,
     DimensionMismatch,
@@ -42,6 +42,7 @@ from .io import (
 )
 from .lstm import MotionTrainConfig, load_weights, sample_trajectories, save_weights, train_lstm
 from .metrics import evaluate_tracks, format_report
+from .motion import take_rows
 from .simulator import PRESETS, ScenarioConfig, write_scenario
 
 log = logging.getLogger("mono3dt")
@@ -137,10 +138,11 @@ def cmd_track(args) -> int:
         raise UsageError(str(exc)) from exc
 
     detections = Path(args.detections)
-    poses = Path(args.poses)
     out = Path(args.out)
 
     if detections.is_dir():
+        if args.poses:
+            raise UsageError("--poses is for one sequence: a directory's sequences each read their own poses.json")
         # batch mode: each subdirectory with a detections.jsonl is a sequence
         sequences = sorted(
             d for d in detections.iterdir() if (d / "detections.jsonl").exists()
@@ -171,7 +173,7 @@ def cmd_track(args) -> int:
             "track",
             config.to_dict(),
             None,
-            {"detections": detections, "poses": poses},
+            {"detections": detections, **{f"{name}/poses": detections / name / "poses.json" for name in results}},
             {name: out / name / "tracks.jsonl" for name in results},
             {"total": total},
         )
@@ -179,6 +181,9 @@ def cmd_track(args) -> int:
             print(f"{name}: {n} track records")
         return 0
 
+    if not args.poses:
+        raise UsageError("--poses is required for a single detections file")
+    poses = Path(args.poses)
     timings, n_records = _track_one(detections, poses, config, weights, out)
     _write_manifest(
         out.parent if out.suffix else out,
@@ -196,13 +201,15 @@ def cmd_track(args) -> int:
 # --- evaluate ----------------------------------------------------------------
 
 
-def _camera_depths(records, poses, tracks_path):
-    depths = np.empty(len(records))
-    for i, r in enumerate(records):
-        if not 0 <= r.frame_index < len(poses):
-            raise FrameGapError(f"{tracks_path}: frame {r.frame_index} outside pose range 0..{len(poses) - 1}")
-        depths[i] = poses[r.frame_index].world_to_camera(r.box3d.center)[2]
-    return depths
+def _camera_depths(table, poses, tracks_path):
+    """Camera-frame depth of every row's center under its frame's pose."""
+    outside = (table.frame < 0) | (table.frame >= len(poses))
+    if outside.any():
+        frame = table.frame[outside][0]
+        raise FrameGapError(f"{tracks_path}: frame {frame} outside pose range 0..{len(poses) - 1}")
+    rotations = np.array([pose.rotation for pose in poses]).reshape(-1, 3, 3)[table.frame]
+    translations = np.array([pose.translation for pose in poses]).reshape(-1, 3)[table.frame]
+    return (matvec(rotations, table.center) + translations)[:, 2]
 
 
 def cmd_evaluate(args) -> int:
@@ -224,8 +231,7 @@ def cmd_evaluate(args) -> int:
         gt_depths = _camera_depths(gt, poses, args.gt)
         pred_depths = _camera_depths(pred, poses, args.pred)
         for cutoff in ranges:
-            gt_sub = [r for r, d in zip(gt, gt_depths) if d <= cutoff]
-            pred_sub = [r for r, d in zip(pred, pred_depths) if d <= cutoff]
+            gt_sub, pred_sub = take_rows(gt, gt_depths <= cutoff), take_rows(pred, pred_depths <= cutoff)
             reports[f"{cutoff:g}m"] = evaluate_tracks(gt_sub, pred_sub, args.mode)
 
     for name, report in reports.items():
@@ -341,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("track", help="run the online tracker over a sequence")
-    p.add_argument("--detections", required=True)
-    p.add_argument("--poses", required=True)
+    p.add_argument("--detections", required=True, help="a detections.jsonl, or a directory of sequence directories")
+    p.add_argument("--poses", default=None, help="poses.json of a single detections file")
     p.add_argument("--config", default=None)
     p.add_argument("--motion", choices=("none", "kf2d", "kf3d", "lstm"), default=None)
     p.add_argument("--weights", default=None)

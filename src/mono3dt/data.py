@@ -76,6 +76,49 @@ class TrackRecord:
             raise ValueError("track_id must be >= 0")
 
 
+def first_repeat(frame: np.ndarray, track_id: np.ndarray):
+    """Index of the first row, in row order, whose (frame, id) an earlier row holds; None if none does."""
+    order = np.lexsort((track_id, frame))  # stable: a repeat follows its first row
+    frame, track_id = frame[order], track_id[order]
+    repeat = (frame[1:] == frame[:-1]) & (track_id[1:] == track_id[:-1])
+    return int(order[1:][repeat].min()) if repeat.any() else None
+
+
+@dataclass
+class TrackTable:
+    """Track rows as columns, one row per (frame, id); motion.take_rows selects rows."""
+
+    frame: np.ndarray  # (N,) int
+    track_id: np.ndarray  # (N,) int
+    center: np.ndarray  # (N, 3) meters, world frame
+    dims: np.ndarray  # (N, 3) meters (l, w, h)
+    yaw: np.ndarray  # (N,) radians in [0, 2*pi), as Box3D wraps them
+    velocity: np.ndarray  # (N, 3) meters/frame
+    box2d: np.ndarray  # (N, 4) pixels (x_min, y_min, x_max, y_max)
+    status: np.ndarray  # (N,) TrackStatus objects
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    @classmethod
+    def from_records(cls, records, kind: str = "track") -> "TrackTable":
+        """The rows of a TrackRecord list, in list order; a repeated (frame, id) is a ValueError."""
+        table = cls(
+            frame=np.array([r.frame_index for r in records], dtype=np.int64),
+            track_id=np.array([r.track_id for r in records], dtype=np.int64),
+            center=np.array([r.box3d.center for r in records]).reshape(-1, 3),
+            dims=np.array([r.box3d.dimensions for r in records]).reshape(-1, 3),
+            yaw=np.array([r.box3d.yaw for r in records], dtype=float),
+            velocity=np.array([r.velocity for r in records]).reshape(-1, 3),
+            box2d=np.array([r.box2d_projected.as_tuple() for r in records], dtype=float).reshape(-1, 4),
+            status=np.array([r.status for r in records], dtype=object),
+        )
+        repeat = first_repeat(table.frame, table.track_id)
+        if repeat is not None:
+            raise ValueError(f"{kind} id {table.track_id[repeat]} repeats in frame {table.frame[repeat]}")
+        return table
+
+
 @dataclass
 class SequenceInput:
     """Frame-aligned detections, poses, and intrinsics for one sequence."""

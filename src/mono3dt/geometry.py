@@ -60,6 +60,14 @@ def normalize_angle(theta: float) -> float:
     return theta
 
 
+def normalize_angles(thetas) -> np.ndarray:
+    """normalize_angle of every element, bit-equal: fmod is exact, then the same two wraps."""
+    thetas = np.fmod(np.asarray(thetas, dtype=float), TAU)
+    np.add(thetas, TAU, out=thetas, where=thetas < 0.0)
+    np.subtract(thetas, TAU, out=thetas, where=thetas >= TAU)
+    return thetas
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     focal_x: float
@@ -262,10 +270,7 @@ def _corners(centers, dims, yaws) -> np.ndarray:
     dims = np.asarray(dims, dtype=float).reshape(-1, 3)
     if np.any(dims <= 0):
         raise GeometryError("box dimensions must be positive")
-    # normalize_angle on every yaw: fmod is exact, then the same two wraps
-    yaws = np.fmod(np.asarray(yaws, dtype=float).reshape(-1), TAU)
-    np.add(yaws, TAU, out=yaws, where=yaws < 0.0)
-    np.subtract(yaws, TAU, out=yaws, where=yaws >= TAU)
+    yaws = normalize_angles(np.reshape(yaws, -1))
     c, s = np.cos(yaws), np.sin(yaws)
     # rotations about +z taking +x toward +y for positive yaw
     rot = np.zeros((len(centers), 3, 3))
@@ -435,15 +440,24 @@ def bev_intersection_area(a: Box3D, b: Box3D) -> float:
     return float(_bev_intersections(box3d_corners(a)[None], box3d_corners(b)[None])[0])
 
 
-def iou_3d_pairs(a, b) -> np.ndarray:
-    """(K,) volumetric IoU of Box3D a[k] with Box3D b[k] for each of K pairs.
+def box_rows(boxes) -> tuple:
+    """(centers (K, 3), dims (K, 3), yaws (K,)) of K Box3D: the rows iou_3d_pairs reads."""
+    return (
+        np.array([box.center for box in boxes]).reshape(-1, 3),
+        np.array([box.dimensions for box in boxes]).reshape(-1, 3),
+        np.array([box.yaw for box in boxes], dtype=float),
+    )
 
-    The BEV rotated-rectangle intersections of all pairs are clipped at
-    once, then multiplied by each pair's vertical overlap.
+
+def iou_3d_pairs(a, b) -> np.ndarray:
+    """(K,) volumetric IoU of box a[k] with box b[k] for each of K pairs.
+
+    a and b are (centers (K, 3), dims (K, 3), yaws (K,)) rows, as box_rows
+    gives them. The BEV rotated-rectangle intersections of all pairs are
+    clipped at once, then multiplied by each pair's vertical overlap.
     """
-    dims_a, dims_b = (np.array([box.dimensions for box in boxes]).reshape(-1, 3) for boxes in (a, b))
-    corners_a = _corners([box.center for box in a], dims_a, [box.yaw for box in a])
-    corners_b = _corners([box.center for box in b], dims_b, [box.yaw for box in b])
+    dims_a, dims_b = (np.asarray(rows[1], dtype=float).reshape(-1, 3) for rows in (a, b))
+    corners_a, corners_b = _corners(a[0], dims_a, a[2]), _corners(b[0], dims_b, b[2])
     # corners 0 and 4 lie on the bottom and top faces
     dz = np.minimum(corners_a[:, 4, 2], corners_b[:, 4, 2]) - np.maximum(corners_a[:, 0, 2], corners_b[:, 0, 2])
     inter = _bev_intersections(corners_a, corners_b) * dz
@@ -454,7 +468,7 @@ def iou_3d_pairs(a, b) -> np.ndarray:
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volumetric IoU: BEV rotated-rectangle intersection times vertical overlap."""
-    return float(iou_3d_pairs([a], [b])[0])
+    return float(iou_3d_pairs(box_rows([a]), box_rows([b]))[0])
 
 
 # --- painter's occlusion: nearer image boxes cover farther ones ------------

@@ -9,13 +9,13 @@ lengths meters, and every field name carries its unit.
 from __future__ import annotations
 
 import json
-import math
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .data import DetectionRecord, SequenceInput, TrackerConfig, TrackRecord, TrackStatus
-from .geometry import Box2D, Box3D, CameraIntrinsics, CameraPose
+from .data import DetectionRecord, SequenceInput, TrackerConfig, TrackStatus, TrackTable, first_repeat
+from .geometry import Box2D, CameraIntrinsics, CameraPose, normalize_angles
 
 FORMAT_VERSION = 1
 
@@ -206,12 +206,7 @@ def load_sequence(detections_path, poses_path) -> SequenceInput:
     return SequenceInput(intrinsics=intrinsics, poses=poses, detections=per_frame)
 
 
-_STATUS_TO_STR = {
-    TrackStatus.TRACKED: "tracked",
-    TrackStatus.OCCLUDED: "occluded",
-    TrackStatus.LOST: "lost",
-}
-_STR_TO_STATUS = {v: k for k, v in _STATUS_TO_STR.items()}
+_STR_TO_STATUS = {status.value: status for status in TrackStatus}
 
 
 def write_tracks(records, path) -> None:
@@ -231,7 +226,7 @@ def write_tracks(records, path) -> None:
                         "dim_m": rec.box3d.dimensions.tolist(),
                         "vel_mpf": rec.velocity.tolist(),
                         "box2d": list(rec.box2d_projected.as_tuple()),
-                        "status": _STATUS_TO_STR[rec.status],
+                        "status": rec.status.value,
                     },
                     allow_nan=False,
                 )
@@ -239,33 +234,77 @@ def write_tracks(records, path) -> None:
             )
 
 
-def load_tracks(path):
-    """Read tracks.jsonl into a list of TrackRecord (file order); a repeated (frame, id) is a ParseError."""
-    records = []
-    seen = set()
-    for line_no, obj in _read_jsonl(path, "tracks"):
+_TRACK_KEYS = itemgetter("frame", "id", "P_m", "dim_m", "yaw_rad", "vel_mpf", "box2d", "status")
+
+
+def _int_column(key: str, values) -> np.ndarray:
+    # bool is a subclass of int, so compare the exact type
+    if set(map(type, values)) - {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"{key} must be a JSON integer, got {bad!r}")
+    return np.array(values, dtype=np.int64)
+
+
+def _float_column(key: str, values, *width) -> np.ndarray:
+    column = np.array(values)
+    if values and (column.shape[1:] != width or column.dtype.kind not in "if"):
+        raise ValueError(f"{key} must be {f'{width[0]} numbers' if width else 'a number'}")
+    return column.reshape(-1, *width).astype(float, copy=False)
+
+
+def _track_columns(objs) -> TrackTable:
+    """The TrackTable of parsed track records; raises if any record is malformed."""
+    frame, ids, center, dims, yaw, velocity, box2d, status = list(zip(*map(_TRACK_KEYS, objs))) or [()] * 8
+    table = TrackTable(
+        frame=_int_column("frame", frame),
+        track_id=_int_column("id", ids),
+        center=_float_column("P_m", center, 3),
+        dims=_float_column("dim_m", dims, 3),
+        yaw=_float_column("yaw_rad", yaw),
+        velocity=_float_column("vel_mpf", velocity, 3),
+        box2d=_float_column("box2d", box2d, 4),
+        status=np.array([_STR_TO_STATUS.get(s) for s in status], dtype=object),
+    )
+    numbers = np.hstack([table.center, table.dims, table.yaw[:, None], table.velocity, table.box2d])
+    for ok, problem in (
+        (np.isfinite(numbers), "track fields must be finite"),
+        (table.dims > 0, "box dimensions must be positive"),
+        (table.box2d[:, :2] <= table.box2d[:, 2:], "box2d min exceeds max"),
+        (table.track_id >= 0, "id must be >= 0"),
+        (np.not_equal(table.status, None), f"status must be one of {sorted(_STR_TO_STATUS)}"),
+    ):
+        if not ok.all():
+            raise ValueError(problem)
+    table.yaw = normalize_angles(table.yaw)
+    return table
+
+
+def load_tracks(path) -> TrackTable:
+    """Read tracks.jsonl into a TrackTable, rows in file order.
+
+    Every row gets the checks a lone row gets and a repeated (frame, id)
+    is refused; the ParseError names the first bad line in file order.
+    """
+    lines = list(_read_jsonl(path, "tracks"))
+    try:
+        table = _track_columns([obj for _, obj in lines])
+        if first_repeat(table.frame, table.track_id) is None:
+            return table
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    seen = set()  # some row is bad: find the first one, row by row
+    for line_no, obj in lines:
         try:
-            rec = TrackRecord(
-                frame_index=_json_int(obj, "frame"),
-                track_id=_json_int(obj, "id"),
-                box3d=Box3D(obj["P_m"], obj["dim_m"], float(obj["yaw_rad"])),
-                velocity=obj["vel_mpf"],
-                box2d_projected=Box2D(*obj["box2d"]),
-                status=_STR_TO_STATUS[obj["status"]],
-            )
-            # one sum per record: a NaN, an infinity or an overflowing
-            # literal anywhere leaves it non-finite
-            total = sum(obj["P_m"]) + sum(obj["dim_m"]) + sum(obj["vel_mpf"]) + sum(obj["box2d"])
-            if not math.isfinite(total + rec.box3d.yaw):
-                raise ValueError("track fields must be finite")
-        except (KeyError, TypeError, ValueError) as exc:
+            row = _track_columns([obj])
+        except KeyError as exc:
+            raise ParseError(path, line_no, f"missing key {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(path, line_no, str(exc)) from exc
-        key = (rec.frame_index, rec.track_id)
+        key = (int(row.frame[0]), int(row.track_id[0]))
         if key in seen:
             raise ParseError(path, line_no, f"repeated (frame, id) {key}")
         seen.add(key)
-        records.append(rec)
-    return records
+    raise AssertionError(f"{path}: the track columns failed but no row did")
 
 
 def load_config(path) -> TrackerConfig:

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data import TrackStatus
-from .geometry import iou_2d_matrix, iou_3d, iou_3d_pairs
+from .data import TrackStatus, TrackTable
+from .geometry import box_rows, iou_2d_matrix, iou_3d, iou_3d_pairs
+from .motion import take_rows
 
 IOU_GATE_2D = 0.5
 CENTER_GATE_3D_M = 2.0
@@ -77,19 +78,22 @@ class ClearReport:
         }
 
 
-def _frame_gate(gt_records, pred_records, mode: str):
-    """(n, m) gate mask and assignment quality of every gt x prediction pair.
+def _gate_rows(table: TrackTable, mode: str) -> np.ndarray:
+    """The column the gate reads: image boxes (N, 4) in 2d mode, centers (N, 3) in 3d mode."""
+    return table.box2d if mode == "2d" else table.center
+
+
+def _frame_gate(gt_rows, pred_rows, mode: str):
+    """(n, m) gate mask and assignment quality of every gt x prediction pair, from their _gate_rows.
 
     2d: the quality is the image-box IoU (also the overlap), gated at IOU_GATE_2D.
     3d: it is 1 - d / CENTER_GATE_3D_M for the BEV center distance d, gated at
     d <= CENTER_GATE_3D_M; sqrt(vecdot) is bit-equal to np.linalg.norm per pair.
     """
     if mode == "2d":
-        boxes = [[r.box2d_projected.as_tuple() for r in records] for records in (gt_records, pred_records)]
-        overlap = iou_2d_matrix(*boxes)
+        overlap = iou_2d_matrix(gt_rows, pred_rows)
         return overlap >= IOU_GATE_2D, overlap
-    gt_xy = np.array([r.box3d.center[:2] for r in gt_records]).reshape(-1, 1, 2)
-    diff = gt_xy - np.array([r.box3d.center[:2] for r in pred_records]).reshape(1, -1, 2)
+    diff = gt_rows[:, None, :2] - pred_rows[None, :, :2]
     dist = np.sqrt(np.vecdot(diff, diff))
     return dist <= CENTER_GATE_3D_M, 1.0 - dist / CENTER_GATE_3D_M
 
@@ -99,19 +103,15 @@ def _pair_quality(gt_rec, pred_rec, mode: str):
 
     In 3d mode a pair outside the center gate reports overlap 0 without computing iou_3d.
     """
-    gate, quality = _frame_gate([gt_rec], [pred_rec], mode)
+    gate, quality = _frame_gate(*(_gate_rows(TrackTable.from_records([r]), mode) for r in (gt_rec, pred_rec)), mode)
     ok, quality = bool(gate[0, 0]), float(quality[0, 0])
     if mode == "2d":
         return ok, quality, quality
     return ok, iou_3d(gt_rec.box3d, pred_rec.box3d) if ok else 0.0, quality
 
 
-def _rows_by_id(records, kind: str) -> dict:
-    rows = {}
-    for i, r in enumerate(records):
-        if rows.setdefault(r.track_id, i) != i:
-            raise ValueError(f"{kind} id {r.track_id} repeats in frame {r.frame_index}")
-    return rows
+def _table(rows, kind: str) -> TrackTable:
+    return rows if isinstance(rows, TrackTable) else TrackTable.from_records(rows, kind)
 
 
 def match_frame(gt_records, pred_records, prev_pairs: dict, mode: str = "3d") -> FrameMatching:
@@ -128,11 +128,12 @@ def match_frame(gt_records, pred_records, prev_pairs: dict, mode: str = "3d") ->
     miss, and an unmatched occluded prediction is dead-reckoning output
     rather than a detection claim, so it never counts as a false positive.
     """
-    return _match_frames([(gt_records, pred_records)], prev_pairs, mode)[0]
+    gt, pred = _table(gt_records, "ground-truth"), _table(pred_records, "prediction")
+    return _match_frames(gt, pred, [(0, len(gt), 0, len(pred))], prev_pairs, mode)[0]
 
 
-def _match_frames(frames, prev_pairs: dict, mode: str) -> list:
-    """match_frame over consecutive (gt_records, pred_records) frames.
+def _match_frames(gt: TrackTable, pred: TrackTable, spans, prev_pairs: dict, mode: str) -> list:
+    """match_frame over consecutive frames, each given by its row span (gt start, gt stop, pred start, pred stop).
 
     Each frame's previous pairs are those of the frame before (prev_pairs
     for the first). The 3d assignment reads only the distance quality, so
@@ -140,53 +141,61 @@ def _match_frames(frames, prev_pairs: dict, mode: str) -> list:
     end, written back in pair order.
     """
     matchings = []
-    gt_boxes, pred_boxes = [], []  # 3d mode: the boxes of every pair, in pair order
-    for gt_records, pred_records in frames:
-        gt_rows, pred_rows = _rows_by_id(gt_records, "ground-truth"), _rows_by_id(pred_records, "prediction")
-        gate, quality = _frame_gate(gt_records, pred_records, mode)
+    gt_hits, pred_hits = [], []  # table rows of every pair, in pair order
+    gt_ids_all, pred_ids_all = gt.track_id.tolist(), pred.track_id.tolist()
+    gt_hidden, pred_shown = gt.status == _OCCLUDED, pred.status != _OCCLUDED
+    gt_gated, pred_gated = _gate_rows(gt, mode), _gate_rows(pred, mode)
+    for g0, g1, p0, p1 in spans:
+        gt_ids, pred_ids = gt_ids_all[g0:g1], pred_ids_all[p0:p1]
+        gt_rows, pred_rows = dict(zip(gt_ids, range(g1 - g0))), dict(zip(pred_ids, range(p1 - p0)))
+        gate, quality = _frame_gate(gt_gated[g0:g1], pred_gated[p0:p1], mode)
         pairs = [(gt_rows.get(g), pred_rows.get(p)) for g, p in prev_pairs.items()]  # (gt row, pred row)
         pairs = [(i, j) for i, j in pairs if i is not None and j is not None and gate[i, j]]
-        rest_gt = np.setdiff1d(np.arange(len(gt_records)), [i for i, _ in pairs])
-        rest_pred = np.setdiff1d(np.arange(len(pred_records)), [j for _, j in pairs])
+        free_gt, free_pred = np.ones(g1 - g0, bool), np.ones(p1 - p0, bool)
+        free_gt[[i for i, _ in pairs]] = free_pred[[j for _, j in pairs]] = False
+        rest_gt, rest_pred = np.flatnonzero(free_gt), np.flatnonzero(free_pred)
         if rest_gt.size and rest_pred.size:
             rest = np.ix_(rest_gt, rest_pred)
             rows, cols = linear_sum_assignment(np.where(gate[rest], quality[rest], -1e9), maximize=True)
             hit = gate[rest][rows, cols]
             pairs += zip(rest_gt[rows[hit]].tolist(), rest_pred[cols[hit]].tolist())
-        matched_gt, matched_pred = {i for i, _ in pairs}, {j for _, j in pairs}
-        if mode == "3d":
-            gt_boxes.extend(gt_records[i].box3d for i, _ in pairs)
-            pred_boxes.extend(pred_records[j].box3d for _, j in pairs)
+            free_gt[rest_gt[rows[hit]]] = free_pred[rest_pred[cols[hit]]] = False
+        gt_hits.extend(g0 + i for i, _ in pairs)
+        pred_hits.extend(p0 + j for _, j in pairs)
         matching = FrameMatching(
             # the quality is the overlap in 2d mode; 3d overlaps replace it below
-            pairs=[(gt_records[i].track_id, pred_records[j].track_id, float(quality[i, j])) for i, j in pairs],
-            fp=sum(1 for j, r in enumerate(pred_records) if j not in matched_pred and r.status != _OCCLUDED),
-            fn=sum(1 for i, r in enumerate(gt_records) if i not in matched_gt and r.status != _OCCLUDED),
-            gt_ids=[r.track_id for r in gt_records],
-            gt_ignored=frozenset(r.track_id for r in gt_records if r.status == _OCCLUDED),
+            pairs=[(gt_ids[i], pred_ids[j], float(quality[i, j])) for i, j in pairs],
+            fp=int(np.count_nonzero(free_pred & pred_shown[p0:p1])),
+            fn=int(np.count_nonzero(free_gt & ~gt_hidden[g0:g1])),
+            gt_ids=gt_ids,
+            gt_ignored=frozenset(gt.track_id[g0:g1][gt_hidden[g0:g1]].tolist()),
         )
         matchings.append(matching)
         prev_pairs = {g: p for g, p, _ in matching.pairs}
     if mode == "3d":
-        overlaps = iter(iou_3d_pairs(gt_boxes, pred_boxes).tolist())
+        boxes = [(t.center[rows], t.dims[rows], t.yaw[rows]) for t, rows in ((gt, gt_hits), (pred, pred_hits))]
+        overlaps = iter(iou_3d_pairs(*boxes).tolist())
         for matching in matchings:
             matching.pairs = [(g, p, next(overlaps)) for g, p, _ in matching.pairs]
     return matchings
 
 
-def _records_by_frame(records):
-    by_frame = defaultdict(list)
-    for r in records:
-        by_frame[r.frame_index].append(r)
-    return by_frame
+def _frame_spans(table: TrackTable, frames: np.ndarray):
+    """table's rows grouped by frame, order kept within each frame, and each frame's (start, stop) rows."""
+    table = take_rows(table, np.argsort(table.frame, kind="stable"))
+    return table, np.searchsorted(table.frame, frames), np.searchsorted(table.frame, frames, side="right")
 
 
 def match_sequence(gt_records, pred_records, mode: str = "3d"):
-    """Run match_frame over all frames, threading previous correspondences."""
-    gt_frames = _records_by_frame(gt_records)
-    pred_frames = _records_by_frame(pred_records)
-    frames = sorted(set(gt_frames) | set(pred_frames))
-    return _match_frames([(gt_frames.get(f, []), pred_frames.get(f, [])) for f in frames], {}, mode)
+    """Run match_frame over all frames, threading previous correspondences.
+
+    Either side may be a TrackTable or a TrackRecord list.
+    """
+    gt, pred = _table(gt_records, "ground-truth"), _table(pred_records, "prediction")
+    frames = np.union1d(gt.frame, pred.frame)
+    gt, g0, g1 = _frame_spans(gt, frames)
+    pred, p0, p1 = _frame_spans(pred, frames)
+    return _match_frames(gt, pred, zip(g0.tolist(), g1.tolist(), p0.tolist(), p1.tolist()), {}, mode)
 
 
 def compute_clear(matchings) -> ClearReport:
@@ -326,7 +335,9 @@ def ap_3d(gt_records, pred_records_scored, iou_thresholds=(0.25, 0.5, 0.7)) -> d
     swept by descending score; each greedily claims the best-IoU unmatched
     ground-truth box in its frame.
     """
-    gt_frames = _records_by_frame(gt_records)
+    gt_frames = defaultdict(list)  # frame -> its ground-truth boxes
+    for g in gt_records:
+        gt_frames[g.frame_index].append(g.box3d)
     n_gt = len(gt_records)
     preds = sorted(pred_records_scored, key=lambda rs: -rs[1])
     rows_by_frame = defaultdict(list)
@@ -334,8 +345,8 @@ def ap_3d(gt_records, pred_records_scored, iou_thresholds=(0.25, 0.5, 0.7)) -> d
         rows_by_frame[rec.frame_index].append(k)
     ious = {}  # prediction k -> 3D IoU with each ground-truth box of its frame
     for frame, rows in rows_by_frame.items():
-        gt_boxes = [g.box3d for g in gt_frames.get(frame, [])]
-        pairs = iou_3d_pairs([preds[k][0].box3d for k in rows for _ in gt_boxes], gt_boxes * len(rows))
+        gt_boxes = gt_frames.get(frame, [])
+        pairs = iou_3d_pairs(box_rows([preds[k][0].box3d for k in rows for _ in gt_boxes]), box_rows(gt_boxes * len(rows)))
         ious.update(zip(rows, pairs.reshape(len(rows), len(gt_boxes)).tolist()))
     results = {}
     for threshold in iou_thresholds:

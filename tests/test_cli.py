@@ -168,10 +168,21 @@ class TestTrack:
             assert run(
                 ["simulate", "--preset", "open_road", "--seed", str(seed), "--noiseless", "--out", str(tmp_path / "in" / f"seq{seed}")]
             ) == 0
-        code = run(["track", "--detections", str(tmp_path / "in"), "--poses", str(tmp_path / "in"), "--out", str(tmp_path / "out")])
+        code = run(["track", "--detections", str(tmp_path / "in"), "--out", str(tmp_path / "out")])
         assert code == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         for seed in (1, 2):
             assert (tmp_path / "out" / f"seq{seed}" / "tracks.jsonl").exists()
+            assert manifest["inputs"][f"seq{seed}/poses"] == str(tmp_path / "in" / f"seq{seed}" / "poses.json")
+
+    def test_poses_where_they_are_not_read_exit_2(self, scenario, tmp_path, capsys):
+        """A directory reads each sequence's own poses.json, so --poses with it is a usage error; a file needs it."""
+        shutil.copytree(scenario, tmp_path / "in" / "seq1")
+        directory = ["track", "--detections", str(tmp_path / "in"), "--out", str(tmp_path / "out")]
+        assert run(directory + ["--poses", "/nonexistent/poses.json"]) == 2
+        assert "--poses" in capsys.readouterr().err and not (tmp_path / "out").exists()
+        assert run(["track", "--detections", str(scenario / "detections.jsonl"), "--out", str(tmp_path / "t.jsonl")]) == 2
+        assert "--poses" in capsys.readouterr().err and not (tmp_path / "t.jsonl").exists()
 
     def test_batch_mode_bad_detection_exit_1_with_line(self, scenario, tmp_path):
         """A worker's parse error reaches the user as path:line, not a traceback."""
@@ -185,7 +196,7 @@ class TestTrack:
         bad.write_text("\n".join(lines) + "\n")
         src = str(Path(mono3dt.__file__).resolve().parent.parent)
         proc = subprocess.run(
-            [sys.executable, "-m", "mono3dt.cli", "track", "--detections", str(tmp_path / "in"), "--poses", str(tmp_path / "in"), "--out", str(tmp_path / "out")],
+            [sys.executable, "-m", "mono3dt.cli", "track", "--detections", str(tmp_path / "in"), "--out", str(tmp_path / "out")],
             cwd=src,
             capture_output=True,
             text=True,
@@ -247,6 +258,43 @@ class TestEvaluate:
             assert report["MOTA"] == 1.0
             assert report["MM"] == 0
         assert set(doc["reports"]) == {"all", "30m", "50m", "100m"}
+
+    def test_range_reports_equal_filtered_record_lists(self, tmp_path):
+        """Each --ranges report is evaluate_tracks of the record lists cut at that camera depth, row by row."""
+        from mono3dt.association import run_sequence
+        from mono3dt.data import TrackerConfig
+        from mono3dt.io import load_sequence, write_tracks
+        from mono3dt.simulator import ScenarioConfig, ground_truth_records, generate_world, render_detections
+
+        config = ScenarioConfig.make_preset("open_road", seed=4, n_vehicles=30)
+        world = generate_world(config)
+        detections, visibility = render_detections(world)
+        gt = ground_truth_records(world, visibility)
+        write_tracks(gt, tmp_path / "gt.jsonl")
+        write_detections(detections, tmp_path / "d.jsonl")
+        write_poses(world.intrinsics, world.poses, tmp_path / "p.json")
+        pred = run_sequence(load_sequence(tmp_path / "d.jsonl", tmp_path / "p.json"), TrackerConfig().validate())
+        write_tracks(pred, tmp_path / "pred.jsonl")
+        cutoffs = (20.0, 35.0, 60.0)
+        for mode in ("2d", "3d"):
+            out = tmp_path / f"{mode}.json"
+            assert run(
+                [
+                    "evaluate", "--gt", str(tmp_path / "gt.jsonl"), "--pred", str(tmp_path / "pred.jsonl"), "--mode", mode,
+                    "--ranges", ",".join(map(str, cutoffs)), "--poses", str(tmp_path / "p.json"), "--out", str(out),
+                ]
+            ) == 0
+            reports = json.loads(out.read_text())["reports"]
+            shown = set()
+            for cutoff in cutoffs:
+                cut = [
+                    [r for r in records if world.poses[r.frame_index].world_to_camera(r.box3d.center)[2] <= cutoff]
+                    for records in (gt, pred)
+                ]
+                expected = evaluate_tracks(*cut, mode).as_dict()
+                assert reports[f"{cutoff:g}m"] == expected
+                shown.add(expected["GT"])
+            assert len(shown) == len(cutoffs) and reports["all"] == evaluate_tracks(gt, pred, mode).as_dict()
 
     def test_empty_predictions_mota_nonpositive(self, scenario, tmp_path):
         from mono3dt.io import write_tracks

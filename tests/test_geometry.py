@@ -19,6 +19,7 @@ from mono3dt.geometry import (
     backproject,
     bev_intersection_area,
     box3d_corners,
+    box_rows,
     camera_heading,
     iou_2d,
     iou_2d_matrix,
@@ -515,14 +516,14 @@ class TestIou3dPairs:
 
     def test_matches_scalar_reference(self):
         pairs = oracle_pairs()
-        got = iou_3d_pairs([a for a, _ in pairs], [b for _, b in pairs])
+        got = iou_3d_pairs(box_rows([a for a, _ in pairs]), box_rows([b for _, b in pairs]))
         ref = np.array([reference_iou_3d(a, b) for a, b in pairs])
         assert got.shape == (len(pairs),) and len(pairs) >= 2000
         assert np.max(np.abs(got - ref)) <= 1e-12
         assert np.count_nonzero(ref > 0.0) > 1000 and np.count_nonzero(ref == 0.0) > 100
 
     def test_named_cases(self):
-        got = iou_3d_pairs(*zip(*oracle_pairs()[-11:]))
+        got = iou_3d_pairs(*map(box_rows, zip(*oracle_pairs()[-11:])))
         octagon = 8.0 * (math.sqrt(2.0) - 1.0)  # two unit squares a 45 degree turn apart
         expected = [0.0, 0.0, 1.0 / 3.0, 0.5 / 4.0, 0.5 / 4.0, 1.0, 1.0]
         expected += [octagon / (8.0 - octagon), 1.0 / 3.0, 0.0, 0.0]
@@ -534,7 +535,7 @@ class TestIou3dPairs:
             assert abs(bev_intersection_area(a, b) - ref) <= 1e-12 * max(1.0, ref)
 
     def test_empty_batch(self):
-        assert iou_3d_pairs([], []).shape == (0,)
+        assert iou_3d_pairs(box_rows([]), box_rows([])).shape == (0,)
 
 class TestCameraHeading:
     def test_heading_round_trip(self):

@@ -2,11 +2,23 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from mono3dt.data import ConfigError, DetectionRecord, OutOfRangeValue, TrackerConfig, TrackRecord, TrackStatus, UnknownKey
+from mono3dt.data import (
+    ConfigError,
+    DetectionRecord,
+    OutOfRangeValue,
+    TrackerConfig,
+    TrackRecord,
+    TrackStatus,
+    TrackTable,
+    UnknownKey,
+)
 from mono3dt.geometry import Box2D, Box3D, CameraPose
 from mono3dt.io import (
     DimensionMismatch,
@@ -167,6 +179,10 @@ class TestPoses:
             load_sequence(det_path, poses_path)
 
 
+def track_row(frame, track_id) -> TrackRecord:
+    return TrackRecord(frame, track_id, Box3D([1.0, 2.0, 0.5], [4.2, 1.8, 1.5], 0.3), np.zeros(3), Box2D(0, 0, 9, 9), TrackStatus.TRACKED)
+
+
 class TestTracks:
     def test_empty_set_header_only(self, tmp_path):
         path = tmp_path / "tracks.jsonl"
@@ -174,7 +190,9 @@ class TestTracks:
         lines = [l for l in path.read_text().splitlines() if l.strip()]
         assert len(lines) == 1
         assert json.loads(lines[0])["format_version"] == 1
-        assert load_tracks(path) == []
+        loaded = load_tracks(path)
+        assert len(loaded) == 0
+        assert [getattr(loaded, f.name).shape for f in fields(loaded)] == [(0,), (0,), (0, 3), (0, 3), (0,), (0, 3), (0, 4), (0,)]
 
     def test_single_record_bit_exact(self, tmp_path):
         rec = TrackRecord(
@@ -187,14 +205,15 @@ class TestTracks:
         )
         path = tmp_path / "tracks.jsonl"
         write_tracks([rec], path)
-        (loaded,) = load_tracks(path)
-        assert loaded.frame_index == rec.frame_index
-        assert loaded.track_id == rec.track_id
-        assert np.array_equal(loaded.box3d.center, rec.box3d.center)
-        assert loaded.box3d.yaw == rec.box3d.yaw
-        assert np.array_equal(loaded.velocity, rec.velocity)
-        assert loaded.box2d_projected.as_tuple() == rec.box2d_projected.as_tuple()
-        assert loaded.status == rec.status
+        loaded = load_tracks(path)
+        assert len(loaded) == 1
+        assert loaded.frame[0] == rec.frame_index
+        assert loaded.track_id[0] == rec.track_id
+        assert np.array_equal(loaded.center[0], rec.box3d.center)
+        assert loaded.yaw[0] == rec.box3d.yaw
+        assert np.array_equal(loaded.velocity[0], rec.velocity)
+        assert tuple(loaded.box2d[0].tolist()) == rec.box2d_projected.as_tuple()
+        assert loaded.status[0] == rec.status
 
     def test_fuzz_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -218,14 +237,13 @@ class TestTracks:
         loaded = load_tracks(path)
         assert len(loaded) == len(records)
         ordered = sorted(records, key=lambda r: (r.frame_index, r.track_id))
-        for a, b in zip(ordered, loaded):
-            assert (a.frame_index, a.track_id) == (b.frame_index, b.track_id)
-            assert np.array_equal(a.box3d.center, b.box3d.center)
-            assert np.array_equal(a.box3d.dimensions, b.box3d.dimensions)
-            assert a.box3d.yaw == b.box3d.yaw
-            assert np.array_equal(a.velocity, b.velocity)
-            assert a.box2d_projected.as_tuple() == b.box2d_projected.as_tuple()
-            assert a.status == b.status
+        assert list(zip(loaded.frame.tolist(), loaded.track_id.tolist())) == [(a.frame_index, a.track_id) for a in ordered]
+        assert np.array_equal(loaded.center, [a.box3d.center for a in ordered])
+        assert np.array_equal(loaded.dims, [a.box3d.dimensions for a in ordered])
+        assert loaded.yaw.tolist() == [a.box3d.yaw for a in ordered]
+        assert np.array_equal(loaded.velocity, [a.velocity for a in ordered])
+        assert [tuple(b) for b in loaded.box2d.tolist()] == [a.box2d_projected.as_tuple() for a in ordered]
+        assert loaded.status.tolist() == [a.status for a in ordered]
 
     @pytest.mark.parametrize(
         "key, token",
@@ -251,6 +269,86 @@ class TestTracks:
             load_tracks(path)
         assert str(err.value).startswith(f"{path}:3: ")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("P_m", None),
+            ("P_m", [1.0, 2.0]),
+            ("status", "parked"),
+            ("box2d", [9.0, 0.0, 0.0, 9.0]),
+            ("dim_m", [4.2, 0.0, 1.5]),
+            ("id", -1),
+        ],
+        ids=["missing-key", "two-element-P_m", "unknown-status", "inverted-box2d", "zero-dimension", "negative-id"],
+    )
+    def test_bad_row_reports_line(self, tmp_path, key, value):
+        """A row that fails one check is a ParseError at its path:line; value None drops the key."""
+        path = tmp_path / "tracks.jsonl"
+        write_tracks([track_row(frame, 4) for frame in range(3)], path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        if value is None:
+            del record[key]
+        else:
+            record[key] = value
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_tracks(path)
+        assert err.value.line_no == 3 and str(err.value).startswith(f"{path}:3: ")
+
+    def test_first_of_two_bad_lines_reported(self, tmp_path):
+        """A repeat at line 4 comes before a NaN at line 7, so line 4 is the one reported."""
+        path = tmp_path / "tracks.jsonl"
+        write_tracks([track_row(frame, 4) for frame in range(6)], path)
+        lines = path.read_text().splitlines()
+        repeat = json.loads(lines[3])
+        repeat["frame"] = 1  # line 3 holds (1, 4)
+        lines[3] = json.dumps(repeat)
+        lines[6] = lines[6].replace('"yaw_rad": 0.3', '"yaw_rad": NaN')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_tracks(path)
+        assert str(err.value).startswith(f"{path}:4: ") and "repeated (frame, id)" in str(err.value)
+        lines[3] = lines[2].replace('"frame": 1', '"frame": 2')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_tracks(path)
+        assert str(err.value).startswith(f"{path}:7: ")
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_round_trip_is_lossless(self, tmp_path, data):
+        """load_tracks after write_tracks equals the table of the (frame, id)-sorted records, bit for bit."""
+        number = st.floats(-1e6, 1e6, allow_nan=False)
+        keys = data.draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2**40)), max_size=40, unique=True))
+        records = []
+        for frame, track_id in keys:
+            x0, y0, width, height = data.draw(st.tuples(number, number, st.floats(0, 1e3), st.floats(0, 1e3)))
+            records.append(
+                TrackRecord(
+                    frame_index=frame,
+                    track_id=track_id,
+                    box3d=Box3D(
+                        data.draw(st.lists(number, min_size=3, max_size=3)),
+                        data.draw(st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3)),
+                        data.draw(st.floats(-1e3, 1e3)),
+                    ),
+                    velocity=data.draw(st.lists(number, min_size=3, max_size=3)),
+                    box2d_projected=Box2D(x0, y0, x0 + width, y0 + height),
+                    status=data.draw(st.sampled_from(TrackStatus)),
+                )
+            )
+        path = tmp_path / "tracks.jsonl"
+        write_tracks(records, path)
+        loaded = load_tracks(path)
+        expected = TrackTable.from_records(sorted(records, key=lambda r: (r.frame_index, r.track_id)))
+        for field in fields(TrackTable):
+            got, want = getattr(loaded, field.name), getattr(expected, field.name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), field.name
+            # an object column holds the TrackStatus members themselves
+            assert (got.tolist() if got.dtype == object else got.tobytes()) == (want.tolist() if want.dtype == object else want.tobytes()), field.name
+
     def test_repeated_frame_and_id_reports_line(self, tmp_path):
         rec = TrackRecord(0, 7, Box3D([10.0, 0.0, 0.75], [4.0, 2.0, 1.5], 0.0), np.zeros(3), Box2D(0, 0, 9, 9), TrackStatus.TRACKED)
         other = TrackRecord(0, 7, Box3D([10.4, 0.0, 0.75], [4.0, 2.0, 1.5], 0.0), np.zeros(3), Box2D(0, 0, 9, 9), TrackStatus.TRACKED)
@@ -272,7 +370,7 @@ class TestTracks:
         path = tmp_path / "t.jsonl"
         write_tracks(recs, path)
         loaded = load_tracks(path)
-        assert [(r.frame_index, r.track_id) for r in loaded] == [(2, 3), (2, 9), (5, 1)]
+        assert list(zip(loaded.frame.tolist(), loaded.track_id.tolist())) == [(2, 3), (2, 9), (5, 1)]
 
 
 class TestSimulatorSequenceRoundTrip:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from mono3dt.data import TrackRecord, TrackStatus
+from mono3dt.data import TrackRecord, TrackStatus, TrackTable
 from mono3dt.geometry import Box2D, Box3D, iou_2d, iou_3d
 from mono3dt.metrics import (
     CENTER_GATE_3D_M,
@@ -25,7 +25,7 @@ from mono3dt.metrics import (
     match_sequence,
     orientation_score,
 )
-from mono3dt.metrics import _frame_gate, _pair_quality
+from mono3dt.metrics import _frame_gate, _gate_rows, _pair_quality
 
 from conftest import reference_iou_3d
 
@@ -156,7 +156,7 @@ class TestFrameGate:
         xy = np.concatenate([rng.integers(0, 12, (40, 2)) * 0.5, rng.uniform(0, 6, (30, 2))])
         gt = [rec(0, i, 10.0 + x, y) for i, (x, y) in enumerate(xy[::2].tolist())]
         pred = [rec(0, i, 10.0 + x, y) for i, (x, y) in enumerate(xy[1::2].tolist())]
-        gate, quality = _frame_gate(gt, pred, "3d")
+        gate, quality = _frame_gate(TrackTable.from_records(gt).center, TrackTable.from_records(pred).center, "3d")
         at_gate = 0
         for i, g in enumerate(gt):
             for j, p in enumerate(pred):
@@ -168,7 +168,7 @@ class TestFrameGate:
 
     def test_2d_gate_bit_equal_to_per_pair_iou(self):
         gt, pred = random_frames(43, frames=1)[0], random_frames(44, frames=1)[1]
-        gate, quality = _frame_gate(gt, pred, "2d")
+        gate, quality = _frame_gate(TrackTable.from_records(gt).box2d, TrackTable.from_records(pred).box2d, "2d")
         for i, g in enumerate(gt):
             for j, p in enumerate(pred):
                 assert quality[i, j] == iou_2d(g.box2d_projected, p.box2d_projected)
@@ -177,7 +177,7 @@ class TestFrameGate:
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     def test_pair_quality_is_the_one_pair_gate(self, mode):
         gt, pred = random_frames(45, frames=1)
-        gate, quality = _frame_gate(gt, pred, mode)
+        gate, quality = _frame_gate(*(_gate_rows(TrackTable.from_records(r), mode) for r in (gt, pred)), mode)
         for i, g in enumerate(gt):
             for j, p in enumerate(pred):
                 ok, overlap, score = _pair_quality(g, p, mode)
