@@ -21,16 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import motion as motion_mod
-from .data import TrackerConfig, TrackRecord, TrackStatus
+from .data import DetectionTable, TrackerConfig, TrackRecord, TrackStatus, put_rows, stack_rows, take_rows
 from .geometry import (
     DEPTH_ORDER_TIE_RATE,
-    Box2D,
-    Box3D,
     CameraPose,
     alpha_to_theta,
     backproject,
@@ -38,6 +37,7 @@ from .geometry import (
     cover_fractions,
     depth_ordered_overlaps,
     iou_2d_matrix,
+    normalize_angles,
     project_boxes,
     project_hulls,
 )
@@ -159,23 +159,19 @@ def solve_assignment(matrix: AffinityMatrix, accept_threshold: float):
 # --- tracklets and lifecycle -------------------------------------------------
 
 
-def decode_detection(detections, pose, intrinsics) -> FrameRows:
-    """Reconstruct the world-frame object states detections encode, one row each."""
-    if len({d.appearance.shape[0] for d in detections}) > 1:
-        raise LengthMismatch("detection appearance lengths differ")
-    m = len(detections)
-    center_px = np.array([d.center_proj for d in detections]).reshape(m, 2)
-    depth = np.array([d.depth for d in detections], dtype=float)
+def decode_detection(detections: DetectionTable, pose, intrinsics) -> FrameRows:
+    """Reconstruct the world-frame object states detections encode, one row each; the table's columns are not copied."""
     heading = camera_heading(pose)
-    yaw = [alpha_to_theta(d.yaw_local, x, intrinsics) + heading for d, x in zip(detections, center_px[:, 0].tolist())]
+    alphas = zip(detections.yaw_local.tolist(), detections.center_px[:, 0].tolist())
     return FrameRows(
-        position=backproject(center_px, depth, pose, intrinsics),
-        yaw=np.array(yaw, dtype=float),
-        dims=np.array([d.dimensions for d in detections]).reshape(m, 3),
-        appearance=np.array([d.appearance for d in detections]).reshape(m, -1) if m else np.zeros((0, 0)),
-        center_px=center_px,
-        depth=depth,
-        box2d=np.array([d.box2d.as_tuple() for d in detections]).reshape(m, 4),
+        position=backproject(detections.center_px, detections.depth, pose, intrinsics),
+        # math.atan2 per row: np.arctan2 does not give the same bits
+        yaw=np.array([alpha_to_theta(alpha, x, intrinsics) + heading for alpha, x in alphas], dtype=float),
+        dims=detections.dims,
+        appearance=detections.appearance,
+        center_px=detections.center_px,
+        depth=detections.depth,
+        box2d=detections.box2d,
     )
 
 
@@ -242,7 +238,7 @@ class Tracker:
         self.intrinsics = intrinsics
         self.lstm_weights = lstm_weights
         self.next_id = 0
-        self.rows = self._born(decode_detection([], CameraPose.identity(), intrinsics), [])
+        self.rows = self._born(decode_detection(DetectionTable.from_rows([]), CameraPose.identity(), intrinsics), [])
 
     # -- helpers -------------------------------------------------------------
 
@@ -271,11 +267,11 @@ class Tracker:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def step(self, frame_index: int, detections, pose):
-        """Advance one frame: predict, associate, update, spawn, retire.
+    def step(self, frame_index: int, detections: DetectionTable, pose):
+        """Advance one frame on its detections: predict, associate, update, spawn, retire.
 
         Returns the TrackRecords emitted for this frame (tracked and
-        occluded tracklets; lost ones coast silently).
+        occluded tracklets; lost ones coast silently), as plain values.
         """
         config = self.config
         backend = config.motion_backend
@@ -314,7 +310,7 @@ class Tracker:
         prev = store.position[rows]
         filtered, updated = motion_mod.update_motion_state(
             backend,
-            motion_mod.take_rows(candidate, rows),
+            take_rows(candidate, rows),
             predicted[rows],
             dets.position[cols],
             dets.depth[cols],
@@ -341,14 +337,14 @@ class Tracker:
             position - prev,
             updated,
         )
-        motion_mod.put_rows(store, rows, matched)
+        put_rows(store, rows, matched)
 
         # occluded: commit the coasting prediction; features and age stay
         # frozen until reappearance. Candidate rows may share arrays with
         # store.motion, but occluded rows are not the matched rows written above.
         store.velocity[occluded] = predicted[occluded] - store.position[occluded]
         store.position[occluded] = predicted[occluded]
-        motion_mod.put_rows(store.motion, occluded, motion_mod.take_rows(candidate, occluded))
+        put_rows(store.motion, occluded, take_rows(candidate, occluded))
         store.status[occluded] = TrackStatus.OCCLUDED
         store.age[occluded] = np.maximum(store.age[occluded], 1)
         # lost: leave the state pinned where it was
@@ -357,9 +353,9 @@ class Tracker:
 
         cam_z = pose.world_to_camera(store.position)[:, 2]
         out_of_range = (cam_z < config.range_min) | (cam_z > config.range_max)
-        store = motion_mod.take_rows(store, (store.age <= config.max_lost_age) & ~out_of_range)
+        store = take_rows(store, (store.age <= config.max_lost_age) & ~out_of_range)
         if unmatched_dets:
-            store = motion_mod.stack_rows(store, self._born(dets, np.array(unmatched_dets)))
+            store = stack_rows(store, self._born(dets, np.array(unmatched_dets)))
             self.next_id += len(unmatched_dets)
         self.rows = store
 
@@ -368,19 +364,12 @@ class Tracker:
         area = (box2d[:, 2] - box2d[:, 0]) * (box2d[:, 3] - box2d[:, 1])
         shown = ~((store.status[emitted] == TrackStatus.OCCLUDED) & (area < config.min_emit_box_area))
         emitted, box2d = emitted[shown], box2d[shown]
-        # fancy indexing copies, so no record shares memory with the store
-        return [
-            TrackRecord(frame_index, track_id, Box3D(center, dims, yaw), velocity, Box2D(*box), status)
-            for track_id, center, dims, yaw, velocity, box, status in zip(
-                store.ids[emitted].tolist(),
-                store.position[emitted],
-                store.dims[emitted],
-                store.yaw[emitted].tolist(),
-                store.velocity[emitted],
-                box2d.tolist(),
-                store.status[emitted],
-            )
-        ]
+        ids, position, dims, yaw, velocity, status = (
+            column[emitted] for column in (store.ids, store.position, store.dims, store.yaw, store.velocity, store.status)
+        )
+        # one list per column: no row shares memory with the store
+        columns = (ids, position, dims, normalize_angles(yaw), velocity, box2d, status)
+        return list(map(TrackRecord, repeat(frame_index), *(column.tolist() for column in columns)))
 
 
 def run_sequence(sequence, config: TrackerConfig, lstm_weights=None):

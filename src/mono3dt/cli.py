@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .association import run_sequence
-from .data import ConfigError, TrackerConfig
+from .data import ConfigError, TrackerConfig, take_rows
 from .geometry import GeometryError, matvec
 from .io import (
     FORMAT_VERSION,
@@ -42,7 +42,6 @@ from .io import (
 )
 from .lstm import MotionTrainConfig, load_weights, sample_trajectories, save_weights, train_lstm
 from .metrics import evaluate_tracks, format_report
-from .motion import take_rows
 from .simulator import PRESETS, ScenarioConfig, write_scenario
 
 log = logging.getLogger("mono3dt")

@@ -1,14 +1,13 @@
-"""Shared record types: detections, track outputs, tracker config."""
+"""Shared record types: detection and track tables, track rows, tracker config."""
 
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
-
-from .geometry import Box2D, Box3D
 
 
 class ConfigError(ValueError):
@@ -30,50 +29,84 @@ class TrackStatus(enum.Enum):
 
 
 @dataclass
-class DetectionRecord:
-    """One per-frame monocular detection with its decoded-geometry inputs."""
+class DetectionTable:
+    """Detections as columns, one row per detection; take_rows selects rows."""
 
-    frame_index: int
-    box2d: Box2D
-    center_proj: np.ndarray  # (2,) pixels, projection of the 3D box center
-    depth: float  # meters, camera-frame
-    yaw_local: float  # radians, appearance-relative yaw
-    dimensions: np.ndarray  # (3,) meters (l, w, h)
-    appearance: np.ndarray  # fixed-length embedding
-    score: float
+    frame: np.ndarray  # (N,) int
+    box2d: np.ndarray  # (N, 4) pixels (x_min, y_min, x_max, y_max)
+    center_px: np.ndarray  # (N, 2) pixels, projection of the 3D box center
+    depth: np.ndarray  # (N,) meters, camera-frame
+    yaw_local: np.ndarray  # (N,) radians, appearance-relative yaw
+    dims: np.ndarray  # (N, 3) meters (l, w, h)
+    appearance: np.ndarray  # (N, A) fixed-length embeddings
+    score: np.ndarray  # (N,)
 
-    def __post_init__(self):
-        self.center_proj = np.asarray(self.center_proj, dtype=float).reshape(2)
-        self.dimensions = np.asarray(self.dimensions, dtype=float).reshape(3)
-        self.appearance = np.asarray(self.appearance, dtype=float).reshape(-1)
-        dims = self.dimensions.tolist()
-        # one sum per record: a NaN, an infinity or an overflowing magnitude
-        # anywhere leaves it non-finite
-        total = sum(self.box2d.as_tuple()) + sum(self.center_proj.tolist()) + sum(dims)
-        total += sum(self.appearance.tolist()) + self.depth + self.yaw_local + self.score
-        if not math.isfinite(total):
-            raise ValueError("detection fields must be finite")
-        if self.depth <= 0:
-            raise ValueError("detection depth must be positive")
-        if min(dims) <= 0:
-            raise ValueError("detection dimensions must be positive")
-        if not (0.0 <= self.score <= 1.0):
-            raise ValueError("detection score must be in [0, 1]")
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    @classmethod
+    def from_rows(cls, rows) -> "DetectionTable":
+        """The table of (frame, box2d, center_px, depth, yaw_local, dims, appearance, score) rows, in order."""
+        frame, box2d, center, depth, yaw, dims, app, score = list(zip(*rows)) or [()] * 8
+        n = len(frame)
+        return cls(
+            np.array(frame, dtype=np.int64),
+            np.array(box2d, dtype=float).reshape(n, 4),
+            np.array(center, dtype=float).reshape(n, 2),
+            np.array(depth, dtype=float),
+            np.array(yaw, dtype=float),
+            np.array(dims, dtype=float).reshape(n, 3),
+            np.array(app, dtype=float).reshape(n, len(app[0]) if n else 0),
+            np.array(score, dtype=float),
+        )
 
 
-@dataclass
-class TrackRecord:
-    frame_index: int
+class TrackRecord(NamedTuple):
+    """One emitted track row as plain values; the fields are TrackTable's."""
+
+    frame: int
     track_id: int
-    box3d: Box3D
-    velocity: np.ndarray  # (3,) meters/frame
-    box2d_projected: Box2D
+    center: list  # (3,) meters, world frame
+    dims: list  # (3,) meters (l, w, h)
+    yaw: float  # radians in [0, 2*pi)
+    velocity: list  # (3,) meters/frame
+    box2d: list  # (4,) pixels (x_min, y_min, x_max, y_max)
     status: TrackStatus
 
-    def __post_init__(self):
-        self.velocity = np.asarray(self.velocity, dtype=float).reshape(3)
-        if self.track_id < 0:
-            raise ValueError("track_id must be >= 0")
+
+# --- rows of a row dataclass -------------------------------------------------
+
+
+def take_rows(rows, index):
+    """Rows `index` of every array of a row dataclass, nested ones included.
+
+    Serves the tracker's store and the backends' motion rows alike; None
+    stays None. An index array or mask copies, so the result shares no
+    memory with rows; a slice gives views.
+    """
+    if rows is None:
+        return None
+    if isinstance(rows, np.ndarray):
+        return rows[index]
+    return replace(rows, **{f.name: take_rows(getattr(rows, f.name), index) for f in fields(rows)})
+
+
+def stack_rows(rows, more):
+    """rows' rows followed by more's, field by field."""
+    if rows is None:
+        return None
+    if isinstance(rows, np.ndarray):
+        return np.concatenate([rows, more])
+    return replace(rows, **{f.name: stack_rows(getattr(rows, f.name), getattr(more, f.name)) for f in fields(rows)})
+
+
+def put_rows(rows, index, values) -> None:
+    """Overwrite rows `index` of rows in place with the rows of values."""
+    if isinstance(rows, np.ndarray):
+        rows[index] = values
+    elif rows is not None:
+        for f in fields(rows):
+            put_rows(getattr(rows, f.name), index, getattr(values, f.name))
 
 
 def first_repeat(frame: np.ndarray, track_id: np.ndarray):
@@ -86,7 +119,7 @@ def first_repeat(frame: np.ndarray, track_id: np.ndarray):
 
 @dataclass
 class TrackTable:
-    """Track rows as columns, one row per (frame, id); motion.take_rows selects rows."""
+    """Track rows as columns, one row per (frame, id); take_rows selects rows."""
 
     frame: np.ndarray  # (N,) int
     track_id: np.ndarray  # (N,) int
@@ -101,22 +134,19 @@ class TrackTable:
         return len(self.frame)
 
     @classmethod
-    def from_records(cls, records, kind: str = "track") -> "TrackTable":
-        """The rows of a TrackRecord list, in list order; a repeated (frame, id) is a ValueError."""
-        table = cls(
-            frame=np.array([r.frame_index for r in records], dtype=np.int64),
-            track_id=np.array([r.track_id for r in records], dtype=np.int64),
-            center=np.array([r.box3d.center for r in records]).reshape(-1, 3),
-            dims=np.array([r.box3d.dimensions for r in records]).reshape(-1, 3),
-            yaw=np.array([r.box3d.yaw for r in records], dtype=float),
-            velocity=np.array([r.velocity for r in records]).reshape(-1, 3),
-            box2d=np.array([r.box2d_projected.as_tuple() for r in records], dtype=float).reshape(-1, 4),
-            status=np.array([r.status for r in records], dtype=object),
+    def from_records(cls, records) -> "TrackTable":
+        """The rows of a TrackRecord list, in list order."""
+        frame, track_id, center, dims, yaw, velocity, box2d, status = list(zip(*records)) or [()] * 8
+        return cls(
+            np.array(frame, dtype=np.int64),
+            np.array(track_id, dtype=np.int64),
+            np.array(center, dtype=float).reshape(-1, 3),
+            np.array(dims, dtype=float).reshape(-1, 3),
+            np.array(yaw, dtype=float),
+            np.array(velocity, dtype=float).reshape(-1, 3),
+            np.array(box2d, dtype=float).reshape(-1, 4),
+            np.array(status, dtype=object),
         )
-        repeat = first_repeat(table.frame, table.track_id)
-        if repeat is not None:
-            raise ValueError(f"{kind} id {table.track_id[repeat]} repeats in frame {table.frame[repeat]}")
-        return table
 
 
 @dataclass
@@ -125,7 +155,7 @@ class SequenceInput:
 
     intrinsics: object  # CameraIntrinsics
     poses: list  # CameraPose per frame, contiguous from frame 0
-    detections: list  # list[list[DetectionRecord]] per frame
+    detections: list  # DetectionTable per frame: frame f's rows of one frame-sorted table
 
     @property
     def n_frames(self) -> int:

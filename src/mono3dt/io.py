@@ -9,13 +9,14 @@ lengths meters, and every field name carries its unit.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .data import DetectionRecord, SequenceInput, TrackerConfig, TrackStatus, TrackTable, first_repeat
-from .geometry import Box2D, CameraIntrinsics, CameraPose, normalize_angles
+from .data import DetectionTable, SequenceInput, TrackerConfig, TrackStatus, TrackTable, first_repeat, take_rows
+from .geometry import CameraIntrinsics, CameraPose, normalize_angles
 
 FORMAT_VERSION = 1
 
@@ -73,65 +74,108 @@ def _read_jsonl(path, kind: str):
                 raise ParseError(path, line_no, f"bad record: {exc}") from exc
 
 
-def _json_int(obj: dict, key: str) -> int:
-    value = obj[key]
+def _int_column(key: str, values) -> np.ndarray:
     # bool is a subclass of int, so compare the exact type
-    if type(value) is not int:
-        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
-    return value
+    if set(map(type, values)) - {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"{key} must be a JSON integer, got {bad!r}")
+    return np.array(values, dtype=np.int64)
 
 
-def write_detections(records_per_frame, path) -> None:
-    """Write per-frame DetectionRecord lists as detections.jsonl."""
+def _float_column(key: str, values, *width) -> np.ndarray:
+    column = np.array(values)
+    if values and (column.shape[1:] != width or column.dtype.kind not in "if"):
+        raise ValueError(f"{key} must be {f'{width[0]} numbers' if width else 'a number'}")
+    return column.reshape(len(values), *width).astype(float, copy=False)
+
+
+def _refuse_failed(*checks) -> None:
+    """Raise ValueError naming the first (mask, problem) check whose mask is not all true."""
+    for ok, problem in checks:
+        if not ok.all():
+            raise ValueError(problem)
+
+
+def _load_table(path, kind: str, columns, raise_clash):
+    """Read a JSONL file of `kind` as the table columns(objs) builds (which raises on any bad record), rows in file order.
+
+    Only a file that fails is read again row by row: the first malformed line is a ParseError, unless
+    raise_clash(path, line_nos, rows) finds an earlier row that conflicts with one before it.
+    """
+    lines = list(_read_jsonl(path, kind))
+    try:
+        return columns([obj for _, obj in lines])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    rows, error = [], AssertionError(f"{path}: the {kind} columns failed but no row did")
+    for line_no, obj in lines:
+        try:
+            rows.append(columns([obj]))
+        except KeyError as exc:
+            error = ParseError(path, line_no, f"missing key {exc}")
+            break
+        except (TypeError, ValueError, OverflowError) as exc:
+            error = ParseError(path, line_no, str(exc))
+            break
+    if rows:
+        raise_clash(path, [line_no for line_no, _ in lines], rows)
+    raise error
+
+
+# the keys of a detections.jsonl record, in DetectionTable's field order
+_DETECTION_KEYS = ("frame", "box2d", "c", "depth_m", "yaw_local_rad", "dim_m", "app", "score")
+
+
+def write_detections(tables, path) -> None:
+    """Write DetectionTables (one per frame, say) as detections.jsonl, rows in table order."""
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(_header_line("detections") + "\n")
-        for frame_records in records_per_frame:
-            for det in frame_records:
-                fh.write(
-                    json.dumps(
-                        {
-                            "frame": det.frame_index,
-                            "box2d": list(det.box2d.as_tuple()),
-                            "c": det.center_proj.tolist(),
-                            "depth_m": det.depth,
-                            "yaw_local_rad": det.yaw_local,
-                            "dim_m": det.dimensions.tolist(),
-                            "app": det.appearance.tolist(),
-                            "score": det.score,
-                        },
-                        allow_nan=False,
-                    )
-                    + "\n"
-                )
+        for table in tables:
+            for row in zip(*(getattr(table, f.name).tolist() for f in fields(table))):
+                fh.write(json.dumps(dict(zip(_DETECTION_KEYS, row)), allow_nan=False) + "\n")
 
 
-def load_detections(path):
-    """Read detections.jsonl into a list of DetectionRecord (file order)."""
-    records = []
-    app_len = None
-    for line_no, obj in _read_jsonl(path, "detections"):
-        try:
-            det = DetectionRecord(
-                frame_index=_json_int(obj, "frame"),
-                box2d=Box2D(*obj["box2d"]),
-                center_proj=obj["c"],
-                depth=float(obj["depth_m"]),
-                yaw_local=float(obj["yaw_local_rad"]),
-                dimensions=obj["dim_m"],
-                appearance=obj["app"],
-                score=float(obj["score"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(path, line_no, str(exc)) from exc
-        if app_len is None:
-            app_len = det.appearance.shape[0]
-        elif det.appearance.shape[0] != app_len:
-            raise DimensionMismatch(
-                f"{path}:{line_no}: appearance length {det.appearance.shape[0]} != {app_len}"
-            )
-        records.append(det)
-    return records
+def _detection_columns(objs) -> DetectionTable:
+    """The DetectionTable of parsed detection records; raises if any record is malformed."""
+    frame, box2d, center, depth, yaw, dims, app, score = list(zip(*map(itemgetter(*_DETECTION_KEYS), objs))) or [()] * 8
+    table = DetectionTable(
+        frame=_int_column("frame", frame),
+        box2d=_float_column("box2d", box2d, 4),
+        center_px=_float_column("c", center, 2),
+        depth=_float_column("depth_m", depth),
+        yaw_local=_float_column("yaw_local_rad", yaw),
+        dims=_float_column("dim_m", dims, 3),
+        appearance=_float_column("app", app, len(app[0]) if app else 0),
+        score=_float_column("score", score),
+    )
+    scalars = np.stack([table.depth, table.yaw_local, table.score], axis=1)
+    numbers = np.hstack([table.box2d, table.center_px, table.dims, table.appearance, scalars])
+    _refuse_failed(
+        (np.isfinite(numbers), "detection fields must be finite"),
+        (table.box2d[:, :2] <= table.box2d[:, 2:], "box2d min exceeds max"),
+        (table.depth > 0, "detection depth must be positive"),
+        (table.dims > 0, "detection dimensions must be positive"),
+        ((table.score >= 0) & (table.score <= 1), "detection score must be in [0, 1]"),
+    )
+    return table
+
+
+def _ragged_appearance(path, line_nos, rows) -> None:
+    widths = [row.appearance.shape[1] for row in rows]
+    bad = next((k for k, width in enumerate(widths) if width != widths[0]), None)
+    if bad is not None:
+        raise DimensionMismatch(f"{path}:{line_nos[bad]}: appearance length {widths[bad]} != {widths[0]}")
+
+
+def load_detections(path) -> DetectionTable:
+    """Read detections.jsonl into a DetectionTable, rows in file order.
+
+    Every row gets the checks a lone row gets, and every row's appearance
+    has the first row's length (DimensionMismatch otherwise); the error
+    names the first bad line in file order.
+    """
+    return _load_table(path, "detections", _detection_columns, _ragged_appearance)
 
 
 def write_poses(intrinsics: CameraIntrinsics, poses, path) -> None:
@@ -192,64 +236,44 @@ def load_sequence(detections_path, poses_path) -> SequenceInput:
     """Assemble a frame-aligned SequenceInput from the on-disk files.
 
     poses.json embeds the intrinsics. Detection frames must fall inside
-    the pose range; frames without detections get empty lists.
+    the pose range; detections[f] is frame f's rows (file order kept), a
+    view of one frame-sorted table, empty for a frame without detections.
     """
     intrinsics, poses = load_poses(poses_path)
-    records = load_detections(detections_path)
-    per_frame = [[] for _ in range(len(poses))]
-    for det in records:
-        if not (0 <= det.frame_index < len(poses)):
-            raise FrameGapError(
-                f"detection frame {det.frame_index} outside pose range 0..{len(poses) - 1}"
-            )
-        per_frame[det.frame_index].append(det)
+    table = load_detections(detections_path)
+    outside = (table.frame < 0) | (table.frame >= len(poses))
+    if outside.any():
+        raise FrameGapError(f"detection frame {table.frame[outside][0]} outside pose range 0..{len(poses) - 1}")
+    table = take_rows(table, np.argsort(table.frame, kind="stable"))
+    bounds = np.searchsorted(table.frame, np.arange(len(poses) + 1)).tolist()
+    per_frame = [take_rows(table, slice(start, stop)) for start, stop in zip(bounds, bounds[1:])]
     return SequenceInput(intrinsics=intrinsics, poses=poses, detections=per_frame)
 
 
 _STR_TO_STATUS = {status.value: status for status in TrackStatus}
 
 
+# %r prints ints and floats as json.dumps does; _check_tracks has refused the non-finite
+_TRACK_LINE = '{"frame": %r, "id": %r, "P_m": %r, "yaw_rad": %r, "dim_m": %r, "vel_mpf": %r, "box2d": %r, "status": "%s"}\n'
+
+
 def write_tracks(records, path) -> None:
-    """Write TrackRecords sorted by (frame, id) as tracks.jsonl."""
-    path = Path(path)
-    ordered = sorted(records, key=lambda r: (r.frame_index, r.track_id))
-    with path.open("w", encoding="utf-8") as fh:
+    """Write TrackRecords sorted by (frame, id) as tracks.jsonl.
+
+    The rows get the checks load_tracks makes, so that the file written
+    is one load_tracks reads; a row that fails one is a ValueError.
+    """
+    table = TrackTable.from_records(records)
+    table = take_rows(table, np.lexsort((table.track_id, table.frame)))
+    _check_tracks(table)
+    columns = (table.frame, table.track_id, table.center, table.yaw, table.dims, table.velocity, table.box2d)
+    lines = zip(*(column.tolist() for column in columns), [status.value for status in table.status])
+    with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(_header_line("tracks") + "\n")
-        for rec in ordered:
-            fh.write(
-                json.dumps(
-                    {
-                        "frame": rec.frame_index,
-                        "id": rec.track_id,
-                        "P_m": rec.box3d.center.tolist(),
-                        "yaw_rad": rec.box3d.yaw,
-                        "dim_m": rec.box3d.dimensions.tolist(),
-                        "vel_mpf": rec.velocity.tolist(),
-                        "box2d": list(rec.box2d_projected.as_tuple()),
-                        "status": rec.status.value,
-                    },
-                    allow_nan=False,
-                )
-                + "\n"
-            )
+        fh.write("".join(_TRACK_LINE % line for line in lines))
 
 
 _TRACK_KEYS = itemgetter("frame", "id", "P_m", "dim_m", "yaw_rad", "vel_mpf", "box2d", "status")
-
-
-def _int_column(key: str, values) -> np.ndarray:
-    # bool is a subclass of int, so compare the exact type
-    if set(map(type, values)) - {int}:
-        bad = next(v for v in values if type(v) is not int)
-        raise ValueError(f"{key} must be a JSON integer, got {bad!r}")
-    return np.array(values, dtype=np.int64)
-
-
-def _float_column(key: str, values, *width) -> np.ndarray:
-    column = np.array(values)
-    if values and (column.shape[1:] != width or column.dtype.kind not in "if"):
-        raise ValueError(f"{key} must be {f'{width[0]} numbers' if width else 'a number'}")
-    return column.reshape(-1, *width).astype(float, copy=False)
 
 
 def _track_columns(objs) -> TrackTable:
@@ -265,18 +289,30 @@ def _track_columns(objs) -> TrackTable:
         box2d=_float_column("box2d", box2d, 4),
         status=np.array([_STR_TO_STATUS.get(s) for s in status], dtype=object),
     )
+    _check_tracks(table)
+    table.yaw = normalize_angles(table.yaw)
+    return table
+
+
+def _check_tracks(table: TrackTable) -> None:
+    """The row checks of a track table, shared by load_tracks and write_tracks."""
     numbers = np.hstack([table.center, table.dims, table.yaw[:, None], table.velocity, table.box2d])
-    for ok, problem in (
+    _refuse_failed(
         (np.isfinite(numbers), "track fields must be finite"),
         (table.dims > 0, "box dimensions must be positive"),
         (table.box2d[:, :2] <= table.box2d[:, 2:], "box2d min exceeds max"),
         (table.track_id >= 0, "id must be >= 0"),
         (np.not_equal(table.status, None), f"status must be one of {sorted(_STR_TO_STATUS)}"),
-    ):
-        if not ok.all():
-            raise ValueError(problem)
-    table.yaw = normalize_angles(table.yaw)
-    return table
+    )
+    if first_repeat(table.frame, table.track_id) is not None:
+        raise ValueError("repeated (frame, id)")
+
+
+def _repeated_track(path, line_nos, rows) -> None:
+    repeat = first_repeat(np.concatenate([row.frame for row in rows]), np.concatenate([row.track_id for row in rows]))
+    if repeat is not None:
+        key = (int(rows[repeat].frame[0]), int(rows[repeat].track_id[0]))
+        raise ParseError(path, line_nos[repeat], f"repeated (frame, id) {key}")
 
 
 def load_tracks(path) -> TrackTable:
@@ -285,26 +321,7 @@ def load_tracks(path) -> TrackTable:
     Every row gets the checks a lone row gets and a repeated (frame, id)
     is refused; the ParseError names the first bad line in file order.
     """
-    lines = list(_read_jsonl(path, "tracks"))
-    try:
-        table = _track_columns([obj for _, obj in lines])
-        if first_repeat(table.frame, table.track_id) is None:
-            return table
-    except (KeyError, TypeError, ValueError, OverflowError):
-        pass
-    seen = set()  # some row is bad: find the first one, row by row
-    for line_no, obj in lines:
-        try:
-            row = _track_columns([obj])
-        except KeyError as exc:
-            raise ParseError(path, line_no, f"missing key {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(path, line_no, str(exc)) from exc
-        key = (int(row.frame[0]), int(row.track_id[0]))
-        if key in seen:
-            raise ParseError(path, line_no, f"repeated (frame, id) {key}")
-        seen.add(key)
-    raise AssertionError(f"{path}: the track columns failed but no row did")
+    return _load_table(path, "tracks", _track_columns, _repeated_track)
 
 
 def load_config(path) -> TrackerConfig:

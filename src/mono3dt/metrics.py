@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data import TrackStatus, TrackTable
-from .geometry import box_rows, iou_2d_matrix, iou_3d, iou_3d_pairs
-from .motion import take_rows
+from .data import TrackStatus, TrackTable, first_repeat, take_rows
+from .geometry import iou_2d_matrix, iou_3d_pairs
 
 IOU_GATE_2D = 0.5
 CENTER_GATE_3D_M = 2.0
@@ -98,20 +97,33 @@ def _frame_gate(gt_rows, pred_rows, mode: str):
     return dist <= CENTER_GATE_3D_M, 1.0 - dist / CENTER_GATE_3D_M
 
 
+def _box_columns(records) -> tuple:
+    """(centers (K, 3), dims (K, 3), yaws (K,)) of K TrackRecords: the rows iou_3d_pairs reads."""
+    table = TrackTable.from_records(records)
+    return table.center, table.dims, table.yaw
+
+
 def _pair_quality(gt_rec, pred_rec, mode: str):
     """(passes gate, overlap in [0,1], assignment score) for one pair: the frame gate's one-pair call.
 
-    In 3d mode a pair outside the center gate reports overlap 0 without computing iou_3d.
+    In 3d mode a pair outside the center gate reports overlap 0 without computing its 3D IoU.
     """
     gate, quality = _frame_gate(*(_gate_rows(TrackTable.from_records([r]), mode) for r in (gt_rec, pred_rec)), mode)
     ok, quality = bool(gate[0, 0]), float(quality[0, 0])
     if mode == "2d":
         return ok, quality, quality
-    return ok, iou_3d(gt_rec.box3d, pred_rec.box3d) if ok else 0.0, quality
+    return ok, float(iou_3d_pairs(_box_columns([gt_rec]), _box_columns([pred_rec]))[0]) if ok else 0.0, quality
 
 
 def _table(rows, kind: str) -> TrackTable:
-    return rows if isinstance(rows, TrackTable) else TrackTable.from_records(rows, kind)
+    """rows as a TrackTable; a TrackRecord list that repeats a (frame, id) is a ValueError."""
+    if isinstance(rows, TrackTable):
+        return rows
+    table = TrackTable.from_records(rows)
+    repeat = first_repeat(table.frame, table.track_id)
+    if repeat is not None:
+        raise ValueError(f"{kind} id {table.track_id[repeat]} repeats in frame {table.frame[repeat]}")
+    return table
 
 
 def match_frame(gt_records, pred_records, prev_pairs: dict, mode: str = "3d") -> FrameMatching:
@@ -335,19 +347,19 @@ def ap_3d(gt_records, pred_records_scored, iou_thresholds=(0.25, 0.5, 0.7)) -> d
     swept by descending score; each greedily claims the best-IoU unmatched
     ground-truth box in its frame.
     """
-    gt_frames = defaultdict(list)  # frame -> its ground-truth boxes
+    gt_frames = defaultdict(list)  # frame -> its ground-truth records
     for g in gt_records:
-        gt_frames[g.frame_index].append(g.box3d)
+        gt_frames[g.frame].append(g)
     n_gt = len(gt_records)
     preds = sorted(pred_records_scored, key=lambda rs: -rs[1])
     rows_by_frame = defaultdict(list)
     for k, (rec, _score) in enumerate(preds):
-        rows_by_frame[rec.frame_index].append(k)
+        rows_by_frame[rec.frame].append(k)
     ious = {}  # prediction k -> 3D IoU with each ground-truth box of its frame
     for frame, rows in rows_by_frame.items():
-        gt_boxes = gt_frames.get(frame, [])
-        pairs = iou_3d_pairs(box_rows([preds[k][0].box3d for k in rows for _ in gt_boxes]), box_rows(gt_boxes * len(rows)))
-        ious.update(zip(rows, pairs.reshape(len(rows), len(gt_boxes)).tolist()))
+        gt = gt_frames.get(frame, [])
+        pairs = iou_3d_pairs(_box_columns([preds[k][0] for k in rows for _ in gt]), _box_columns(gt * len(rows)))
+        ious.update(zip(rows, pairs.reshape(len(rows), len(gt)).tolist()))
     results = {}
     for threshold in iou_thresholds:
         claimed = defaultdict(set)
@@ -356,11 +368,11 @@ def ap_3d(gt_records, pred_records_scored, iou_thresholds=(0.25, 0.5, 0.7)) -> d
             best_iou = 0.0
             best_idx = None
             for idx, overlap in enumerate(ious[k]):
-                if idx not in claimed[rec.frame_index] and overlap > best_iou:
+                if idx not in claimed[rec.frame] and overlap > best_iou:
                     best_iou = overlap
                     best_idx = idx
             if best_idx is not None and best_iou >= threshold:
-                claimed[rec.frame_index].add(best_idx)
+                claimed[rec.frame].add(best_idx)
                 tp_flags.append(True)
             else:
                 tp_flags.append(False)

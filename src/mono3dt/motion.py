@@ -22,7 +22,7 @@ where it was last estimated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,41 +172,6 @@ def kf2d_init(boxes) -> KalmanState:
     mean = np.zeros((len(measurement), 7))
     mean[:, :4] = measurement
     return KalmanState(mean, np.repeat(KF2D_INITIAL_COV[None], len(mean), axis=0))
-
-
-# --- rows of a row dataclass -------------------------------------------------
-
-
-def take_rows(rows, index):
-    """Rows `index` of every array of a row dataclass, nested ones included.
-
-    Serves the tracker's store and the backends' motion rows alike; None
-    stays None. An index array or mask copies, so the result shares no
-    memory with rows.
-    """
-    if rows is None:
-        return None
-    if isinstance(rows, np.ndarray):
-        return rows[index]
-    return replace(rows, **{f.name: take_rows(getattr(rows, f.name), index) for f in fields(rows)})
-
-
-def stack_rows(rows, more):
-    """rows' rows followed by more's, field by field."""
-    if rows is None:
-        return None
-    if isinstance(rows, np.ndarray):
-        return np.concatenate([rows, more])
-    return replace(rows, **{f.name: stack_rows(getattr(rows, f.name), getattr(more, f.name)) for f in fields(rows)})
-
-
-def put_rows(rows, index, values) -> None:
-    """Overwrite rows `index` of rows in place with the rows of values."""
-    if isinstance(rows, np.ndarray):
-        rows[index] = values
-    elif rows is not None:
-        for f in fields(rows):
-            put_rows(getattr(rows, f.name), index, getattr(values, f.name))
 
 
 # --- the per-frame steps ----------------------------------------------------

@@ -19,11 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DetectionRecord, TrackRecord, TrackStatus
+from .data import DetectionTable, TrackRecord, TrackStatus
 from .geometry import (
     DEPTH_ORDER_TIE_RATE,
-    Box2D,
-    Box3D,
     CameraIntrinsics,
     CameraPose,
     camera_heading,
@@ -116,9 +114,6 @@ class VehicleTruth:
     positions: np.ndarray  # (frames, 3)
     yaws: np.ndarray  # (frames,)
     velocities: np.ndarray  # (frames, 3), P[t+1] - P[t] exactly
-
-    def box3d(self, t: int) -> Box3D:
-        return Box3D(self.positions[t], self.dims, self.yaws[t])
 
 
 @dataclass
@@ -325,8 +320,9 @@ def _frame_visibility(world: WorldTruth, t: int) -> FrameVisibility:
     center_px, depth, boxes, _ = project_boxes(centers, dims, yaws, world.poses[t], world.intrinsics)
     area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
     in_view = (MIN_GT_DEPTH <= depth) & (depth <= SPAWN_RADIUS) & (area >= MIN_BOX_AREA)
-    # the tracker's painter layering: its default 1 m tie, widened with depth
-    cover = cover_fractions(boxes, np.where(in_view, depth, -1e9), 1.0, DEPTH_ORDER_TIE_RATE)
+    # the tracker's painter layering among in-view vehicles only: its default 1 m tie, widened with depth
+    cover = np.zeros(len(depth))
+    cover[in_view] = cover_fractions(boxes[in_view], depth[in_view], 1.0, DEPTH_ORDER_TIE_RATE)
     view_detectable = in_view & (area > 0.0)
     return FrameVisibility(
         in_view, boxes, center_px, depth, cover, view_detectable, view_detectable & (cover < FULL_COVER_THRESHOLD)
@@ -342,10 +338,11 @@ def appearance_basis(config: ScenarioConfig, vehicle_id: int) -> np.ndarray:
 def render_detections(world: WorldTruth):
     """Noisy detections plus per-frame visibility annotations.
 
-    Returns (detections_per_frame, visibility) where visibility[t] is
-    frame t's FrameVisibility. A vehicle yields no detection when it is
-    outside the view, its box is tiny, it is nearly fully covered by a
-    nearer vehicle, or the dropout coin says so.
+    Returns (detections_per_frame, visibility): frame t's detections are
+    one DetectionTable and visibility[t] is its FrameVisibility. A vehicle
+    yields no detection when it is outside the view, its box is tiny, it
+    is nearly fully covered by a nearer vehicle, or the dropout coin says
+    so.
     """
     config = world.config
     rng = np.random.default_rng([config.seed, 202])
@@ -376,19 +373,8 @@ def render_detections(world: WorldTruth):
             if config.appearance_sigma > 0:
                 appearance = appearance + rng.normal(scale=config.appearance_sigma, size=APPEARANCE_DIM)
             score = 1.0 if config.appearance_sigma == 0 else float(np.clip(rng.normal(0.9, 0.05), 0.05, 1.0))
-            frame_dets.append(
-                DetectionRecord(
-                    frame_index=t,
-                    box2d=Box2D(*vis.box2d[vi].tolist()),
-                    center_proj=c,
-                    depth=float(depth),
-                    yaw_local=float(yaw_local),
-                    dimensions=dims,
-                    appearance=appearance,
-                    score=score,
-                )
-            )
-        detections.append(frame_dets)
+            frame_dets.append((t, vis.box2d[vi], c, depth, yaw_local, dims, appearance, score))
+        detections.append(DetectionTable.from_rows(frame_dets))
     return detections, visibility
 
 
@@ -407,16 +393,9 @@ def ground_truth_records(world: WorldTruth, visibility) -> list:
         for t, vis in enumerate(visibility[first:], first):
             if not vis.view_detectable[vi]:
                 continue
-            records.append(
-                TrackRecord(
-                    frame_index=t,
-                    track_id=veh.id,
-                    box3d=veh.box3d(t),
-                    velocity=veh.velocities[t].copy(),
-                    box2d_projected=Box2D(*vis.box2d[vi].tolist()),
-                    status=TrackStatus.OCCLUDED if vis.cover[vi] >= FULL_COVER_THRESHOLD else TrackStatus.TRACKED,
-                )
-            )
+            status = TrackStatus.OCCLUDED if vis.cover[vi] >= FULL_COVER_THRESHOLD else TrackStatus.TRACKED
+            state = (veh.positions[t].tolist(), veh.dims.tolist(), float(veh.yaws[t]), veh.velocities[t].tolist())
+            records.append(TrackRecord(t, veh.id, *state, vis.box2d[vi].tolist(), status))
     return records
 
 

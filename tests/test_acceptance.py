@@ -235,15 +235,15 @@ def position_rmse(sequence, gt, config, weights=None, gate=5.0):
     gt_by_frame = {}
     for r in gt:
         if r.status == TrackStatus.TRACKED:
-            gt_by_frame.setdefault(r.frame_index, []).append(r)
+            gt_by_frame.setdefault(r.frame, []).append(r)
     square_errors = []
     for r in records:
         if r.status != TrackStatus.TRACKED:
             continue
-        candidates = gt_by_frame.get(r.frame_index, [])
+        candidates = gt_by_frame.get(r.frame, [])
         if not candidates:
             continue
-        d = min(np.linalg.norm(g.box3d.center - r.box3d.center) for g in candidates)
+        d = min(np.linalg.norm(np.subtract(g.center, r.center)) for g in candidates)
         if d <= gate:
             square_errors.append(d * d)
     return math.sqrt(float(np.mean(square_errors)))
@@ -287,13 +287,13 @@ def test_c07_motion_ablation(trained_motion_weights):
 
 def crosser_identity_retained(gt, records):
     occluded_frames = [
-        r.frame_index for r in gt if r.track_id == 1 and r.status == TrackStatus.OCCLUDED
+        r.frame for r in gt if r.track_id == 1 and r.status == TrackStatus.OCCLUDED
     ]
     if not occluded_frames:
         return None
     first, last = min(occluded_frames), max(occluded_frames)
     matchings = match_sequence(gt, records, mode="3d")
-    frames = sorted({r.frame_index for r in gt} | {r.frame_index for r in records})
+    frames = sorted({r.frame for r in gt} | {r.frame for r in records})
     before = after = None
     for frame, matching in zip(frames, matchings):
         for g, p, _ in matching.pairs:
@@ -329,10 +329,7 @@ def test_c09_metrics_oracle():
     from mono3dt.metrics import center_score, depth_metrics, dimension_score, orientation_score
 
     def rec(frame, tid, x):
-        return TrackRecord(
-            frame, tid, Box3D([x, 0.0, 0.75], [4.0, 2.0, 1.5], 0.0), [0, 0, 0],
-            Box2D(0, 0, 10, 10), TrackStatus.TRACKED,
-        )
+        return TrackRecord(frame, tid, [x, 0.0, 0.75], [4.0, 2.0, 1.5], 0.0, [0, 0, 0], [0, 0, 10, 10], TrackStatus.TRACKED)
 
     gt = [rec(f, 0, 10.0 + f) for f in range(5)] + [rec(f, 1, 30.0 + f) for f in range(5)]
     pred = []
@@ -393,19 +390,14 @@ def test_c10_causality_and_determinism(tmp_path):
     track_hashes_equal = sha(tmp_path / "t1.jsonl") == sha(tmp_path / "t2.jsonl")
 
     # prefix causality through the public serialization path
-    from mono3dt.io import load_detections, load_poses, write_detections, write_poses
+    from mono3dt.io import load_sequence, write_detections, write_poses
 
     k = 20
-    intr, poses = load_poses(tmp_path / "a" / "poses.json")
-    detections = load_detections(tmp_path / "a" / "detections.jsonl")
-    per_frame = [[] for _ in range(k)]
-    for det in detections:
-        if det.frame_index < k:
-            per_frame[det.frame_index].append(det)
+    sequence = load_sequence(tmp_path / "a" / "detections.jsonl", tmp_path / "a" / "poses.json")
     cut = tmp_path / "cut"
     cut.mkdir()
-    write_detections(per_frame, cut / "detections.jsonl")
-    write_poses(intr, poses[:k], cut / "poses.json")
+    write_detections(sequence.detections[:k], cut / "detections.jsonl")
+    write_poses(sequence.intrinsics, sequence.poses[:k], cut / "poses.json")
     assert cli_main(
         [
             "track",

@@ -18,10 +18,11 @@ from mono3dt.association import (
     run_sequence,
     solve_assignment,
 )
-from mono3dt.data import DetectionRecord, SequenceInput, TrackerConfig, TrackStatus
+from mono3dt.data import DetectionTable, SequenceInput, TrackerConfig, TrackStatus, take_rows
 from mono3dt.lstm import LstmWeights
 from mono3dt.geometry import DEPTH_ORDER_TIE_RATE, Box2D, cover_fractions, iou_2d, nearer_mask
-from mono3dt.simulator import ScenarioConfig, generate_world, ground_truth_records, render_detections
+from mono3dt.io import load_sequence
+from mono3dt.simulator import ScenarioConfig, generate_world, ground_truth_records, render_detections, write_scenario
 
 from conftest import default_intrinsics
 
@@ -401,7 +402,7 @@ class TestBuildAffinityMatrix:
         cfg, world, seq, gt = simulate("open_road", seed=0)
         tracker = Tracker(TrackerConfig(), seq.intrinsics)
         tracker.step(0, seq.detections[0], seq.poses[0])
-        short = [dataclasses.replace(d, appearance=d.appearance[:4]) for d in seq.detections[1]]
+        short = dataclasses.replace(seq.detections[1], appearance=seq.detections[1].appearance[:, :4])
         with pytest.raises(LengthMismatch):
             tracker.step(1, short, seq.poses[1])
 
@@ -413,16 +414,16 @@ class TestDetectionProjection:
         own_box = Box2D(900.0, 500.0, 1000.0, 560.0)
 
         def detection(dims):
-            return DetectionRecord(0, own_box, [960.0, 540.0], 1e-7, 0.3, dims, np.zeros(8), 0.9)
+            return (0, own_box.as_tuple(), [960.0, 540.0], 1e-7, 0.3, dims, np.zeros(8), 0.9)
 
         # center at z = 1e-7 (behind the near limit): a car-sized box still
         # has corners in front, a 0.1 um box has none
-        dets = [detection([4.2, 1.8, 1.5]), detection([1e-7, 1e-7, 1e-7])]
+        dets = DetectionTable.from_rows([detection([4.2, 1.8, 1.5]), detection([1e-7, 1e-7, 1e-7])])
         seen = []
         real = association.build_affinity_matrix
         monkeypatch.setattr(association, "build_affinity_matrix", lambda *a: seen.append(a[3]) or real(*a))
         Tracker(TrackerConfig(), intr).step(0, dets, pose)
-        rows = association.decode_detection(dets[:1], pose, intr)
+        rows = association.decode_detection(take_rows(dets, slice(0, 1)), pose, intr)
         truncated = geometry.project_box(geometry.Box3D(rows.position[0], rows.dims[0], rows.yaw[0]), pose, intr)
         assert truncated.area > 0.0
         assert len(seen) == 1 and np.array_equal(seen[0], [truncated.as_tuple(), own_box.as_tuple()])
@@ -492,6 +493,9 @@ class TestCoverFractions:
         assert covered > 100  # the draws do exercise covered rows
 
 
+NO_DETECTIONS = DetectionTable.from_rows([])
+
+
 def simulate(preset, seed, noiseless=True, **overrides):
     cfg = ScenarioConfig.make_preset(preset, seed=seed, noiseless=noiseless, **overrides)
     world = generate_world(cfg)
@@ -519,10 +523,10 @@ class TestLifecycle:
         assert len(tracker.rows.ids)
         # starve the tracker: statuses go lost, ages run out at 21 steps
         for k in range(1, 21):
-            tracker.step(k, [], pose)
+            tracker.step(k, NO_DETECTIONS, pose)
             assert all(status == TrackStatus.LOST for status in tracker.rows.status)
             assert all(age == k for age in tracker.rows.age)
-        tracker.step(21, [], pose)
+        tracker.step(21, NO_DETECTIONS, pose)
         assert len(tracker.rows.ids) == 0
 
     def test_ids_never_reused(self):
@@ -545,7 +549,7 @@ class TestLifecycle:
         tracker.step(0, seq.detections[0], seq.poses[0])
         tracker.step(1, seq.detections[1], seq.poses[1])
         positions = dict(zip(tracker.rows.ids.tolist(), tracker.rows.position.copy()))
-        tracker.step(2, [], seq.poses[2])
+        tracker.step(2, NO_DETECTIONS, seq.poses[2])
         for track_id, status, position in zip(tracker.rows.ids.tolist(), tracker.rows.status, tracker.rows.position):
             assert status == TrackStatus.LOST
             assert np.array_equal(position, positions[track_id])
@@ -598,7 +602,7 @@ class TestLifecycle:
             if backend == "kf3d" and f == 13:
                 means = dict(zip(tracker.rows.ids.tolist(), tracker.rows.motion.mean.copy()))
                 covs = dict(zip(tracker.rows.ids.tolist(), tracker.rows.motion.cov.copy()))
-            records = tracker.step(f, [] if starved else seq.detections[f], seq.poses[f])
+            records = tracker.step(f, NO_DETECTIONS if starved else seq.detections[f], seq.poses[f])
             if f < 3:
                 assert records == [] and len(tracker.rows.ids) == 0
             if 12 <= f < 15:
@@ -614,25 +618,21 @@ class TestLifecycle:
                     assert np.array_equal(tracker.rows.motion.cov[i], covs[track_id])
             emitted += [(r, copy.deepcopy(r)) for r in records]
             for r, kept in emitted:
-                if r.frame_index <= f - 10:
-                    assert np.array_equal(r.box3d.center, kept.box3d.center)
-                    assert np.array_equal(r.box3d.dimensions, kept.box3d.dimensions)
-                    assert r.box3d.yaw == kept.box3d.yaw
-                    assert np.array_equal(r.velocity, kept.velocity)
-                    assert r.box2d_projected == kept.box2d_projected
+                if r.frame <= f - 10:
+                    assert r == kept
         assert len(emitted) > 100
 
     def test_crossing_keeps_identity(self):
         cfg, world, seq, gt = simulate("crossing_occlusion", seed=4)
         records = run_sequence(seq, TrackerConfig())
         # the crosser (vehicle 1) must carry one id across the whole run
-        crosser_frames = {r.frame_index: r for r in gt if r.track_id == 1}
+        crosser_frames = {r.frame: r for r in gt if r.track_id == 1}
         ids = set()
         for r in records:
-            gt_row = crosser_frames.get(r.frame_index)
+            gt_row = crosser_frames.get(r.frame)
             if gt_row is None:
                 continue
-            if np.linalg.norm(r.box3d.center - gt_row.box3d.center) < 1.0:
+            if np.linalg.norm(np.subtract(r.center, gt_row.center)) < 1.0:
                 ids.add(r.track_id)
         assert len(ids) == 1
 
@@ -642,12 +642,35 @@ class TestLifecycle:
         k = 40
         seq_prefix = SequenceInput(seq.intrinsics, seq.poses[:k], seq.detections[:k])
         records_prefix = run_sequence(seq_prefix, TrackerConfig())
-        full_head = [r for r in records_full if r.frame_index < k]
+        full_head = [r for r in records_full if r.frame < k]
         assert len(full_head) == len(records_prefix)
         for a, b in zip(full_head, records_prefix):
-            assert a.frame_index == b.frame_index and a.track_id == b.track_id
-            assert np.array_equal(a.box3d.center, b.box3d.center)
+            assert a.frame == b.frame and a.track_id == b.track_id
+            assert a.center == b.center
             assert a.status == b.status
+
+    @pytest.mark.parametrize("backend", ["kf2d", "kf3d"])
+    def test_stepping_a_sequence_twice_gives_equal_rows(self, backend, tmp_path):
+        """load_sequence's per-frame detections are views of one table; no step writes through them."""
+        paths = write_scenario(ScenarioConfig.make_preset("dense", seed=5), tmp_path)
+        seq = load_sequence(paths["detections"], paths["poses"])
+        before = copy.deepcopy(seq.detections)
+        first = run_sequence(seq, TrackerConfig(motion_backend=backend))
+        assert run_sequence(seq, TrackerConfig(motion_backend=backend)) == first and len(first) > 500
+        for dets, kept in zip(seq.detections, before):
+            for f in dataclasses.fields(dets):
+                assert getattr(dets, f.name).tobytes() == getattr(kept, f.name).tobytes()
+
+    def test_emitted_rows_share_no_memory_with_the_store(self):
+        cfg, world, seq, gt = simulate("crossing_occlusion", seed=1)
+        tracker = Tracker(TrackerConfig(), seq.intrinsics)
+        for f in range(10):
+            records = tracker.step(f, seq.detections[f], seq.poses[f])
+        kept = copy.deepcopy(records)
+        assert records and all(type(v) in (int, float, list, TrackStatus) for r in records for v in r)
+        for name in ("ids", "position", "dims", "yaw", "velocity"):
+            getattr(tracker.rows, name)[:] += 1
+        assert records == kept
 
     def test_lstm_backend_requires_weights(self):
         with pytest.raises(ValueError):

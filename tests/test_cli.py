@@ -139,17 +139,12 @@ class TestTrack:
 
         # truncate inputs to the first k frames and rerun
         k = 35
-        from mono3dt.io import load_poses, load_detections
-        intr, poses = load_poses(src / "poses.json")
-        dets = load_detections(src / "detections.jsonl")
+        from mono3dt.io import load_sequence
+        sequence = load_sequence(src / "detections.jsonl", src / "poses.json")
         cut = tmp_path / "cut"
         cut.mkdir()
-        per_frame = [[] for _ in range(k)]
-        for d in dets:
-            if d.frame_index < k:
-                per_frame[d.frame_index].append(d)
-        write_detections(per_frame, cut / "detections.jsonl")
-        write_poses(intr, poses[:k], cut / "poses.json")
+        write_detections(sequence.detections[:k], cut / "detections.jsonl")
+        write_poses(sequence.intrinsics, sequence.poses[:k], cut / "poses.json")
         cut_tracks = tmp_path / "cut_tracks.jsonl"
         assert run(
             ["track", "--detections", str(cut / "detections.jsonl"), "--poses", str(cut / "poses.json"), "--out", str(cut_tracks)]
@@ -288,7 +283,7 @@ class TestEvaluate:
             shown = set()
             for cutoff in cutoffs:
                 cut = [
-                    [r for r in records if world.poses[r.frame_index].world_to_camera(r.box3d.center)[2] <= cutoff]
+                    [r for r in records if world.poses[r.frame].world_to_camera(r.center)[2] <= cutoff]
                     for records in (gt, pred)
                 ]
                 expected = evaluate_tracks(*cut, mode).as_dict()

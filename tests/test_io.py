@@ -11,15 +11,16 @@ from hypothesis import strategies as st
 
 from mono3dt.data import (
     ConfigError,
-    DetectionRecord,
+    DetectionTable,
     OutOfRangeValue,
     TrackerConfig,
     TrackRecord,
     TrackStatus,
     TrackTable,
     UnknownKey,
+    take_rows,
 )
-from mono3dt.geometry import Box2D, Box3D, CameraPose
+from mono3dt.geometry import CameraPose, normalize_angle
 from mono3dt.io import (
     DimensionMismatch,
     FrameGapError,
@@ -38,18 +39,37 @@ from mono3dt.io import (
 from conftest import default_intrinsics, random_pose
 
 
-def make_detection(rng, frame, app_len=16) -> DetectionRecord:
+def make_detection(rng, frame, app_len=16) -> tuple:
+    """One (frame, box2d, center_px, depth, yaw_local, dims, appearance, score) row of DetectionTable.from_rows."""
     x0, y0 = rng.uniform(0, 900, 2)
-    return DetectionRecord(
-        frame_index=frame,
-        box2d=Box2D(x0, y0, x0 + rng.uniform(1, 300), y0 + rng.uniform(1, 150)),
-        center_proj=rng.uniform(0, 1900, 2),
-        depth=rng.uniform(1, 90),
-        yaw_local=rng.uniform(0, 2 * math.pi),
-        dimensions=rng.uniform(1, 5, 3),
-        appearance=rng.normal(size=app_len),
-        score=rng.uniform(0.2, 1.0),
+    return (
+        frame,
+        [x0, y0, x0 + rng.uniform(1, 300), y0 + rng.uniform(1, 150)],
+        rng.uniform(0, 1900, 2),
+        rng.uniform(1, 90),
+        rng.uniform(0, 2 * math.pi),
+        rng.uniform(1, 5, 3),
+        rng.normal(size=app_len),
+        rng.uniform(0.2, 1.0),
     )
+
+
+def assert_tables_equal(got, want):
+    """Every column of two row dataclasses has the same dtype, shape and bytes (object columns: equal members)."""
+    assert type(got) is type(want)
+    for field in fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+        assert (a.tolist() if a.dtype == object else a.tobytes()) == (b.tolist() if b.dtype == object else b.tobytes()), field.name
+
+
+def rewrite_line(path, index, edit) -> None:
+    """Replace line `index` (0 is the header) of a JSONL file by edit(record dict) as JSON."""
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[index])
+    edit(record)
+    lines[index] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestDetectionsRoundTrip:
@@ -60,28 +80,32 @@ class TestDetectionsRoundTrip:
         write_poses(default_intrinsics(), [CameraPose.identity()] * 4, poses_path)
         seq = load_sequence(det_path, poses_path)
         assert seq.n_frames == 4
-        assert all(frame == [] for frame in seq.detections)
+        assert [len(frame) for frame in seq.detections] == [0] * 4
 
     def test_round_trip_lossless(self, tmp_path):
         rng = np.random.default_rng(0)
-        frames = [[make_detection(rng, f) for _ in range(rng.integers(0, 5))] for f in range(6)]
+        frames = [DetectionTable.from_rows([make_detection(rng, f) for _ in range(rng.integers(0, 5))]) for f in range(6)]
         path = tmp_path / "detections.jsonl"
         write_detections(frames, path)
         loaded = load_detections(path)
-        flat = [d for fr in frames for d in fr]
-        assert len(loaded) == len(flat)
-        for a, b in zip(flat, loaded):
-            assert a.frame_index == b.frame_index
-            assert a.box2d.as_tuple() == b.box2d.as_tuple()
-            assert np.array_equal(a.center_proj, b.center_proj)
-            assert a.depth == b.depth and a.yaw_local == b.yaw_local
-            assert np.array_equal(a.dimensions, b.dimensions)
-            assert np.array_equal(a.appearance, b.appearance)
-            assert a.score == b.score
+        flat = [row for table in frames for row in zip(*(getattr(table, f.name).tolist() for f in fields(table)))]
+        assert len(loaded) == len(flat) > 0
+        assert_tables_equal(loaded, DetectionTable.from_rows(flat))
+
+    def test_sequence_slices_frames_in_file_order(self, tmp_path):
+        """detections[f] holds frame f's rows in file order, whatever the file's frame order."""
+        rng = np.random.default_rng(6)
+        table = DetectionTable.from_rows([make_detection(rng, f) for f in (2, 0, 2, 1, 0, 2)])
+        det_path, poses_path = tmp_path / "d.jsonl", tmp_path / "p.json"
+        write_detections([table], det_path)
+        write_poses(default_intrinsics(), [CameraPose.identity()] * 4, poses_path)
+        seq = load_sequence(det_path, poses_path)
+        for f in range(4):
+            assert_tables_equal(seq.detections[f], take_rows(table, table.frame == f))
 
     def test_counts_conserved(self, tmp_path):
         rng = np.random.default_rng(1)
-        frames = [[make_detection(rng, f) for _ in range(3)] for f in range(5)]
+        frames = [DetectionTable.from_rows([make_detection(rng, f) for _ in range(3)]) for f in range(5)]
         path = tmp_path / "d.jsonl"
         write_detections(frames, path)
         n_lines = len([l for l in path.read_text().splitlines() if l.strip()])
@@ -89,11 +113,20 @@ class TestDetectionsRoundTrip:
 
     def test_appearance_length_mismatch(self, tmp_path):
         rng = np.random.default_rng(2)
-        frames = [[make_detection(rng, 0, app_len=16)], [make_detection(rng, 1, app_len=8)]]
+        frames = [DetectionTable.from_rows([make_detection(rng, 0, app_len=16)]), DetectionTable.from_rows([make_detection(rng, 1, app_len=8)])]
         path = tmp_path / "d.jsonl"
         write_detections(frames, path)
         with pytest.raises(DimensionMismatch):
             load_detections(path)
+
+    def test_ragged_appearance_names_its_own_line(self, tmp_path):
+        rng = np.random.default_rng(2)
+        path = tmp_path / "d.jsonl"
+        write_detections([DetectionTable.from_rows([make_detection(rng, f, app_len=4) for f in range(5)])], path)
+        rewrite_line(path, 3, lambda record: record["app"].pop())
+        with pytest.raises(DimensionMismatch) as err:
+            load_detections(path)
+        assert str(err.value).startswith(f"{path}:4: ")
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -123,25 +156,68 @@ class TestDetectionsRoundTrip:
             ("frame", 2.7),
             ("frame", True),
             ("frame", "3"),
+            ("frame", 1.0),
+            ("score", 1.5),
+            ("box2d", [9.0, 0.0, 0.0, 9.0]),
+            ("depth_m", 0.0),
         ],
     )
     def test_bad_value_reports_line(self, tmp_path, field, value):
         rng = np.random.default_rng(4)
         path = tmp_path / "d.jsonl"
-        write_detections([[make_detection(rng, 0, app_len=2)] * 2], path)
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[2])
-        record[field] = value
-        lines[2] = json.dumps(record)
-        path.write_text("\n".join(lines) + "\n")
+        write_detections([DetectionTable.from_rows([make_detection(rng, 0, app_len=2)] * 2)], path)
+        rewrite_line(path, 2, lambda record: record.update({field: value}))
         with pytest.raises(ParseError) as err:
             load_detections(path)
         assert err.value.line_no == 3
         assert str(err.value).startswith(f"{path}:3: ")
 
+    def test_first_of_two_bad_lines_reported(self, tmp_path):
+        """Of two bad lines, 4 and 7, line 4 is reported, whichever kind of fault each holds."""
+        rng = np.random.default_rng(7)
+        path = tmp_path / "d.jsonl"
+        rows = [make_detection(rng, f, app_len=3) for f in range(8)]
+        write_detections([DetectionTable.from_rows(rows)], path)
+        rewrite_line(path, 3, lambda record: record["app"].append(0.5))
+        rewrite_line(path, 6, lambda record: record.update(depth_m=float("nan")))
+        with pytest.raises(DimensionMismatch) as err:
+            load_detections(path)
+        assert str(err.value).startswith(f"{path}:4: ")
+        write_detections([DetectionTable.from_rows(rows)], path)
+        rewrite_line(path, 3, lambda record: record.update(score=-0.5))
+        rewrite_line(path, 6, lambda record: record["app"].append(0.5))
+        with pytest.raises(ParseError) as err:
+            load_detections(path)
+        assert str(err.value).startswith(f"{path}:4: ")
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_round_trip_is_lossless(self, tmp_path, data):
+        """load_detections after write_detections equals the written table, bit for bit in every column."""
+        number = st.floats(-1e6, 1e6, allow_nan=False)
+        app_len = data.draw(st.integers(0, 4))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 30))):
+            x0, y0, width, height = data.draw(st.tuples(number, number, st.floats(0, 1e3), st.floats(0, 1e3)))
+            rows.append(
+                (
+                    data.draw(st.integers(-(2**63), 2**63 - 1)),
+                    [x0, y0, x0 + width, y0 + height],
+                    data.draw(st.lists(number, min_size=2, max_size=2)),
+                    data.draw(st.floats(1e-3, 1e3)),
+                    data.draw(number),
+                    data.draw(st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3)),
+                    data.draw(st.lists(number, min_size=app_len, max_size=app_len)),
+                    data.draw(st.floats(0, 1)),
+                )
+            )
+        table = DetectionTable.from_rows(rows)
+        path = tmp_path / "detections.jsonl"
+        write_detections([table], path)
+        assert_tables_equal(load_detections(path), table)
+
     def test_tracks_writer_refuses_non_finite(self, tmp_path):
-        box = Box3D([float("nan"), 0.0, 0.0], [1.0, 1.0, 1.0], 0.0)
-        rec = TrackRecord(0, 0, box, np.zeros(3), Box2D(0, 0, 1, 1), TrackStatus.TRACKED)
+        rec = TrackRecord(0, 0, [float("nan"), 0.0, 0.0], [1.0, 1.0, 1.0], 0.0, [0.0] * 3, [0.0, 0.0, 1.0, 1.0], TrackStatus.TRACKED)
         with pytest.raises(ValueError):
             write_tracks([rec], tmp_path / "t.jsonl")
 
@@ -173,14 +249,15 @@ class TestPoses:
         rng = np.random.default_rng(4)
         det_path = tmp_path / "d.jsonl"
         poses_path = tmp_path / "p.json"
-        write_detections([[make_detection(rng, 7)]], det_path)
+        write_detections([DetectionTable.from_rows([make_detection(rng, 7)])], det_path)
         write_poses(default_intrinsics(), [CameraPose.identity()] * 3, poses_path)
         with pytest.raises(FrameGapError):
             load_sequence(det_path, poses_path)
 
 
-def track_row(frame, track_id) -> TrackRecord:
-    return TrackRecord(frame, track_id, Box3D([1.0, 2.0, 0.5], [4.2, 1.8, 1.5], 0.3), np.zeros(3), Box2D(0, 0, 9, 9), TrackStatus.TRACKED)
+def track_row(frame, track_id, **changes) -> TrackRecord:
+    row = TrackRecord(frame, track_id, [1.0, 2.0, 0.5], [4.2, 1.8, 1.5], 0.3, [0.0] * 3, [0.0, 0.0, 9.0, 9.0], TrackStatus.TRACKED)
+    return row._replace(**changes)
 
 
 class TestTracks:
@@ -196,23 +273,25 @@ class TestTracks:
 
     def test_single_record_bit_exact(self, tmp_path):
         rec = TrackRecord(
-            frame_index=3,
+            frame=3,
             track_id=7,
-            box3d=Box3D([1.25, -2.5, 0.75], [4.2, 1.8, 1.5], 0.7853981633974483),
+            center=[1.25, -2.5, 0.75],
+            dims=[4.2, 1.8, 1.5],
+            yaw=0.7853981633974483,
             velocity=[0.1, -0.2, 0.0],
-            box2d_projected=Box2D(10.5, 20.25, 100.125, 200.0),
+            box2d=[10.5, 20.25, 100.125, 200.0],
             status=TrackStatus.TRACKED,
         )
         path = tmp_path / "tracks.jsonl"
         write_tracks([rec], path)
         loaded = load_tracks(path)
         assert len(loaded) == 1
-        assert loaded.frame[0] == rec.frame_index
+        assert loaded.frame[0] == rec.frame
         assert loaded.track_id[0] == rec.track_id
-        assert np.array_equal(loaded.center[0], rec.box3d.center)
-        assert loaded.yaw[0] == rec.box3d.yaw
-        assert np.array_equal(loaded.velocity[0], rec.velocity)
-        assert tuple(loaded.box2d[0].tolist()) == rec.box2d_projected.as_tuple()
+        assert loaded.center[0].tolist() == rec.center
+        assert loaded.yaw[0] == rec.yaw
+        assert loaded.velocity[0].tolist() == rec.velocity
+        assert loaded.box2d[0].tolist() == rec.box2d
         assert loaded.status[0] == rec.status
 
     def test_fuzz_round_trip(self, tmp_path):
@@ -224,11 +303,13 @@ class TestTracks:
             x0, y0 = rng.uniform(0, 1000, 2)
             records.append(
                 TrackRecord(
-                    frame_index=key // 200,
+                    frame=key // 200,
                     track_id=key % 200,
-                    box3d=Box3D(rng.normal(scale=40, size=3), rng.uniform(0.5, 8, 3), rng.uniform(0, 2 * math.pi)),
-                    velocity=rng.normal(scale=1.0, size=3),
-                    box2d_projected=Box2D(x0, y0, x0 + rng.uniform(0, 500), y0 + rng.uniform(0, 300)),
+                    center=rng.normal(scale=40, size=3).tolist(),
+                    dims=rng.uniform(0.5, 8, 3).tolist(),
+                    yaw=rng.uniform(0, 2 * math.pi),
+                    velocity=rng.normal(scale=1.0, size=3).tolist(),
+                    box2d=[x0, y0, x0 + rng.uniform(0, 500), y0 + rng.uniform(0, 300)],
                     status=statuses[rng.integers(0, 3)],
                 )
             )
@@ -236,13 +317,13 @@ class TestTracks:
         write_tracks(records, path)
         loaded = load_tracks(path)
         assert len(loaded) == len(records)
-        ordered = sorted(records, key=lambda r: (r.frame_index, r.track_id))
-        assert list(zip(loaded.frame.tolist(), loaded.track_id.tolist())) == [(a.frame_index, a.track_id) for a in ordered]
-        assert np.array_equal(loaded.center, [a.box3d.center for a in ordered])
-        assert np.array_equal(loaded.dims, [a.box3d.dimensions for a in ordered])
-        assert loaded.yaw.tolist() == [a.box3d.yaw for a in ordered]
-        assert np.array_equal(loaded.velocity, [a.velocity for a in ordered])
-        assert [tuple(b) for b in loaded.box2d.tolist()] == [a.box2d_projected.as_tuple() for a in ordered]
+        ordered = sorted(records, key=lambda r: (r.frame, r.track_id))
+        assert list(zip(loaded.frame.tolist(), loaded.track_id.tolist())) == [(a.frame, a.track_id) for a in ordered]
+        assert loaded.center.tolist() == [a.center for a in ordered]
+        assert loaded.dims.tolist() == [a.dims for a in ordered]
+        assert loaded.yaw.tolist() == [a.yaw for a in ordered]
+        assert loaded.velocity.tolist() == [a.velocity for a in ordered]
+        assert loaded.box2d.tolist() == [a.box2d for a in ordered]
         assert loaded.status.tolist() == [a.status for a in ordered]
 
     @pytest.mark.parametrize(
@@ -257,9 +338,8 @@ class TestTracks:
         ],
     )
     def test_non_finite_number_reports_line(self, tmp_path, key, token):
-        rec = TrackRecord(2, 4, Box3D([1.0, 2.0, 0.5], [4.2, 1.8, 1.5], 0.3), np.zeros(3), Box2D(0, 0, 9, 9), TrackStatus.TRACKED)
         path = tmp_path / "tracks.jsonl"
-        write_tracks([rec, rec], path)
+        write_tracks([track_row(2, 4), track_row(3, 4)], path)
         lines = path.read_text().splitlines()
         record = json.loads(lines[2])
         record[key] = "TOKEN"
@@ -327,45 +407,56 @@ class TestTracks:
             x0, y0, width, height = data.draw(st.tuples(number, number, st.floats(0, 1e3), st.floats(0, 1e3)))
             records.append(
                 TrackRecord(
-                    frame_index=frame,
+                    frame=frame,
                     track_id=track_id,
-                    box3d=Box3D(
-                        data.draw(st.lists(number, min_size=3, max_size=3)),
-                        data.draw(st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3)),
-                        data.draw(st.floats(-1e3, 1e3)),
-                    ),
+                    center=data.draw(st.lists(number, min_size=3, max_size=3)),
+                    dims=data.draw(st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3)),
+                    yaw=normalize_angle(data.draw(st.floats(-1e3, 1e3))),
                     velocity=data.draw(st.lists(number, min_size=3, max_size=3)),
-                    box2d_projected=Box2D(x0, y0, x0 + width, y0 + height),
+                    box2d=[x0, y0, x0 + width, y0 + height],
                     status=data.draw(st.sampled_from(TrackStatus)),
                 )
             )
         path = tmp_path / "tracks.jsonl"
         write_tracks(records, path)
-        loaded = load_tracks(path)
-        expected = TrackTable.from_records(sorted(records, key=lambda r: (r.frame_index, r.track_id)))
-        for field in fields(TrackTable):
-            got, want = getattr(loaded, field.name), getattr(expected, field.name)
-            assert (got.dtype, got.shape) == (want.dtype, want.shape), field.name
-            # an object column holds the TrackStatus members themselves
-            assert (got.tolist() if got.dtype == object else got.tobytes()) == (want.tolist() if want.dtype == object else want.tobytes()), field.name
+        # an object column holds the TrackStatus members themselves
+        assert_tables_equal(load_tracks(path), TrackTable.from_records(sorted(records, key=lambda r: (r.frame, r.track_id))))
 
     def test_repeated_frame_and_id_reports_line(self, tmp_path):
-        rec = TrackRecord(0, 7, Box3D([10.0, 0.0, 0.75], [4.0, 2.0, 1.5], 0.0), np.zeros(3), Box2D(0, 0, 9, 9), TrackStatus.TRACKED)
-        other = TrackRecord(0, 7, Box3D([10.4, 0.0, 0.75], [4.0, 2.0, 1.5], 0.0), np.zeros(3), Box2D(0, 0, 9, 9), TrackStatus.TRACKED)
-        later = TrackRecord(1, 7, Box3D([10.4, 0.0, 0.75], [4.0, 2.0, 1.5], 0.0), np.zeros(3), Box2D(0, 0, 9, 9), TrackStatus.TRACKED)
+        rec = track_row(0, 7, center=[10.0, 0.0, 0.75])
+        later = track_row(1, 7, center=[10.4, 0.0, 0.75])
         path = tmp_path / "tracks.jsonl"
         write_tracks([rec, later], path)
         assert len(load_tracks(path)) == 2  # one id in two frames is fine
-        write_tracks([rec, other, later], path)
+        rewrite_line(path, 2, lambda record: record.update(frame=0))  # the writer refuses the repeat itself
         with pytest.raises(ParseError) as err:
             load_tracks(path)
         assert str(err.value).startswith(f"{path}:3: ") and "repeated (frame, id)" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [track_row(0, 7), track_row(1, 7), track_row(0, 7, center=[10.4, 0.0, 0.75])],
+            [track_row(0, 7, velocity=[0.0, float("inf"), 0.0])],
+            [track_row(0, 7, yaw=float("nan"))],
+            [track_row(0, 7, dims=[4.2, 0.0, 1.5])],
+            [track_row(0, 7, dims=[4.2, 1.8, -1.5])],
+            [track_row(0, 7, box2d=[0.0, 9.0, 9.0, 0.0])],
+            [track_row(0, -1)],
+        ],
+        ids=["repeated-frame-and-id", "infinite", "nan", "zero-dimension", "negative-dimension", "inverted-box2d", "negative-id"],
+    )
+    def test_tracks_writer_refuses_what_the_reader_refuses(self, tmp_path, rows):
+        path = tmp_path / "tracks.jsonl"
+        with pytest.raises(ValueError):
+            write_tracks(rows, path)
+        assert not path.exists()  # refused before a line is written
+
     def test_write_then_read_is_sorted(self, tmp_path):
         recs = [
-            TrackRecord(5, 1, Box3D([0, 0, 0], [1, 1, 1], 0), [0, 0, 0], Box2D(0, 0, 1, 1), TrackStatus.TRACKED),
-            TrackRecord(2, 9, Box3D([0, 0, 0], [1, 1, 1], 0), [0, 0, 0], Box2D(0, 0, 1, 1), TrackStatus.LOST),
-            TrackRecord(2, 3, Box3D([0, 0, 0], [1, 1, 1], 0), [0, 0, 0], Box2D(0, 0, 1, 1), TrackStatus.OCCLUDED),
+            TrackRecord(5, 1, [0, 0, 0], [1, 1, 1], 0, [0, 0, 0], [0, 0, 1, 1], TrackStatus.TRACKED),
+            TrackRecord(2, 9, [0, 0, 0], [1, 1, 1], 0, [0, 0, 0], [0, 0, 1, 1], TrackStatus.LOST),
+            TrackRecord(2, 3, [0, 0, 0], [1, 1, 1], 0, [0, 0, 0], [0, 0, 1, 1], TrackStatus.OCCLUDED),
         ]
         path = tmp_path / "t.jsonl"
         write_tracks(recs, path)

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from mono3dt.data import TrackRecord, TrackStatus, TrackTable
-from mono3dt.geometry import Box2D, Box3D, iou_2d, iou_3d
+from mono3dt.geometry import Box2D, Box3D, iou_2d, iou_3d, normalize_angle
 from mono3dt.metrics import (
     CENTER_GATE_3D_M,
     IOU_GATE_2D,
@@ -31,10 +31,13 @@ from conftest import reference_iou_3d
 
 
 def rec(frame, tid, x, y=0.0, status=TrackStatus.TRACKED, dims=(4.0, 2.0, 1.5), yaw=0.0):
-    box3d = Box3D([x, y, dims[2] / 2], dims, yaw)
     # image box is only used in 2d mode; give it a deterministic stand-in
-    box2d = Box2D(10 * x, 10 * y + 500, 10 * x + 40, 10 * y + 530)
-    return TrackRecord(frame, tid, box3d, [0, 0, 0], box2d, status)
+    box2d = [10 * x, 10 * y + 500, 10 * x + 40, 10 * y + 530]
+    return TrackRecord(frame, tid, [x, y, dims[2] / 2], list(dims), normalize_angle(yaw), [0, 0, 0], box2d, status)
+
+
+def box3d(r) -> Box3D:
+    return Box3D(r.center, r.dims, r.yaw)
 
 
 class TestMatchFrame:
@@ -87,13 +90,13 @@ def reference_match_frame(gt_records, pred_records, prev_pairs, mode):
 
     def pair_quality(gt_rec, pred_rec):
         if mode == "2d":
-            overlap = iou_2d(gt_rec.box2d_projected, pred_rec.box2d_projected)
+            overlap = iou_2d(Box2D(*gt_rec.box2d), Box2D(*pred_rec.box2d))
             return overlap >= IOU_GATE_2D, overlap, overlap
-        dist = float(np.linalg.norm(gt_rec.box3d.center[:2] - pred_rec.box3d.center[:2]))
+        dist = float(np.linalg.norm(np.subtract(gt_rec.center[:2], pred_rec.center[:2])))
         quality = 1.0 - dist / CENTER_GATE_3D_M
         if not dist <= CENTER_GATE_3D_M:
             return False, 0.0, quality
-        return True, reference_iou_3d(gt_rec.box3d, pred_rec.box3d), quality
+        return True, reference_iou_3d(box3d(gt_rec), box3d(pred_rec)), quality
 
     gt_by_id = {r.track_id: r for r in gt_records}
     pred_by_id = {r.track_id: r for r in pred_records}
@@ -160,7 +163,7 @@ class TestFrameGate:
         at_gate = 0
         for i, g in enumerate(gt):
             for j, p in enumerate(pred):
-                dist = float(np.linalg.norm(g.box3d.center[:2] - p.box3d.center[:2]))
+                dist = float(np.linalg.norm(np.subtract(g.center[:2], p.center[:2])))
                 assert quality[i, j] == 1.0 - dist / CENTER_GATE_3D_M
                 assert gate[i, j] == (dist <= CENTER_GATE_3D_M)
                 at_gate += dist == CENTER_GATE_3D_M
@@ -171,7 +174,7 @@ class TestFrameGate:
         gate, quality = _frame_gate(TrackTable.from_records(gt).box2d, TrackTable.from_records(pred).box2d, "2d")
         for i, g in enumerate(gt):
             for j, p in enumerate(pred):
-                assert quality[i, j] == iou_2d(g.box2d_projected, p.box2d_projected)
+                assert quality[i, j] == iou_2d(Box2D(*g.box2d), Box2D(*p.box2d))
         assert np.array_equal(gate, quality >= IOU_GATE_2D) and np.any(gate)
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
@@ -183,17 +186,17 @@ class TestFrameGate:
                 ok, overlap, score = _pair_quality(g, p, mode)
                 assert type(ok) is bool and ok == gate[i, j] and score == quality[i, j]
                 if mode == "3d":
-                    assert overlap == (iou_3d(g.box3d, p.box3d) if ok else 0.0)
+                    assert overlap == (iou_3d(box3d(g), box3d(p)) if ok else 0.0)
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_sequence_matches_per_pair_reference(self, mode, seed):
         gt, pred = random_frames(seed)
         prev, matched = {}, 0
-        frames = sorted({r.frame_index for r in gt + pred})
+        frames = sorted({r.frame for r in gt + pred})
         for f, matching in zip(frames, match_sequence(gt, pred, mode), strict=True):
-            frame_gt = [r for r in gt if r.frame_index == f]
-            pairs, fp, fn = reference_match_frame(frame_gt, [r for r in pred if r.frame_index == f], prev, mode)
+            frame_gt = [r for r in gt if r.frame == f]
+            pairs, fp, fn = reference_match_frame(frame_gt, [r for r in pred if r.frame == f], prev, mode)
             assert [(g, p) for g, p, _ in matching.pairs] == [(g, p) for g, p, _ in pairs]
             got = np.array([ov for _, _, ov in matching.pairs])
             assert np.max(np.abs(got - [ov for _, _, ov in pairs]), initial=0.0) <= (0.0 if mode == "2d" else 1e-12)
@@ -260,9 +263,7 @@ class TestComputeClear:
                     pred.append(rec(f, tid + 50, x + rng.uniform(-0.5, 0.5)))
         base = evaluate_tracks(gt, pred, "3d")
         relabel = {50: 907, 51: 3, 52: 88, 53: 1000}
-        pred2 = [rec(r.frame_index, relabel[r.track_id], r.box3d.center[0]) for r in pred]
-        for a, b in zip(pred, pred2):
-            b.box3d = a.box3d
+        pred2 = [r._replace(track_id=relabel[r.track_id]) for r in pred]
         again = evaluate_tracks(gt, pred2, "3d")
         assert again.mota == base.mota
         assert again.mismatches == base.mismatches

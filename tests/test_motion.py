@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mono3dt.association import Tracklets
-from mono3dt.data import TrackStatus
+from mono3dt.data import TrackStatus, put_rows, stack_rows, take_rows
 from mono3dt.geometry import Box2D, CameraPose, normalize_angle, project_boxes
 from mono3dt.lstm import HIDDEN_DIM, LstmMotionState
 from mono3dt.motion import (
@@ -30,9 +30,6 @@ from mono3dt.motion import (
     kf_predict,
     kf_update,
     predict_tracklet,
-    put_rows,
-    stack_rows,
-    take_rows,
     update_motion_state,
 )
 

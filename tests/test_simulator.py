@@ -13,8 +13,15 @@ from mono3dt.association import decode_detection
 from mono3dt.data import SequenceInput, TrackStatus
 from mono3dt.geometry import backproject
 from mono3dt.simulator import (
+    CAMERA_HEIGHT,
+    CAR_DIMS,
     FULL_COVER_THRESHOLD,
+    INTRINSICS,
     ScenarioConfig,
+    WorldTruth,
+    _ego_pose,
+    _frame_visibility,
+    _vehicle,
     appearance_basis,
     generate_world,
     ground_truth_records,
@@ -138,13 +145,13 @@ class TestRendering:
         detections, visibility = render_detections(world)
         rel_errors = []
         for t, frame_dets in enumerate(detections):
-            for det in frame_dets:
+            for center_px, depth in zip(frame_dets.center_px, frame_dets.depth.tolist()):
                 vis = visibility[t]
                 v = min(
                     np.flatnonzero(vis.in_view),
-                    key=lambda v: float(np.linalg.norm(vis.center_px[v] - det.center_proj)),
+                    key=lambda v: float(np.linalg.norm(vis.center_px[v] - center_px)),
                 )
-                rel_errors.append((det.depth - vis.depth[v]) / vis.depth[v])
+                rel_errors.append((depth - vis.depth[v]) / vis.depth[v])
         rel_errors = np.array(rel_errors)
         assert len(rel_errors) > 10_000
         assert abs(rel_errors.std() - 0.03) / 0.03 < 0.1
@@ -159,9 +166,8 @@ class TestRendering:
             if vis.cover[1] >= FULL_COVER_THRESHOLD:
                 hidden_frames += 1
                 assert not any(
-                    abs(det.depth - vis.depth[1]) < 1.0
-                    and np.linalg.norm(det.center_proj - vis.center_px[1]) < 40
-                    for det in detections[t]
+                    abs(depth - vis.depth[1]) < 1.0 and np.linalg.norm(center_px - vis.center_px[1]) < 40
+                    for center_px, depth in zip(detections[t].center_px, detections[t].depth.tolist())
                 )
         assert hidden_frames >= 5
 
@@ -189,15 +195,27 @@ class TestRendering:
         bases = {v.id: appearance_basis(cfg, v.id) for v in world.vehicles}
         within, cross = [], []
         for frame_dets in detections[:40]:
-            for det in frame_dets:
+            for appearance in frame_dets.appearance:
                 dists = {
-                    vid: float(np.sum(np.abs(det.appearance - base)))
+                    vid: float(np.sum(np.abs(appearance - base)))
                     for vid, base in bases.items()
                 }
                 owner = min(dists, key=dists.get)
                 within.append(dists[owner])
                 cross.extend(d for vid, d in dists.items() if vid != owner)
         assert np.mean(within) < np.mean(cross) / 5.0
+
+
+class TestVisibility:
+    def test_out_of_view_vehicles_do_not_occlude(self):
+        """A 12 m truck at 125 m, beyond SPAWN_RADIUS and straight behind a car at 100 m, covers none of it."""
+        config = ScenarioConfig.make_preset("open_road", frames=1, ego_path="static", n_vehicles=2)
+        car = _vehicle(0, CAR_DIMS, (100.0, 0.0), 0.0, 0.0, 1)
+        truck = _vehicle(1, np.array([12.0, 2.6, 4.0]), (125.0, 0.0), 0.0, 0.0, 1)
+        world = WorldTruth(config, INTRINSICS, [_ego_pose(0.0, 0.0, 0.0, CAMERA_HEIGHT)], [car, truck])
+        vis = _frame_visibility(world, 0)
+        assert vis.in_view.tolist() == [True, False]
+        assert vis.cover.tolist() == [0.0, 0.0]
 
 
 class TestGroundTruth:
@@ -219,7 +237,7 @@ class TestGroundTruth:
             rows = [r for r in gt if r.track_id == veh.id]
             if not rows:
                 continue
-            first = min(r.frame_index for r in rows)
+            first = min(r.frame for r in rows)
             assert visibility[first].detectable[veh.id]
             for t in range(first):
                 assert not visibility[t].detectable[veh.id]
@@ -229,10 +247,10 @@ class TestGroundTruth:
         world = generate_world(cfg)
         detections, visibility = render_detections(world)
         gt = ground_truth_records(world, visibility)
-        gt_keys = {(r.frame_index, r.track_id) for r in gt}
+        gt_keys = {(r.frame, r.track_id) for r in gt}
         for t, frame_dets in enumerate(detections):
-            for det in frame_dets:
+            for depth in frame_dets.depth.tolist():
                 veh = min(
-                    world.vehicles, key=lambda v: abs(visibility[t].depth[v.id] - det.depth)
+                    world.vehicles, key=lambda v: abs(visibility[t].depth[v.id] - depth)
                 )
                 assert (t, veh.id) in gt_keys
