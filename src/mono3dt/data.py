@@ -125,7 +125,7 @@ class TrackTable:
     track_id: np.ndarray  # (N,) int
     center: np.ndarray  # (N, 3) meters, world frame
     dims: np.ndarray  # (N, 3) meters (l, w, h)
-    yaw: np.ndarray  # (N,) radians in [0, 2*pi), as Box3D wraps them
+    yaw: np.ndarray  # (N,) radians in [0, 2*pi), as geometry.normalize_angles wraps them
     velocity: np.ndarray  # (N, 3) meters/frame
     box2d: np.ndarray  # (N, 4) pixels (x_min, y_min, x_max, y_max)
     status: np.ndarray  # (N,) TrackStatus objects

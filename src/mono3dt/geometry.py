@@ -6,8 +6,11 @@ Conventions (fixed for the whole package):
   * Camera frame is the usual computer-vision frame: x right, y down,
     z forward. A CameraPose maps world points into that frame,
     p_cam = R @ p_world + t.
-  * Angles are radians, normalized to [0, 2*pi) at construction.
+  * Angles are radians; box_corners normalizes yaws to [0, 2*pi).
   * Lengths are meters, image coordinates are pixels.
+  * Boxes are rows: an image box is (x_min, y_min, x_max, y_max), an
+    oriented 3D box is (center, dims (l, w, h), yaw), and N boxes are
+    (N, 4) rows or (N, 3), (N, 3), (N,) columns.
 """
 
 from __future__ import annotations
@@ -134,71 +137,6 @@ def camera_heading(pose: CameraPose) -> float:
     return math.atan2(forward[1], forward[0])
 
 
-@dataclass(frozen=True)
-class Box2D:
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    def __post_init__(self):
-        if self.x_min > self.x_max or self.y_min > self.y_max:
-            raise GeometryError("degenerate Box2D: min exceeds max")
-
-    @property
-    def width(self) -> float:
-        return self.x_max - self.x_min
-
-    @property
-    def height(self) -> float:
-        return self.y_max - self.y_min
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x_min, self.y_min, self.x_max, self.y_max)
-
-
-@dataclass(frozen=True)
-class Box3D:
-    """Oriented 3D box: world-frame center, (l, w, h) extents, yaw about +z."""
-
-    center: np.ndarray
-    dimensions: np.ndarray
-    yaw: float
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=float).reshape(3)
-        d = np.asarray(self.dimensions, dtype=float).reshape(3)
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "dimensions", d)
-        object.__setattr__(self, "yaw", normalize_angle(float(self.yaw)))
-        if np.any(d <= 0):
-            raise GeometryError("box dimensions must be positive")
-
-    @property
-    def length(self) -> float:
-        return float(self.dimensions[0])
-
-    @property
-    def width(self) -> float:
-        return float(self.dimensions[1])
-
-    @property
-    def height(self) -> float:
-        return float(self.dimensions[2])
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.dimensions))
-
-
 def project_point(point, pose: CameraPose, intrinsics: CameraIntrinsics):
     """Project a world point. Returns ((u, v) pixels, camera-frame depth).
 
@@ -259,10 +197,10 @@ _CORNER_SIGNS = np.array(
 )
 
 
-def _corners(centers, dims, yaws) -> np.ndarray:
-    """(N, 8, 3) world-frame corners of N oriented boxes.
+def box_corners(centers, dims, yaws) -> np.ndarray:
+    """(N, 8, 3) world-frame corners of N oriented boxes; one box is N = 1.
 
-    Yaws are normalized and dimensions checked as Box3D does; the stacked
+    Dimensions must be positive and yaws are normalized first; the stacked
     product repeats the one-box float operations, so every box's corners
     are bit-equal to computing them alone.
     """
@@ -282,11 +220,6 @@ def _corners(centers, dims, yaws) -> np.ndarray:
     return centers[:, None, :] + np.matmul(offsets, rot.transpose(0, 2, 1))
 
 
-def box3d_corners(box: Box3D) -> np.ndarray:
-    """8x3 world-frame corners of an oriented box."""
-    return _corners(box.center, box.dimensions, [box.yaw])[0]
-
-
 def project_hulls(centers, dims, yaws, pose: CameraPose, intrinsics: CameraIntrinsics):
     """Image hulls (N, 4) of N oriented boxes' visible corners, and any-corner-in-front (N,).
 
@@ -295,7 +228,7 @@ def project_hulls(centers, dims, yaws, pose: CameraPose, intrinsics: CameraIntri
     stacked products repeat the one-box float operations, so every row is
     bit-equal to projecting its box alone.
     """
-    corners = _corners(centers, dims, yaws)
+    corners = box_corners(centers, dims, yaws)
     cam = np.matmul(pose.rotation, corners.transpose(0, 2, 1)).transpose(0, 2, 1) + pose.translation
     in_front = cam[..., 2] > MIN_CAMERA_Z
     z = np.where(in_front, cam[..., 2], 1.0)
@@ -322,12 +255,12 @@ def project_boxes(centers, dims, yaws, pose: CameraPose, intrinsics: CameraIntri
 
     Returns (center_px (N, 2), depth (N,), boxes (N, 4),
     any_corner_in_front (N,)). Row k holds project_point's center pixels
-    and depth and project_box's hull of Box3D(centers[k], dims[k],
-    yaws[k]), except that an object whose center is behind the camera gets
-    zero pixels, its camera-frame z (at or below MIN_CAMERA_Z) and the
-    zero box; a box only partly behind is truncated. Boxes are (x_min,
-    y_min, x_max, y_max) rows. any_corner_in_front is false where
-    project_box would raise BoxBehindCamera.
+    and depth and project_box's hull of box k, except that an object
+    whose center is behind the camera gets zero pixels, its camera-frame
+    z (at or below MIN_CAMERA_Z) and the zero box; a box only partly
+    behind is truncated. Boxes are (x_min, y_min, x_max, y_max) rows.
+    any_corner_in_front is false where project_box would raise
+    BoxBehindCamera.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
     boxes, any_in_front = project_hulls(centers, dims, yaws, pose, intrinsics)
@@ -347,30 +280,32 @@ def project_boxes(centers, dims, yaws, pose: CameraPose, intrinsics: CameraIntri
     return center_px, depth, boxes, any_in_front
 
 
-def project_box(box: Box3D, pose: CameraPose, intrinsics: CameraIntrinsics) -> Box2D:
-    """Axis-aligned image hull of the visible corners, clipped to the image.
+def project_box(center, dims, yaw, pose: CameraPose, intrinsics: CameraIntrinsics) -> tuple:
+    """(x_min, y_min, x_max, y_max) image hull of one box's visible corners, clipped to the image.
 
-    Corners behind the camera are ignored; a partially-behind box is
-    truncated rather than rejected. Raises BoxBehindCamera only when no
-    corner is in front.
+    project_hulls' one-box call: corners behind the camera are ignored and
+    a partially-behind box is truncated rather than rejected. Raises
+    BoxBehindCamera only when no corner is in front. Nothing in the
+    package calls it; it stays because the benchmark tracer
+    (bench/layertrace.py) wraps it by name.
     """
-    hulls, any_in_front = project_hulls(box.center, box.dimensions, [box.yaw], pose, intrinsics)
+    hulls, any_in_front = project_hulls(center, dims, yaw, pose, intrinsics)
     if not any_in_front[0]:
         raise BoxBehindCamera("all corners behind camera")
-    return Box2D(*hulls[0].tolist())
+    return tuple(hulls[0].tolist())
 
 
-def iou_2d(a: Box2D, b: Box2D) -> float:
-    """Intersection-over-union of two axis-aligned boxes, in [0, 1]."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+def iou_2d(a, b) -> float:
+    """Intersection-over-union of two (x_min, y_min, x_max, y_max) rows, in [0, 1]."""
+    ix = min(a[2], b[2]) - max(a[0], b[0])
+    iy = min(a[3], b[3]) - max(a[1], b[1])
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    union = a.area + b.area - inter
+    union = _rect_area(a) + _rect_area(b) - inter
     if union <= 0.0:
         return 0.0
-    return inter / union
+    return float(inter / union)
 
 
 def iou_2d_matrix(a, b) -> np.ndarray:
@@ -435,29 +370,20 @@ def _bev_intersections(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarr
     return np.where(count >= 3, 0.5 * np.abs(twice), 0.0)
 
 
-def bev_intersection_area(a: Box3D, b: Box3D) -> float:
-    """Ground-plane intersection area of two oriented boxes (convex clipping)."""
-    return float(_bev_intersections(box3d_corners(a)[None], box3d_corners(b)[None])[0])
-
-
-def box_rows(boxes) -> tuple:
-    """(centers (K, 3), dims (K, 3), yaws (K,)) of K Box3D: the rows iou_3d_pairs reads."""
-    return (
-        np.array([box.center for box in boxes]).reshape(-1, 3),
-        np.array([box.dimensions for box in boxes]).reshape(-1, 3),
-        np.array([box.yaw for box in boxes], dtype=float),
-    )
+def bev_intersection_area(a, b) -> float:
+    """Ground-plane intersection area of two oriented (center, dims, yaw) boxes (convex clipping)."""
+    return float(_bev_intersections(box_corners(*a), box_corners(*b))[0])
 
 
 def iou_3d_pairs(a, b) -> np.ndarray:
     """(K,) volumetric IoU of box a[k] with box b[k] for each of K pairs.
 
-    a and b are (centers (K, 3), dims (K, 3), yaws (K,)) rows, as box_rows
-    gives them. The BEV rotated-rectangle intersections of all pairs are
+    a and b are (centers (K, 3), dims (K, 3), yaws (K,)) rows; one box's
+    (center, dims, yaw) is K = 1. The BEV rotated-rectangle intersections of all pairs are
     clipped at once, then multiplied by each pair's vertical overlap.
     """
     dims_a, dims_b = (np.asarray(rows[1], dtype=float).reshape(-1, 3) for rows in (a, b))
-    corners_a, corners_b = _corners(a[0], dims_a, a[2]), _corners(b[0], dims_b, b[2])
+    corners_a, corners_b = box_corners(a[0], dims_a, a[2]), box_corners(b[0], dims_b, b[2])
     # corners 0 and 4 lie on the bottom and top faces
     dz = np.minimum(corners_a[:, 4, 2], corners_b[:, 4, 2]) - np.maximum(corners_a[:, 0, 2], corners_b[:, 0, 2])
     inter = _bev_intersections(corners_a, corners_b) * dz
@@ -466,9 +392,13 @@ def iou_3d_pairs(a, b) -> np.ndarray:
     return np.where(overlap, inter / np.where(overlap, union, 1.0), 0.0)
 
 
-def iou_3d(a: Box3D, b: Box3D) -> float:
-    """Volumetric IoU: BEV rotated-rectangle intersection times vertical overlap."""
-    return float(iou_3d_pairs(box_rows([a]), box_rows([b]))[0])
+def iou_3d(a, b) -> float:
+    """Volumetric IoU of two (center, dims, yaw) boxes: iou_3d_pairs' one-pair call.
+
+    Nothing in the package calls it; it stays because the benchmark tracer
+    (bench/layertrace.py) wraps it by name.
+    """
+    return float(iou_3d_pairs(a, b)[0])
 
 
 # --- painter's occlusion: nearer image boxes cover farther ones ------------
@@ -482,8 +412,8 @@ DEPTH_ORDER_TIE_RATE = 0.05
 
 
 def _rects(boxes) -> list:
-    """(x_min, y_min, x_max, y_max) rows of Box2D objects or of an (n, 4) array."""
-    return boxes.tolist() if isinstance(boxes, np.ndarray) else [b.as_tuple() for b in boxes]
+    """The (x_min, y_min, x_max, y_max) rows of (n, 4) boxes as lists of floats."""
+    return np.asarray(boxes, dtype=float).tolist()
 
 
 def _rect_area(rect) -> float:
@@ -543,9 +473,9 @@ def nearer_mask(depths, tie_meters: float, tie_rate: float) -> np.ndarray:
 def cover_fractions(boxes, depths, tie_meters: float = 1.0, tie_rate: float = 0.0, rows=None) -> np.ndarray:
     """Fraction of each box covered by the union of strictly nearer boxes.
 
-    boxes are Box2D objects or (n, 4) rows. The layer tie is that of
-    nearer_mask. Zero-area boxes report cover 0. With rows, an iterable of
-    box indices, only those boxes are computed and the others report 0.
+    boxes are (n, 4) rows. The layer tie is that of nearer_mask. Zero-area
+    boxes report cover 0. With rows, an iterable of box indices, only those
+    boxes are computed and the others report 0.
     """
     rects = _rects(boxes)
     out = np.zeros(len(rects))
@@ -577,9 +507,9 @@ def depth_ordered_overlaps(
     layers this equals iou_2d exactly, and a tracklet fully claimed by a
     nearer layer scores 0. The layer tie works as in nearer_mask.
 
-    Boxes are Box2D objects or (k, 4) rows. Only the pairs set in the
-    (n, m) bool mask kept are computed; the other entries are 0. Claimants
-    range over all tracklets either way.
+    Boxes are (k, 4) rows. Only the pairs set in the (n, m) bool mask kept
+    are computed; the other entries are 0. Claimants range over all
+    tracklets either way.
     """
     rects = _rects(track_boxes)
     det_rects = _rects(det_boxes)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
+from itertools import chain, compress, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -86,7 +87,13 @@ def _float_column(key: str, values, *width) -> np.ndarray:
     column = np.array(values)
     if values and (column.shape[1:] != width or column.dtype.kind not in "if"):
         raise ValueError(f"{key} must be {f'{width[0]} numbers' if width else 'a number'}")
-    return column.reshape(len(values), *width).astype(float, copy=False)
+    column = column.reshape(len(values), *width).astype(float, copy=False)
+    # among numbers np.array reads a JSON true/false as 1.0/0.0, so the rows holding those are checked by type
+    held = (column == 0.0) | (column == 1.0)
+    rows = compress(values, (held.any(axis=1) if width else held).tolist())
+    if bool in set(map(type, chain.from_iterable(rows) if width else rows)):
+        raise ValueError(f"{key} must hold numbers, not true or false")
+    return column
 
 
 def _refuse_failed(*checks) -> None:
@@ -243,7 +250,10 @@ def load_sequence(detections_path, poses_path) -> SequenceInput:
     table = load_detections(detections_path)
     outside = (table.frame < 0) | (table.frame >= len(poses))
     if outside.any():
-        raise FrameGapError(f"detection frame {table.frame[outside][0]} outside pose range 0..{len(poses) - 1}")
+        row = int(np.argmax(outside))
+        line_no = next(islice(_read_jsonl(detections_path, "detections"), row, None))[0]
+        problem = f"detection frame {table.frame[row]} outside pose range 0..{len(poses) - 1}"
+        raise FrameGapError(f"{detections_path}:{line_no}: {problem}")
     table = take_rows(table, np.argsort(table.frame, kind="stable"))
     bounds = np.searchsorted(table.frame, np.arange(len(poses) + 1)).tolist()
     per_frame = [take_rows(table, slice(start, stop)) for start, stop in zip(bounds, bounds[1:])]

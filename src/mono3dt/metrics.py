@@ -107,6 +107,8 @@ def _pair_quality(gt_rec, pred_rec, mode: str):
     """(passes gate, overlap in [0,1], assignment score) for one pair: the frame gate's one-pair call.
 
     In 3d mode a pair outside the center gate reports overlap 0 without computing its 3D IoU.
+    match_frame reads whole frames through _frame_gate instead; this stays because the
+    benchmark tracer (bench/layertrace.py) wraps it by name.
     """
     gate, quality = _frame_gate(*(_gate_rows(TrackTable.from_records([r]), mode) for r in (gt_rec, pred_rec)), mode)
     ok, quality = bool(gate[0, 0]), float(quality[0, 0])
@@ -322,22 +324,22 @@ def dimension_score(gt_dims, pred_dims) -> float:
 def center_score(gt_centers, pred_centers, pred_boxes) -> float:
     """Closeness of projected 3D centers, normalized by predicted box size.
 
-    The per-pair offset (dx/width, dy/height) is read as an angle through
-    its euclidean norm (clamped to pi): zero offset scores 1, an offset of
-    norm pi scores 0.
+    pred_boxes are (K, 4) (x_min, y_min, x_max, y_max) rows. The per-pair
+    offset (dx/width, dy/height) is read as an angle through its euclidean
+    norm (clamped to pi): zero offset scores 1, an offset of norm pi
+    scores 0.
     """
     gt = np.atleast_2d(np.asarray(gt_centers, dtype=float))
     pred = np.atleast_2d(np.asarray(pred_centers, dtype=float))
-    if gt.size == 0 or gt.shape != pred.shape or len(pred_boxes) != len(gt):
+    boxes = np.asarray(pred_boxes, dtype=float).reshape(-1, 4)
+    if gt.size == 0 or gt.shape != pred.shape or len(boxes) != len(gt):
         raise EmptyInput("need equal, non-empty center arrays")
-    scores = []
-    for g, p, box in zip(gt, pred, pred_boxes):
-        if box.width <= 0 or box.height <= 0:
-            raise DegenerateBox(f"predicted box has no extent: {box}")
-        offset = np.array([(g[0] - p[0]) / box.width, (g[1] - p[1]) / box.height])
-        angle = min(float(np.linalg.norm(offset)), math.pi)
-        scores.append((1.0 + math.cos(angle)) / 2.0)
-    return float(np.mean(scores))
+    size = boxes[:, 2:] - boxes[:, :2]
+    flat = (size <= 0).any(axis=1)
+    if flat.any():
+        raise DegenerateBox(f"predicted box has no extent: {boxes[flat][0].tolist()}")
+    angle = np.minimum(np.linalg.norm((gt[:, :2] - pred[:, :2]) / size, axis=1), math.pi)
+    return float(np.mean((1.0 + np.cos(angle)) / 2.0))
 
 
 def ap_3d(gt_records, pred_records_scored, iou_thresholds=(0.25, 0.5, 0.7)) -> dict:

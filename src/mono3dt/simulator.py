@@ -303,13 +303,12 @@ def generate_world(config: ScenarioConfig) -> WorldTruth:
 class FrameVisibility:
     """One frame's render bookkeeping, row v for vehicle v."""
 
-    in_view: np.ndarray  # (V,) bool: in range and large enough
+    in_view: np.ndarray  # (V,) bool: in range with a box of at least MIN_BOX_AREA
     box2d: np.ndarray  # (V, 4) image boxes, the zero box when the center is behind the camera
     center_px: np.ndarray  # (V, 2)
     depth: np.ndarray  # (V,) camera-frame z
     cover: np.ndarray  # (V,) fraction covered by strictly nearer in-view vehicles
-    view_detectable: np.ndarray  # (V,) bool: in view with a non-empty box
-    detectable: np.ndarray  # (V,) bool: view-detectable and not nearly fully covered
+    detectable: np.ndarray  # (V,) bool: in view and not nearly fully covered
 
 
 def _frame_visibility(world: WorldTruth, t: int) -> FrameVisibility:
@@ -323,10 +322,7 @@ def _frame_visibility(world: WorldTruth, t: int) -> FrameVisibility:
     # the tracker's painter layering among in-view vehicles only: its default 1 m tie, widened with depth
     cover = np.zeros(len(depth))
     cover[in_view] = cover_fractions(boxes[in_view], depth[in_view], 1.0, DEPTH_ORDER_TIE_RATE)
-    view_detectable = in_view & (area > 0.0)
-    return FrameVisibility(
-        in_view, boxes, center_px, depth, cover, view_detectable, view_detectable & (cover < FULL_COVER_THRESHOLD)
-    )
+    return FrameVisibility(in_view, boxes, center_px, depth, cover, in_view & (cover < FULL_COVER_THRESHOLD))
 
 
 def appearance_basis(config: ScenarioConfig, vehicle_id: int) -> np.ndarray:
@@ -382,7 +378,7 @@ def ground_truth_records(world: WorldTruth, visibility) -> list:
     """TrackRecords a perfect tracker should produce.
 
     A vehicle enters the ground truth at its first detectable frame and
-    contributes a row for every later frame in which it is view-detectable;
+    contributes a row for every later frame in which it is in view;
     rows during near-full occlusion carry status "occluded".
     """
     records = []
@@ -391,7 +387,7 @@ def ground_truth_records(world: WorldTruth, visibility) -> list:
         if first is None:
             continue
         for t, vis in enumerate(visibility[first:], first):
-            if not vis.view_detectable[vi]:
+            if not vis.in_view[vi]:
                 continue
             status = TrackStatus.OCCLUDED if vis.cover[vi] >= FULL_COVER_THRESHOLD else TrackStatus.TRACKED
             state = (veh.positions[t].tolist(), veh.dims.tolist(), float(veh.yaws[t]), veh.velocities[t].tolist())

@@ -18,7 +18,6 @@ from mono3dt.association import AffinityMatrix, run_sequence, solve_assignment
 from mono3dt.cli import main as cli_main
 from mono3dt.data import SequenceInput, TrackerConfig, TrackStatus
 from mono3dt.geometry import (
-    Box3D,
     CameraPose,
     alpha_to_theta,
     backproject,
@@ -45,7 +44,7 @@ from mono3dt.simulator import (
     render_detections,
 )
 
-from conftest import default_intrinsics, monte_carlo_iou_3d, random_pose
+from conftest import box_row, default_intrinsics, monte_carlo_iou_3d, random_pose
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -97,12 +96,12 @@ def test_c02_rotated_iou_monte_carlo():
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
-        a = Box3D(
+        a = box_row(
             [rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-0.5, 0.5)],
             rng.uniform(0.8, 4.0, 3),
             rng.uniform(0, 2 * math.pi),
         )
-        b = Box3D(
+        b = box_row(
             [rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-0.5, 0.5)],
             rng.uniform(0.8, 4.0, 3),
             rng.uniform(0, 2 * math.pi),
@@ -325,7 +324,6 @@ def test_c08_occlusion_reidentification():
 
 def test_c09_metrics_oracle():
     from mono3dt.data import TrackRecord
-    from mono3dt.geometry import Box2D
     from mono3dt.metrics import center_score, depth_metrics, dimension_score, orientation_score
 
     def rec(frame, tid, x):
@@ -357,8 +355,8 @@ def test_c09_metrics_oracle():
         and abs(dm["abs_rel"] - 0.2) < 1e-9
         and abs(orientation_score([0.0], [math.pi / 2]) - 0.5) < 1e-9
         and abs(dimension_score([[4, 2, 1.5]], [[8, 2, 1.5]]) - 0.5) < 1e-9
-        and abs(center_score([[100 * math.pi / 2, 0]], [[0, 0]], [Box2D(0, 0, 100, 50)]) - 0.5) < 1e-9
-        and center_score([[5, 5]], [[5, 5]], [Box2D(0, 0, 100, 50)]) == 1.0
+        and abs(center_score([[100 * math.pi / 2, 0]], [[0, 0]], [(0, 0, 100, 50)]) - 0.5) < 1e-9
+        and center_score([[5, 5]], [[5, 5]], [(0, 0, 100, 50)]) == 1.0
     )
     report(
         9,

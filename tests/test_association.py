@@ -20,7 +20,7 @@ from mono3dt.association import (
 )
 from mono3dt.data import DetectionTable, SequenceInput, TrackerConfig, TrackStatus, take_rows
 from mono3dt.lstm import LstmWeights
-from mono3dt.geometry import DEPTH_ORDER_TIE_RATE, Box2D, cover_fractions, iou_2d, nearer_mask
+from mono3dt.geometry import DEPTH_ORDER_TIE_RATE, cover_fractions, iou_2d, nearer_mask
 from mono3dt.io import load_sequence
 from mono3dt.simulator import ScenarioConfig, generate_world, ground_truth_records, render_detections, write_scenario
 
@@ -161,16 +161,16 @@ def painter_overlap_oracle(track_boxes, track_depths, det_box, det_depth, cells=
     A tracklet's visible mask excludes pixels of tracklets that are both
     physically in front of it and closer to the detection's depth layer.
     """
-    x0 = min(b.x_min for b in track_boxes + [det_box])
-    x1 = max(b.x_max for b in track_boxes + [det_box])
-    y0 = min(b.y_min for b in track_boxes + [det_box])
-    y1 = max(b.y_max for b in track_boxes + [det_box])
+    x0 = min(b[0] for b in track_boxes + [det_box])
+    x1 = max(b[2] for b in track_boxes + [det_box])
+    y0 = min(b[1] for b in track_boxes + [det_box])
+    y1 = max(b[3] for b in track_boxes + [det_box])
     xs = np.linspace(x0, x1, cells, endpoint=False) + (x1 - x0) / (2 * cells)
     ys = np.linspace(y0, y1, cells, endpoint=False) + (y1 - y0) / (2 * cells)
     gx, gy = np.meshgrid(xs, ys)
 
     def mask(b):
-        return (gx >= b.x_min) & (gx <= b.x_max) & (gy >= b.y_min) & (gy <= b.y_max)
+        return (gx >= b[0]) & (gx <= b[2]) & (gy >= b[1]) & (gy <= b[3])
 
     det_mask = mask(det_box)
     out = []
@@ -201,36 +201,40 @@ def depth_ordered_overlaps(track_boxes, track_depths, det_box, det_depth):
     return geometry.depth_ordered_overlaps(track_boxes, track_depths, [det_box], [det_depth], kept)[:, 0]
 
 
-def random_box(rng) -> Box2D:
+def random_box(rng) -> tuple:
     x0, y0 = rng.uniform(0, 200, 2)
-    return Box2D(x0, y0, x0 + rng.uniform(20, 150), y0 + rng.uniform(20, 100))
+    return (x0, y0, x0 + rng.uniform(20, 150), y0 + rng.uniform(20, 100))
+
+
+def area(box) -> float:
+    return (box[2] - box[0]) * (box[3] - box[1])
 
 
 class TestDepthOrderedOverlaps:
     def test_single_tracklet_equals_plain_iou(self):
-        track = Box2D(0, 0, 100, 60)
-        det = Box2D(20, 10, 120, 70)
+        track = (0, 0, 100, 60)
+        det = (20, 10, 120, 70)
         got = depth_ordered_overlaps([track], [12.0], det, 12.0)
         assert got[0] == iou_2d(track, det)
 
     def test_fully_covered_scores_zero_for_front_layer_doi(self):
         # B fully covered by nearer A; a detection at A's layer cannot be B's
-        front = Box2D(0, 0, 200, 120)
-        hidden = Box2D(50, 30, 150, 90)
+        front = (0, 0, 200, 120)
+        hidden = (50, 30, 150, 90)
         got = depth_ordered_overlaps([front, hidden], [5.0, 10.0], front, 5.0)
         assert got[1] == 0.0
         assert got[0] > 0.9
 
     def test_own_layer_detection_is_never_masked(self):
-        front = Box2D(0, 0, 200, 120)
-        hidden = Box2D(50, 30, 150, 90)
+        front = (0, 0, 200, 120)
+        hidden = (50, 30, 150, 90)
         got = depth_ordered_overlaps([front, hidden], [5.0, 10.0], hidden, 10.0)
         assert got[1] == iou_2d(hidden, hidden)
 
     def test_three_stacked_boxes_match_raster_oracle(self):
-        boxes = [Box2D(0, 0, 120, 80), Box2D(60, 20, 180, 100), Box2D(120, 40, 240, 120)]
+        boxes = [(0, 0, 120, 80), (60, 20, 180, 100), (120, 40, 240, 120)]
         depths = [5.0, 10.0, 15.0]
-        for det_box, det_depth in [(Box2D(40, 10, 150, 90), 5.0), (Box2D(70, 30, 190, 110), 10.0), (Box2D(110, 35, 250, 125), 15.0)]:
+        for det_box, det_depth in [((40, 10, 150, 90), 5.0), ((70, 30, 190, 110), 10.0), ((110, 35, 250, 125), 15.0)]:
             got = depth_ordered_overlaps(boxes, depths, det_box, det_depth)
             ref = painter_overlap_oracle(boxes, depths, det_box, det_depth)
             assert np.allclose(got, ref, atol=1e-3)
@@ -275,14 +279,14 @@ def per_pair_overlaps(track_boxes, track_depths, det_boxes, det_depths, kept, ti
     depths = np.asarray(track_depths, dtype=float)
     nearer = nearer_mask(depths, tie_meters, tie_rate)
     doi_gap = np.abs(np.subtract.outer(depths, det_depths))
-    rects = [b.as_tuple() for b in track_boxes]
+    rects = [tuple(b) for b in track_boxes]
     for i, j in np.argwhere(kept).tolist():
         box, det_box = track_boxes[i], det_boxes[j]
         claimants = np.flatnonzero(nearer[i] & (doi_gap[:, j] < doi_gap[i, j]))
         if len(claimants) == 0:
             out[i, j] = iou_2d(box, det_box)
             continue
-        inter_rect = geometry._clip_rect(rects[i], det_box.as_tuple())
+        inter_rect = geometry._clip_rect(rects[i], det_box)
         if inter_rect is None:
             continue
         occluders = [rects[k] for k in claimants]
@@ -290,8 +294,8 @@ def per_pair_overlaps(track_boxes, track_depths, det_boxes, det_depths, kept, ti
         numerator = inter - geometry._union_area_within(inter_rect, occluders)
         if numerator <= 0.0:
             continue
-        visible_area = box.area - geometry._union_area_within(rects[i], occluders)
-        denominator = visible_area + det_box.area - numerator
+        visible_area = area(box) - geometry._union_area_within(rects[i], occluders)
+        denominator = visible_area + area(det_box) - numerator
         if denominator > 0.0:
             out[i, j] = min(numerator / denominator, iou_2d(box, det_box))
     return out
@@ -320,7 +324,7 @@ class TestDepthOrderedOverlapsArrays:
         assert claimed > 1000  # most draws hold claimed, intersecting pairs
 
     def test_empty_frames(self):
-        box = [Box2D(0, 0, 10, 10)]
+        box = [(0, 0, 10, 10)]
         assert geometry.depth_ordered_overlaps([], [], box, [5.0], np.zeros((0, 1), bool)).shape == (0, 1)
         assert geometry.depth_ordered_overlaps(box, [5.0], [], [], np.zeros((1, 0), bool)).shape == (1, 0)
 
@@ -342,11 +346,11 @@ def affinity_per_pair(tracks, dets, in_view, det_proj_boxes, intrinsics, config)
     """build_affinity_matrix's definition, one pair at a time."""
     n, m = len(tracks), len(dets)
     values, deep, kept = np.zeros((n, m)), np.zeros((n, m)), np.zeros((n, m), dtype=bool)
-    track_boxes = [Box2D(*b) for b in tracks.box2d.tolist()]
-    det_boxes = [Box2D(*b) for b in dets.box2d.tolist()]
-    proj_boxes = [Box2D(*b) for b in det_proj_boxes.tolist()]
+    track_boxes = tracks.box2d.tolist()
+    det_boxes = dets.box2d.tolist()
+    proj_boxes = det_proj_boxes.tolist()
     for i, j in np.ndindex(n, m):
-        assert in_view[i] == (track_boxes[i].area > 0.0)
+        assert in_view[i] == (area(track_boxes[i]) > 0.0)
         kept[i, j] = in_view[i] and (
             not config.use_depth_ordering or depth_filter(tracks.depth[i], tracks.dims[i], dets.depth[j], dets.dims[j])
         )
@@ -411,10 +415,10 @@ class TestDetectionProjection:
     def test_behind_camera_fallbacks(self, monkeypatch):
         intr = default_intrinsics()
         pose = geometry.CameraPose.identity()
-        own_box = Box2D(900.0, 500.0, 1000.0, 560.0)
+        own_box = (900.0, 500.0, 1000.0, 560.0)
 
         def detection(dims):
-            return (0, own_box.as_tuple(), [960.0, 540.0], 1e-7, 0.3, dims, np.zeros(8), 0.9)
+            return (0, own_box, [960.0, 540.0], 1e-7, 0.3, dims, np.zeros(8), 0.9)
 
         # center at z = 1e-7 (behind the near limit): a car-sized box still
         # has corners in front, a 0.1 um box has none
@@ -424,9 +428,9 @@ class TestDetectionProjection:
         monkeypatch.setattr(association, "build_affinity_matrix", lambda *a: seen.append(a[3]) or real(*a))
         Tracker(TrackerConfig(), intr).step(0, dets, pose)
         rows = association.decode_detection(take_rows(dets, slice(0, 1)), pose, intr)
-        truncated = geometry.project_box(geometry.Box3D(rows.position[0], rows.dims[0], rows.yaw[0]), pose, intr)
-        assert truncated.area > 0.0
-        assert len(seen) == 1 and np.array_equal(seen[0], [truncated.as_tuple(), own_box.as_tuple()])
+        truncated = geometry.project_box(rows.position[0], rows.dims[0], rows.yaw[0], pose, intr)
+        assert area(truncated) > 0.0
+        assert len(seen) == 1 and np.array_equal(seen[0], [truncated, own_box])
 
 
 class TestNearerMask:
@@ -443,31 +447,31 @@ class TestNearerMask:
 
 class TestCoverFractions:
     def test_lone_box(self):
-        assert cover_fractions([Box2D(0, 0, 10, 10)], [5.0])[0] == 0.0
+        assert cover_fractions([(0, 0, 10, 10)], [5.0])[0] == 0.0
 
     def test_constructed_75_percent(self):
         # nearer box covers exactly 75% of the farther one
-        far = Box2D(0, 0, 100, 100)
-        near = Box2D(0, 0, 75, 100)
+        far = (0, 0, 100, 100)
+        near = (0, 0, 75, 100)
         covers = cover_fractions([near, far], [5.0, 10.0])
         assert covers[1] == pytest.approx(0.75)
         assert covers[0] == 0.0
 
     def test_farther_box_does_not_occlude(self):
-        a = Box2D(0, 0, 100, 100)
-        b = Box2D(0, 0, 100, 100)
+        a = (0, 0, 100, 100)
+        b = (0, 0, 100, 100)
         covers = cover_fractions([a, b], [5.0, 10.0])
         assert covers[0] == 0.0 and covers[1] == pytest.approx(1.0)
 
     def test_tie_layer_shares(self):
-        a = Box2D(0, 0, 100, 100)
-        b = Box2D(0, 0, 100, 100)
+        a = (0, 0, 100, 100)
+        b = (0, 0, 100, 100)
         covers = cover_fractions([a, b], [5.0, 5.6])
         assert covers[0] == 0.0 and covers[1] == 0.0
 
     def test_depth_scaled_tie(self):
-        a = Box2D(0, 0, 100, 100)
-        b = Box2D(0, 0, 100, 100)
+        a = (0, 0, 100, 100)
+        b = (0, 0, 100, 100)
         # 2 m gap at ~60 m depth shares a layer under the scaled tie
         assert cover_fractions([a, b], [59.0, 61.0], 1.0, 0.05)[1] == 0.0
         assert cover_fractions([a, b], [59.0, 61.0], 1.0, 0.0)[1] == pytest.approx(1.0)
@@ -480,11 +484,11 @@ class TestCoverFractions:
         for frame in range(100):
             n = int(rng.integers(1, 26))
             # some zero-area boxes, as tracklets out of view have
-            boxes = [random_box(rng) if rng.random() < 0.9 else Box2D(0, 0, 0, 0) for _ in range(n)]
+            boxes = [random_box(rng) if rng.random() < 0.9 else (0, 0, 0, 0) for _ in range(n)]
             depths = rng.choice(grid, n) if frame % 2 else rng.uniform(5, 30, n)
             rows = sorted(rng.choice(n, int(rng.integers(0, n + 1)), replace=False).tolist())
             full = cover_fractions(boxes, depths, 1.0, DEPTH_ORDER_TIE_RATE)
-            rects = np.array([b.as_tuple() for b in boxes])
+            rects = np.array(boxes)
             got = cover_fractions(rects, depths, 1.0, DEPTH_ORDER_TIE_RATE, rows=rows)
             assert np.array_equal(got[rows], full[rows])
             assert not np.any(np.delete(got, rows))

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from mono3dt.geometry import (
-    Box2D,
-    Box3D,
     BoxBehindCamera,
     CameraIntrinsics,
     MIN_CAMERA_Z,
@@ -18,8 +16,7 @@ from mono3dt.geometry import (
     alpha_to_theta,
     backproject,
     bev_intersection_area,
-    box3d_corners,
-    box_rows,
+    box_corners,
     camera_heading,
     iou_2d,
     iou_2d_matrix,
@@ -33,6 +30,7 @@ from mono3dt.geometry import (
 )
 
 from conftest import (
+    box_row,
     default_intrinsics,
     monte_carlo_iou_3d,
     random_pose,
@@ -117,14 +115,14 @@ class TestOrientationConversion:
 
 class TestBoxCorners:
     def test_unit_cube(self):
-        corners = box3d_corners(Box3D([0, 0, 0], [1, 1, 1], 0.0))
+        corners = box_corners(*box_row([0, 0, 0], [1, 1, 1], 0.0))[0]
         expected = {(sx / 2, sy / 2, sz / 2) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)}
         got = {tuple(np.round(c, 12)) for c in corners}
         assert got == expected
 
     def test_quarter_turn_maps_corner(self):
-        box = Box3D([0, 0, 0], [2, 1, 1], math.pi / 2)
-        corners = box3d_corners(box)
+        box = box_row([0, 0, 0], [2, 1, 1], math.pi / 2)
+        corners = box_corners(*box)[0]
         # the (l/2, w/2, .) offset rotates onto (-w/2, l/2, .)
         assert any(np.allclose(c[:2], [-0.5, 1.0]) for c in corners)
 
@@ -132,9 +130,9 @@ class TestBoxCorners:
         rng = np.random.default_rng(3)
         for _ in range(50):
             dims = rng.uniform(0.5, 6.0, size=3)
-            box = Box3D(rng.normal(size=3), dims, rng.uniform(0, 2 * math.pi))
-            corners = box3d_corners(box)
-            assert np.max(np.abs(corners.mean(axis=0) - box.center)) < 1e-9
+            box = box_row(rng.normal(size=3), dims, rng.uniform(0, 2 * math.pi))
+            corners = box_corners(*box)[0]
+            assert np.max(np.abs(corners.mean(axis=0) - box[0])) < 1e-9
             # 12 edges: bottom ring, top ring, verticals
             ring = [(0, 1), (1, 2), (2, 3), (3, 0)]
             edges = []
@@ -149,29 +147,29 @@ class TestBoxCorners:
             l = np.linalg.norm(corners[0] - corners[3])
             w = np.linalg.norm(corners[0] - corners[1])
             h = np.linalg.norm(corners[0] - corners[4])
-            assert abs(l * w * h - box.volume) < 1e-9
+            assert abs(l * w * h - np.prod(box[1])) < 1e-9
 
 
 class TestProjectBox:
     def test_symmetric_about_principal_point(self):
         intr = default_intrinsics()
-        box = Box3D([0, 0, 20], [2, 2, 2], 0.0)
-        b = project_box(box, CameraPose.identity(), intr)
-        cx, cy = b.center
+        box = box_row([0, 0, 20], [2, 2, 2], 0.0)
+        b = project_box(*box, CameraPose.identity(), intr)
+        cx, cy = 0.5 * (b[0] + b[2]), 0.5 * (b[1] + b[3])
         assert cx == pytest.approx(intr.principal_x)
         assert cy == pytest.approx(intr.principal_y)
 
     def test_clipped_to_image(self):
         intr = default_intrinsics()
         # large nearby box spills past the image border
-        box = Box3D([0, 0, 3], [20, 20, 2], 0.0)
-        b = project_box(box, CameraPose.identity(), intr)
-        assert b.x_min >= 0.0 and b.y_min >= 0.0
-        assert b.x_max <= intr.image_width and b.y_max <= intr.image_height
+        box = box_row([0, 0, 3], [20, 20, 2], 0.0)
+        b = project_box(*box, CameraPose.identity(), intr)
+        assert b[0] >= 0.0 and b[1] >= 0.0
+        assert b[2] <= intr.image_width and b[3] <= intr.image_height
 
     def test_all_corners_behind(self):
         with pytest.raises(BoxBehindCamera):
-            project_box(Box3D([0, 0, -10], [1, 1, 1], 0.0), CameraPose.identity(), default_intrinsics())
+            project_box(*box_row([0, 0, -10], [1, 1, 1], 0.0), CameraPose.identity(), default_intrinsics())
 
     def test_hull_matches_cornerwise_projection(self):
         rng = np.random.default_rng(5)
@@ -180,8 +178,8 @@ class TestProjectBox:
         while done < 200:
             pose = random_pose(rng)
             center = pose.camera_to_world([rng.uniform(-8, 8), rng.uniform(-4, 4), rng.uniform(8, 60)])
-            box = Box3D(center, rng.uniform(0.5, 4.0, size=3), rng.uniform(0, 2 * math.pi))
-            corners = box3d_corners(box)
+            box = box_row(center, rng.uniform(0.5, 4.0, size=3), rng.uniform(0, 2 * math.pi))
+            corners = box_corners(*box)[0]
             pix = []
             behind = False
             for c in corners:
@@ -194,21 +192,25 @@ class TestProjectBox:
             if behind:
                 continue
             pix = np.array(pix)
-            expected = Box2D(
+            expected = (
                 min(max(pix[:, 0].min(), 0), intr.image_width),
                 min(max(pix[:, 1].min(), 0), intr.image_height),
                 min(max(pix[:, 0].max(), 0), intr.image_width),
                 min(max(pix[:, 1].max(), 0), intr.image_height),
             )
-            got = project_box(box, pose, intr)
-            assert np.allclose(got.as_tuple(), expected.as_tuple(), atol=1e-9)
+            got = project_box(*box, pose, intr)
+            assert np.allclose(got, expected, atol=1e-9)
             done += 1
 
 
 def project_one(box, pose, intr):
-    """project_boxes on the one row of box: (center pixels (2,), depth, Box2D)."""
-    center_px, depth, boxes, _ = project_boxes(box.center, box.dimensions, [box.yaw], pose, intr)
-    return center_px[0], float(depth[0]), Box2D(*boxes[0].tolist())
+    """project_boxes on the one row of box: (center pixels (2,), depth, (x_min, y_min, x_max, y_max))."""
+    center_px, depth, boxes, _ = project_boxes(*box, pose, intr)
+    return center_px[0], float(depth[0]), tuple(boxes[0].tolist())
+
+
+def area(box) -> float:
+    return (box[2] - box[0]) * (box[3] - box[1])
 
 
 class TestProjectObject:
@@ -218,31 +220,31 @@ class TestProjectObject:
         for _ in range(50):
             pose = random_pose(rng)
             center = pose.camera_to_world([rng.uniform(-8, 8), rng.uniform(-4, 4), rng.uniform(8, 60)])
-            box = Box3D(center, rng.uniform(0.5, 4.0, size=3), rng.uniform(0, 2 * math.pi))
+            box = box_row(center, rng.uniform(0.5, 4.0, size=3), rng.uniform(0, 2 * math.pi))
             center_px, depth, box2d = project_one(box, pose, intr)
-            expected_px, expected_depth = project_point(box.center, pose, intr)
+            expected_px, expected_depth = project_point(box[0], pose, intr)
             assert np.array_equal(center_px, expected_px)
             assert depth == expected_depth
-            assert box2d == project_box(box, pose, intr)
+            assert box2d == project_box(*box, pose, intr)
 
     def test_center_behind_gives_zero_pixels_and_box(self):
         center_px, depth, box2d = project_one(
-            Box3D([0, 0, -3.0], [4, 4, 4], 0.0), CameraPose.identity(), default_intrinsics()
+            box_row([0, 0, -3.0], [4, 4, 4], 0.0), CameraPose.identity(), default_intrinsics()
         )
         assert np.array_equal(center_px, [0.0, 0.0])
         assert depth == pytest.approx(-3.0)
         assert depth <= MIN_CAMERA_Z
-        assert box2d.area == 0.0
+        assert area(box2d) == 0.0
 
     def test_corners_behind_truncate_the_box(self):
         intr = default_intrinsics()
         # center 1 m ahead, the 4 m long box reaches 1 m behind the camera
-        box = Box3D([0, 0, 1.0], [2, 2, 4], 0.0)
+        box = box_row([0, 0, 1.0], [2, 2, 4], 0.0)
         center_px, depth, box2d = project_one(box, CameraPose.identity(), intr)
         assert depth == pytest.approx(1.0)
         assert np.allclose(center_px, [intr.principal_x, intr.principal_y])
-        assert box2d.area > 0.0
-        assert box2d == project_box(box, CameraPose.identity(), intr)
+        assert area(box2d) > 0.0
+        assert box2d == project_box(*box, CameraPose.identity(), intr)
 
 
 # The one-box projection as written before project_boxes, kept as the bit-level reference.
@@ -251,9 +253,10 @@ CORNER_SIGNS = [[1, 1, -1], [1, -1, -1], [-1, -1, -1], [-1, 1, -1], [1, 1, 1], [
 
 def scalar_project_box(box, pose, intr):
     """(hull tuple, any corner in front); the hull is None when no corner is in front."""
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    center, dims, yaw = box
+    c, s = math.cos(yaw), math.sin(yaw)
     rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    corners = box.center + (np.array(CORNER_SIGNS, dtype=float) * (box.dimensions / 2.0)) @ rotation.T
+    corners = center + (np.array(CORNER_SIGNS, dtype=float) * (dims / 2.0)) @ rotation.T
     cam = (pose.rotation @ corners.T).T + pose.translation
     in_front = cam[:, 2] > MIN_CAMERA_Z
     if not np.any(in_front):
@@ -272,7 +275,7 @@ def scalar_project_box(box, pose, intr):
 
 def scalar_project_object(box, pose, intr):
     """(center pixels, depth, box tuple, any corner in front) with project_boxes' semantics for one box."""
-    p_cam = pose.rotation @ box.center + pose.translation
+    p_cam = pose.rotation @ box[0] + pose.translation
     depth = float(p_cam[2])
     hull, in_front = scalar_project_box(box, pose, intr)
     if depth <= MIN_CAMERA_Z or hull is None:
@@ -302,7 +305,7 @@ class TestProjectBoxes:
             centers, dims, yaws = random_boxes_around_camera(rng, pose, 40)
             center_px, depth, boxes, in_front = project_boxes(centers, dims, yaws, pose, intr)
             for k in range(len(centers)):
-                box = Box3D(centers[k], dims[k], yaws[k])
+                box = box_row(centers[k], dims[k], yaws[k])
                 ref_px, ref_depth, ref_box, ref_in_front = scalar_project_object(box, pose, intr)
                 assert np.array_equal(center_px[k], ref_px)
                 assert depth[k] == ref_depth
@@ -311,10 +314,10 @@ class TestProjectBoxes:
                 if not ref_in_front:
                     kinds["wholly behind"] += 1
                     with pytest.raises(BoxBehindCamera):
-                        project_box(box, pose, intr)
+                        project_box(*box, pose, intr)
                 else:
                     kinds["center behind, corner in front" if ref_depth <= MIN_CAMERA_Z else "in front"] += 1
-                    assert project_box(box, pose, intr).as_tuple() == scalar_project_box(box, pose, intr)[0]
+                    assert project_box(*box, pose, intr) == scalar_project_box(box, pose, intr)[0]
         assert min(kinds.values()) >= 20, kinds
 
     def test_empty_batch(self):
@@ -330,7 +333,7 @@ class TestProjectBoxes:
         pose = CameraPose.identity()
         _, _, boxes, _ = project_boxes(centers, dims, yaws, pose, intr)
         for k in range(3):
-            assert tuple(boxes[k]) == project_box(Box3D(centers[k], dims[k], yaws[k]), pose, intr).as_tuple()
+            assert tuple(boxes[k]) == project_box(*box_row(centers[k], dims[k], yaws[k]), pose, intr)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_non_positive_dimensions_rejected(self, bad):
@@ -351,10 +354,10 @@ class TestIou2dMatrix:
                 else:
                     x0, x1 = np.sort(rng.uniform(0, 6, 2))
                     y0, y1 = np.sort(rng.uniform(0, 6, 2))
-                boxes.append(Box2D(float(x0), float(y0), float(x1), float(y1)))
+                boxes.append((float(x0), float(y0), float(x1), float(y1)))
             split = rng.integers(0, len(boxes) + 1)
             a, b = boxes[:split], boxes[split:]
-            got = iou_2d_matrix([x.as_tuple() for x in a], [x.as_tuple() for x in b])
+            got = iou_2d_matrix(a, b)
             assert got.shape == (len(a), len(b))
             for i, j in np.ndindex(got.shape):
                 assert got[i, j] == iou_2d(a[i], b[j])
@@ -367,15 +370,15 @@ class TestIou2dMatrix:
 
 class TestIou2d:
     def test_identical(self):
-        b = Box2D(1, 2, 5, 9)
+        b = (1, 2, 5, 9)
         assert iou_2d(b, b) == pytest.approx(1.0)
 
     def test_disjoint(self):
-        assert iou_2d(Box2D(0, 0, 1, 1), Box2D(2, 2, 3, 3)) == 0.0
+        assert iou_2d((0, 0, 1, 1), (2, 2, 3, 3)) == 0.0
 
     def test_one_third_overlap(self):
-        a = Box2D(0, 0, 2, 2)
-        b = Box2D(1, 0, 3, 2)
+        a = (0, 0, 2, 2)
+        b = (1, 0, 3, 2)
         assert iou_2d(a, b) == pytest.approx(1.0 / 3.0)
         assert raster_iou_2d(a, b) == pytest.approx(1.0 / 3.0, abs=1e-2)
 
@@ -386,8 +389,8 @@ class TestIou2d:
             y0, y1 = sorted(rng.uniform(0, 10, 2))
             u0, u1 = sorted(rng.uniform(0, 10, 2))
             v0, v1 = sorted(rng.uniform(0, 10, 2))
-            a = Box2D(x0, y0, x1, y1)
-            b = Box2D(u0, v0, u1, v1)
+            a = (x0, y0, x1, y1)
+            b = (u0, v0, u1, v1)
             val = iou_2d(a, b)
             assert 0.0 <= val <= 1.0
             assert val == pytest.approx(iou_2d(b, a), abs=0)
@@ -395,23 +398,23 @@ class TestIou2d:
 
 class TestBevIntersection:
     def test_coincident(self):
-        box = Box3D([1, 2, 0], [4, 2, 1.5], 0.7)
+        box = box_row([1, 2, 0], [4, 2, 1.5], 0.7)
         assert bev_intersection_area(box, box) == pytest.approx(8.0, abs=1e-9)
 
     def test_square_quarter_turn(self):
-        a = Box3D([0, 0, 0], [2, 2, 1], 0.0)
-        b = Box3D([0, 0, 0], [2, 2, 1], math.pi / 2)
+        a = box_row([0, 0, 0], [2, 2, 1], 0.0)
+        b = box_row([0, 0, 0], [2, 2, 1], math.pi / 2)
         assert bev_intersection_area(a, b) == pytest.approx(4.0, abs=1e-9)
 
     def test_against_raster_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(40):
-            a = Box3D(
+            a = box_row(
                 [rng.uniform(-2, 2), rng.uniform(-2, 2), 0],
                 [rng.uniform(1, 5), rng.uniform(1, 5), 1.0],
                 rng.uniform(0, 2 * math.pi),
             )
-            b = Box3D(
+            b = box_row(
                 [rng.uniform(-2, 2), rng.uniform(-2, 2), 0],
                 [rng.uniform(1, 5), rng.uniform(1, 5), 1.0],
                 rng.uniform(0, 2 * math.pi),
@@ -425,8 +428,8 @@ class TestBevIntersection:
     def test_rigid_transform_invariance(self):
         rng = np.random.default_rng(19)
         for _ in range(50):
-            a = Box3D(rng.uniform(-3, 3, 3), rng.uniform(1, 4, 3), rng.uniform(0, 2 * math.pi))
-            b = Box3D(rng.uniform(-3, 3, 3), rng.uniform(1, 4, 3), rng.uniform(0, 2 * math.pi))
+            a = box_row(rng.uniform(-3, 3, 3), rng.uniform(1, 4, 3), rng.uniform(0, 2 * math.pi))
+            b = box_row(rng.uniform(-3, 3, 3), rng.uniform(1, 4, 3), rng.uniform(0, 2 * math.pi))
             base = bev_intersection_area(a, b)
             phi = rng.uniform(0, 2 * math.pi)
             shift = rng.uniform(-10, 10, 2)
@@ -434,9 +437,10 @@ class TestBevIntersection:
             rot = np.array([[c, -s], [s, c]])
 
             def moved(box):
-                new_xy = rot @ box.center[:2] + shift
-                return Box3D(
-                    [new_xy[0], new_xy[1], box.center[2]], box.dimensions, box.yaw + phi
+                center, dims, yaw = box
+                new_xy = rot @ center[:2] + shift
+                return box_row(
+                    [new_xy[0], new_xy[1], center[2]], dims, yaw + phi
                 )
 
             assert abs(bev_intersection_area(moved(a), moved(b)) - base) < 1e-9
@@ -444,28 +448,28 @@ class TestBevIntersection:
 
 class TestIou3d:
     def test_identical(self):
-        box = Box3D([3, -1, 2], [4.2, 1.8, 1.5], 1.1)
+        box = box_row([3, -1, 2], [4.2, 1.8, 1.5], 1.1)
         assert iou_3d(box, box) == pytest.approx(1.0)
 
     def test_far_apart(self):
-        a = Box3D([0, 0, 0], [1, 1, 1], 0.3)
-        b = Box3D([100, 0, 0], [1, 1, 1], 1.2)
+        a = box_row([0, 0, 0], [1, 1, 1], 0.3)
+        b = box_row([100, 0, 0], [1, 1, 1], 1.2)
         assert iou_3d(a, b) == 0.0
 
     def test_axis_aligned_offset_cubes(self):
-        a = Box3D([0, 0, 0], [1, 1, 1], 0.0)
-        b = Box3D([0.5, 0, 0], [1, 1, 1], 0.0)
+        a = box_row([0, 0, 0], [1, 1, 1], 0.0)
+        b = box_row([0.5, 0, 0], [1, 1, 1], 0.0)
         assert iou_3d(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_against_monte_carlo(self, mc_samples):
         rng = np.random.default_rng(23)
         for _ in range(60):
-            a = Box3D(
+            a = box_row(
                 [rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-0.5, 0.5)],
                 rng.uniform(0.8, 4.0, 3),
                 rng.uniform(0, 2 * math.pi),
             )
-            b = Box3D(
+            b = box_row(
                 [rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-0.5, 0.5)],
                 rng.uniform(0.8, 4.0, 3),
                 rng.uniform(0, 2 * math.pi),
@@ -478,7 +482,7 @@ class TestIou3d:
 
 
 def oracle_pairs() -> list:
-    """Seeded Box3D pairs: 2,000 random, 400 on a half-metre grid, and named edge cases.
+    """Seeded (center, dims, yaw) box pairs: 2,000 random, 400 on a half-metre grid, and named edge cases.
 
     Grid pairs have quarter-turn yaws, so edges coincide, touch or cross at
     vertices; the named cases pin touching, containment, identity, 45 and
@@ -487,28 +491,34 @@ def oracle_pairs() -> list:
     rng = np.random.default_rng(31)
     pairs = []
     for _ in range(2000):
-        a = Box3D(rng.normal(scale=2.0, size=3), rng.uniform(0.5, 5.0, 3), rng.uniform(-7.0, 7.0))
-        b = Box3D(a.center + rng.normal(scale=1.5, size=3), rng.uniform(0.5, 5.0, 3), rng.uniform(-7.0, 7.0))
+        a = box_row(rng.normal(scale=2.0, size=3), rng.uniform(0.5, 5.0, 3), rng.uniform(-7.0, 7.0))
+        b = box_row(a[0] + rng.normal(scale=1.5, size=3), rng.uniform(0.5, 5.0, 3), rng.uniform(-7.0, 7.0))
         pairs.append((a, b))
     for _ in range(400):
-        a = Box3D(rng.integers(-4, 5, 3) * 0.5, rng.integers(1, 9, 3) * 0.5, rng.integers(0, 4) * math.pi / 2)
-        b = Box3D(a.center + rng.integers(-6, 7, 3) * 0.5, rng.integers(1, 9, 3) * 0.5, rng.integers(0, 4) * math.pi / 2)
+        a = box_row(rng.integers(-4, 5, 3) * 0.5, rng.integers(1, 9, 3) * 0.5, rng.integers(0, 4) * math.pi / 2)
+        b = box_row(a[0] + rng.integers(-6, 7, 3) * 0.5, rng.integers(1, 9, 3) * 0.5, rng.integers(0, 4) * math.pi / 2)
         pairs.append((a, b))
-    unit = Box3D([0, 0, 0], [2, 2, 1], 0.0)
+    unit = box_row([0, 0, 0], [2, 2, 1], 0.0)
     pairs += [
-        (unit, Box3D([2, 0, 0], [2, 2, 1], 0.0)),  # touching along an edge
-        (unit, Box3D([2, 2, 0], [2, 2, 1], 0.0)),  # touching at a corner
-        (unit, Box3D([1, 0, 0], [2, 2, 1], 0.0)),  # half overlap on the grid
-        (unit, Box3D([0.2, 0.1, 0.1], [1, 1, 0.5], 0.3)),  # contained
-        (Box3D([0.2, 0.1, 0.1], [1, 1, 0.5], 0.3), unit),  # containing
+        (unit, box_row([2, 0, 0], [2, 2, 1], 0.0)),  # touching along an edge
+        (unit, box_row([2, 2, 0], [2, 2, 1], 0.0)),  # touching at a corner
+        (unit, box_row([1, 0, 0], [2, 2, 1], 0.0)),  # half overlap on the grid
+        (unit, box_row([0.2, 0.1, 0.1], [1, 1, 0.5], 0.3)),  # contained
+        (box_row([0.2, 0.1, 0.1], [1, 1, 0.5], 0.3), unit),  # containing
         (unit, unit),
-        (Box3D([3, -1, 2], [4.2, 1.8, 1.5], 1.1), Box3D([3, -1, 2], [4.2, 1.8, 1.5], 1.1)),
-        (unit, Box3D([0, 0, 0], [2, 2, 1], math.pi / 4)),
-        (Box3D([0, 0, 0], [4, 2, 1], 0.0), Box3D([0, 0, 0], [4, 2, 1], math.pi / 2)),
-        (unit, Box3D([0, 0, 2], [2, 2, 1], 0.0)),  # no vertical overlap
-        (unit, Box3D([0, 0, 1], [2, 2, 1], 0.0)),  # vertical faces touch
+        (box_row([3, -1, 2], [4.2, 1.8, 1.5], 1.1), box_row([3, -1, 2], [4.2, 1.8, 1.5], 1.1)),
+        (unit, box_row([0, 0, 0], [2, 2, 1], math.pi / 4)),
+        (box_row([0, 0, 0], [4, 2, 1], 0.0), box_row([0, 0, 0], [4, 2, 1], math.pi / 2)),
+        (unit, box_row([0, 0, 2], [2, 2, 1], 0.0)),  # no vertical overlap
+        (unit, box_row([0, 0, 1], [2, 2, 1], 0.0)),  # vertical faces touch
     ]
     return pairs
+
+
+def box_columns(boxes) -> tuple:
+    """(centers (K, 3), dims (K, 3), yaws (K,)) of K (center, dims, yaw) boxes."""
+    centers, dims, yaws = zip(*boxes) if boxes else ((), (), ())
+    return np.reshape(centers, (-1, 3)), np.reshape(dims, (-1, 3)), np.array(yaws, dtype=float)
 
 
 class TestIou3dPairs:
@@ -516,14 +526,14 @@ class TestIou3dPairs:
 
     def test_matches_scalar_reference(self):
         pairs = oracle_pairs()
-        got = iou_3d_pairs(box_rows([a for a, _ in pairs]), box_rows([b for _, b in pairs]))
+        got = iou_3d_pairs(box_columns([a for a, _ in pairs]), box_columns([b for _, b in pairs]))
         ref = np.array([reference_iou_3d(a, b) for a, b in pairs])
         assert got.shape == (len(pairs),) and len(pairs) >= 2000
         assert np.max(np.abs(got - ref)) <= 1e-12
         assert np.count_nonzero(ref > 0.0) > 1000 and np.count_nonzero(ref == 0.0) > 100
 
     def test_named_cases(self):
-        got = iou_3d_pairs(*map(box_rows, zip(*oracle_pairs()[-11:])))
+        got = iou_3d_pairs(*map(box_columns, zip(*oracle_pairs()[-11:])))
         octagon = 8.0 * (math.sqrt(2.0) - 1.0)  # two unit squares a 45 degree turn apart
         expected = [0.0, 0.0, 1.0 / 3.0, 0.5 / 4.0, 0.5 / 4.0, 1.0, 1.0]
         expected += [octagon / (8.0 - octagon), 1.0 / 3.0, 0.0, 0.0]
@@ -535,7 +545,7 @@ class TestIou3dPairs:
             assert abs(bev_intersection_area(a, b) - ref) <= 1e-12 * max(1.0, ref)
 
     def test_empty_batch(self):
-        assert iou_3d_pairs(box_rows([]), box_rows([])).shape == (0,)
+        assert iou_3d_pairs(box_columns([]), box_columns([])).shape == (0,)
 
 class TestCameraHeading:
     def test_heading_round_trip(self):
@@ -567,10 +577,8 @@ class TestValidation:
 
     def test_bad_box(self):
         with pytest.raises(GeometryError):
-            Box3D([0, 0, 0], [0, 1, 1], 0.0)
-        with pytest.raises(GeometryError):
-            Box2D(1, 0, 0, 1)
+            box_corners([0, 0, 0], [0, 1, 1], 0.0)
 
     def test_yaw_normalized(self):
-        assert Box3D([0, 0, 0], [1, 1, 1], -math.pi).yaw == pytest.approx(math.pi)
-        assert 0.0 <= Box3D([0, 0, 0], [1, 1, 1], 7 * math.pi).yaw < 2 * math.pi
+        assert normalize_angle(-math.pi) == pytest.approx(math.pi)
+        assert 0.0 <= normalize_angle(7 * math.pi) < 2 * math.pi

@@ -190,6 +190,19 @@ class TestDetectionsRoundTrip:
             load_detections(path)
         assert str(err.value).startswith(f"{path}:4: ")
 
+    @pytest.mark.parametrize(
+        "field, value", [("app", [0.5, True]), ("app", [False, 0.5]), ("score", True), ("c", [3.0, False])]
+    )
+    def test_boolean_on_a_middle_row_reports_line(self, tmp_path, field, value):
+        """Among numbers in other rows a JSON true/false would load as 1.0/0.0; it is refused at its line."""
+        rng = np.random.default_rng(4)
+        path = tmp_path / "d.jsonl"
+        write_detections([DetectionTable.from_rows([make_detection(rng, 0, app_len=2) for _ in range(3)])], path)
+        rewrite_line(path, 2, lambda record: record.update({field: value}))
+        with pytest.raises(ParseError) as err:
+            load_detections(path)
+        assert err.value.line_no == 3 and str(err.value).startswith(f"{path}:3: ")
+
     @settings(max_examples=30, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_round_trip_is_lossless(self, tmp_path, data):
@@ -251,8 +264,15 @@ class TestPoses:
         poses_path = tmp_path / "p.json"
         write_detections([DetectionTable.from_rows([make_detection(rng, 7)])], det_path)
         write_poses(default_intrinsics(), [CameraPose.identity()] * 3, poses_path)
-        with pytest.raises(FrameGapError):
+        with pytest.raises(FrameGapError) as err:
             load_sequence(det_path, poses_path)
+        assert str(err.value).startswith(f"{det_path}:2: ")
+        # the first such row in file order is named, not the lowest frame
+        rows = [make_detection(rng, frame) for frame in (1, 9, 2, -1)]
+        write_detections([DetectionTable.from_rows(rows)], det_path)
+        with pytest.raises(FrameGapError) as err:
+            load_sequence(det_path, poses_path)
+        assert str(err.value).startswith(f"{det_path}:3: detection frame 9 outside pose range 0..2")
 
 
 def track_row(frame, track_id, **changes) -> TrackRecord:
@@ -373,6 +393,18 @@ class TestTracks:
             record[key] = value
         lines[2] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_tracks(path)
+        assert err.value.line_no == 3 and str(err.value).startswith(f"{path}:3: ")
+
+    @pytest.mark.parametrize(
+        "key, value", [("yaw_rad", True), ("P_m", [1.0, False, 0.5]), ("box2d", [0.0, 0.0, 9.0, True])]
+    )
+    def test_boolean_on_a_middle_row_reports_line(self, tmp_path, key, value):
+        """Among numbers in other rows a JSON true/false would load as 1.0/0.0; it is refused at its line."""
+        path = tmp_path / "tracks.jsonl"
+        write_tracks([track_row(frame, 4) for frame in range(3)], path)
+        rewrite_line(path, 2, lambda record: record.update({key: value}))
         with pytest.raises(ParseError) as err:
             load_tracks(path)
         assert err.value.line_no == 3 and str(err.value).startswith(f"{path}:3: ")

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from mono3dt.data import TrackRecord, TrackStatus, TrackTable
-from mono3dt.geometry import Box2D, Box3D, iou_2d, iou_3d, normalize_angle
+from mono3dt.geometry import iou_2d, iou_3d, normalize_angle
 from mono3dt.metrics import (
     CENTER_GATE_3D_M,
     IOU_GATE_2D,
@@ -27,7 +27,7 @@ from mono3dt.metrics import (
 )
 from mono3dt.metrics import _frame_gate, _gate_rows, _pair_quality
 
-from conftest import reference_iou_3d
+from conftest import box_row, reference_iou_3d
 
 
 def rec(frame, tid, x, y=0.0, status=TrackStatus.TRACKED, dims=(4.0, 2.0, 1.5), yaw=0.0):
@@ -36,8 +36,8 @@ def rec(frame, tid, x, y=0.0, status=TrackStatus.TRACKED, dims=(4.0, 2.0, 1.5), 
     return TrackRecord(frame, tid, [x, y, dims[2] / 2], list(dims), normalize_angle(yaw), [0, 0, 0], box2d, status)
 
 
-def box3d(r) -> Box3D:
-    return Box3D(r.center, r.dims, r.yaw)
+def box3d(r) -> tuple:
+    return box_row(r.center, r.dims, r.yaw)
 
 
 class TestMatchFrame:
@@ -90,7 +90,7 @@ def reference_match_frame(gt_records, pred_records, prev_pairs, mode):
 
     def pair_quality(gt_rec, pred_rec):
         if mode == "2d":
-            overlap = iou_2d(Box2D(*gt_rec.box2d), Box2D(*pred_rec.box2d))
+            overlap = iou_2d(gt_rec.box2d, pred_rec.box2d)
             return overlap >= IOU_GATE_2D, overlap, overlap
         dist = float(np.linalg.norm(np.subtract(gt_rec.center[:2], pred_rec.center[:2])))
         quality = 1.0 - dist / CENTER_GATE_3D_M
@@ -174,7 +174,7 @@ class TestFrameGate:
         gate, quality = _frame_gate(TrackTable.from_records(gt).box2d, TrackTable.from_records(pred).box2d, "2d")
         for i, g in enumerate(gt):
             for j, p in enumerate(pred):
-                assert quality[i, j] == iou_2d(Box2D(*g.box2d), Box2D(*p.box2d))
+                assert quality[i, j] == iou_2d(g.box2d, p.box2d)
         assert np.array_equal(gate, quality >= IOU_GATE_2D) and np.any(gate)
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
@@ -362,21 +362,21 @@ class TestScores:
         assert got == pytest.approx(0.9975, abs=1e-4)
 
     def test_center_zero_offset(self):
-        boxes = [Box2D(0, 0, 100, 50)]
+        boxes = [(0, 0, 100, 50)]
         assert center_score([[10, 10]], [[10, 10]], boxes) == 1.0
 
     def test_center_offset_norm_pi_scores_zero(self):
-        boxes = [Box2D(0, 0, 100, 50)]
+        boxes = [(0, 0, 100, 50)]
         # offset (pi, 0) in box-normalized units
         assert center_score([[100 * math.pi, 0]], [[0, 0]], boxes) == pytest.approx(0.0)
 
     def test_center_offset_norm_half_pi(self):
-        boxes = [Box2D(0, 0, 100, 50)]
+        boxes = [(0, 0, 100, 50)]
         assert center_score([[100 * math.pi / 2, 0]], [[0, 0]], boxes) == pytest.approx(0.5)
 
     def test_center_degenerate_box(self):
         with pytest.raises(DegenerateBox):
-            center_score([[0, 0]], [[0, 0]], [Box2D(0, 0, 0, 10)])
+            center_score([[0, 0]], [[0, 0]], [(0, 0, 0, 10)])
 
 
 def ap_sweep_oracle(flags, n_gt):

@@ -8,7 +8,7 @@ import pytest
 
 from mono3dt.association import Tracklets
 from mono3dt.data import TrackStatus, put_rows, stack_rows, take_rows
-from mono3dt.geometry import Box2D, CameraPose, normalize_angle, project_boxes
+from mono3dt.geometry import CameraPose, normalize_angle, project_boxes
 from mono3dt.lstm import HIDDEN_DIM, LstmMotionState
 from mono3dt.motion import (
     KF2D_MEASUREMENT_NOISE,
@@ -190,20 +190,20 @@ def kf3d_noise_one(depth):
     return np.eye(3) * sigma * sigma
 
 
-def kf2d_measurement_one(box: Box2D):
-    w = max(box.width, 1e-6)
-    h = max(box.height, 1e-6)
-    cx, cy = box.center
+def kf2d_measurement_one(box):
+    w = max(box[2] - box[0], 1e-6)
+    h = max(box[3] - box[1], 1e-6)
+    cx, cy = 0.5 * (box[0] + box[2]), 0.5 * (box[1] + box[3])
     return np.array([cx, cy, w / h, w * h])
 
 
-def kf2d_box_one(vec) -> Box2D:
+def kf2d_box_one(vec) -> tuple:
     cx, cy, ratio, area = (float(v) for v in vec[:4])
     area = max(area, 1e-6)
     ratio = max(ratio, 1e-6)
     w = math.sqrt(area * ratio)
     h = area / w
-    return Box2D(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+    return (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
 
 def blend_one(prev: State, obs: State, a_deep: float) -> State:
@@ -257,8 +257,8 @@ class TestBatchedStepsBitEqual:
         for i in range(k):
             mean, cov = kf_predict_one(state.mean[i], state.cov[i], KF2D_TRANSITION, KF2D_PROCESS_NOISE)
             assert np.array_equal(predicted.mean[i], mean) and np.array_equal(predicted.cov[i], cov)
-            assert predicted_boxes[i].tolist() == list(kf2d_box_one(KF2D_OBSERVATION @ mean).as_tuple())
-            z = kf2d_measurement_one(Box2D(*boxes[i]))
+            assert predicted_boxes[i].tolist() == list(kf2d_box_one(KF2D_OBSERVATION @ mean))
+            z = kf2d_measurement_one(boxes[i])
             assert np.array_equal(measured[i], z)
             mean, cov = kf_update_one(mean, cov, z, KF2D_OBSERVATION, KF2D_MEASUREMENT_NOISE)
             assert np.array_equal(updated.mean[i], mean) and np.array_equal(updated.cov[i], cov)
@@ -311,7 +311,7 @@ class TestPredictTracklet:
             predicted, _ = predict_tracklet("kf3d", motion, position)
             center_px, _, boxes, _ = project_boxes(predicted, DIMS, [0.0], moving_camera_pose(ego_x), intr)
             assert np.allclose(predicted, position)
-            assert Box2D(*boxes[0]).area > 0.0  # in view
+            assert (boxes[0, 2] - boxes[0, 0]) * (boxes[0, 3] - boxes[0, 1]) > 0.0  # in view
             pixels.append(center_px[0])
         # approaching camera pushes the lateral offset outward
         assert pixels[0][0] != pytest.approx(pixels[2][0])
@@ -361,7 +361,7 @@ class TestPredictTracklet:
         pose = moving_camera_pose(0.0)
         predicted, _ = predict_tracklet("none", None, np.array([[-5.0, 0.0, 0.75]]))  # behind the camera at x=0
         _, depth, boxes, _ = project_boxes(predicted, DIMS, [0.0], pose, intr)
-        assert Box2D(*boxes[0]).area == 0.0  # not in view
+        assert (boxes[0, 2] - boxes[0, 0]) * (boxes[0, 3] - boxes[0, 1]) == 0.0  # not in view
         assert depth[0] < 0
 
     def test_init_motion_state_backends(self):
