@@ -39,7 +39,6 @@ from .geometry import (
     iou_2d_matrix,
     normalize_angles,
     project_boxes,
-    project_hulls,
 )
 
 MASKED_VALUE = -1e9
@@ -78,22 +77,22 @@ class FrameRows:
         return len(self.depth)
 
 
-def deep_feature(rows: FrameRows, intrinsics, config: TrackerConfig) -> np.ndarray:
-    """(k, F) concatenated appearance + geometry features with unit-balancing scales.
+def deep_feature(tracks: FrameRows, dets: FrameRows, intrinsics, config: TrackerConfig):
+    """(n, F) and (m, F) concatenated appearance + geometry features with unit-balancing scales.
 
     Without scaling, raw depth differences swamp every other component of
-    the L1 distance; each block is brought to roughly unit range instead.
+    the L1 distance; each block is brought to roughly unit range instead:
+    dims / 10, center pixels / image diagonal, yaw / pi, depth / range_max
+    (the appearance block is divided by 1, which leaves it exact). Both
+    sides are scaled as one stacked array.
     """
-    return np.concatenate(
-        [
-            rows.appearance,
-            rows.dims / 10.0,
-            rows.center_px / intrinsics.image_diagonal,
-            (rows.yaw / math.pi)[:, None],
-            (rows.depth / config.range_max)[:, None],
-        ],
-        axis=1,
-    )
+    width, det_width = tracks.appearance.shape[1], dets.appearance.shape[1]
+    if width != det_width:
+        raise LengthMismatch(f"appearance lengths differ: {width} vs {det_width}")
+    scales = [1.0] * width + [10.0] * 3 + [intrinsics.image_diagonal] * 2 + [math.pi, config.range_max]
+    sides = [(r.appearance, r.dims, r.center_px, r.yaw[:, None], r.depth[:, None]) for r in (tracks, dets)]
+    features = np.concatenate([np.concatenate(blocks) for blocks in zip(*sides)], axis=1) / scales
+    return features[: len(tracks)], features[len(tracks) :]
 
 
 def depth_filter(track_depths, track_dims, det_depths, det_dims) -> np.ndarray:
@@ -135,25 +134,18 @@ def solve_assignment(matrix: AffinityMatrix, accept_threshold: float):
     n, m = values.shape
     if n == 0 or m == 0:
         return [], list(range(n)), list(range(m))
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("affinity matrix contains non-finite entries")
-    padded = np.full((n, m + n), 0.0)
+    padded = np.zeros((n, m + n))
     padded[:, :m] = np.where(matrix.kept_mask, values, MASKED_VALUE)
     rows, cols = linear_sum_assignment(padded, maximize=True)
-    pairs = []
-    matched_rows = set()
-    matched_cols = set()
-    for r, c in zip(rows, cols):
-        if c >= m or not matrix.kept_mask[r, c]:
-            continue
-        if values[r, c] < accept_threshold:
-            continue
-        pairs.append((int(r), int(c)))
-        matched_rows.add(int(r))
-        matched_cols.add(int(c))
-    unmatched_tracks = [i for i in range(n) if i not in matched_rows]
-    unmatched_dets = [j for j in range(m) if j not in matched_cols]
-    return pairs, unmatched_tracks, unmatched_dets
+    rows, cols = rows[cols < m], cols[cols < m]
+    matched = matrix.kept_mask[rows, cols] & (values[rows, cols] >= accept_threshold)
+    rows, cols = rows[matched], cols[matched]
+    free_rows, free_cols = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
+    free_rows[rows] = free_cols[cols] = False
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    return pairs, np.flatnonzero(free_rows).tolist(), np.flatnonzero(free_cols).tolist()
 
 
 # --- tracklets and lifecycle -------------------------------------------------
@@ -196,13 +188,11 @@ def build_affinity_matrix(tracks: FrameRows, dets: FrameRows, in_view, det_proj_
         )
     else:
         a_3d = iou_2d_matrix(tracks.box2d, det_proj_boxes)
-    track_features = deep_feature(tracks, intrinsics, config)
-    det_features = deep_feature(dets, intrinsics, config)
-    if track_features.shape[1] != det_features.shape[1]:
-        raise LengthMismatch(f"feature lengths differ: {track_features.shape[1]} vs {det_features.shape[1]}")
+    track_features, det_features = deep_feature(tracks, dets, intrinsics, config)
     distance = np.abs(track_features[:, None] - det_features[None]).sum(axis=-1)
     deep = np.where(kept, np.exp(-distance), 0.0)
-    a_2d = iou_2d_matrix(tracks.box2d, dets.box2d)
+    # without 2D weight the channel adds an exact 0.0 to every pair
+    a_2d = iou_2d_matrix(tracks.box2d, dets.box2d) if config.w_2d else 0.0
     values = np.where(kept, compose_affinity(deep, a_2d, a_3d, config), 0.0)
     return AffinityMatrix(values, kept, deep)
 
@@ -245,8 +235,7 @@ class Tracker:
     def _reproject_state(self, rows, pose) -> np.ndarray:
         """(k, 4) image boxes of the tracklets in rows in the current camera, one batch."""
         store = self.rows
-        _, _, boxes, _ = project_boxes(store.position[rows], store.dims[rows], store.yaw[rows], pose, self.intrinsics)
-        return boxes
+        return project_boxes(store.position[rows], store.dims[rows], store.yaw[rows], pose, self.intrinsics)[2]
 
     def _born(self, dets: FrameRows, cols) -> Tracklets:
         """Fresh tracked rows for the detections in cols, with the next ids."""
@@ -278,22 +267,29 @@ class Tracker:
         store = self.rows
 
         predicted, candidate = motion_mod.predict_tracklet(backend, store.motion, store.position, self.lstm_weights)
-        center_px, depth, boxes, _ = project_boxes(predicted, store.dims, store.yaw, pose, self.intrinsics)
+        dets = decode_detection(detections, pose, self.intrinsics)
+        n = len(predicted)
+        # an empty side takes the other side's appearance length
+        if not n:
+            store.appearance = np.zeros((0, dets.appearance.shape[1]))
+        elif not len(dets):
+            dets.appearance = np.zeros((0, store.appearance.shape[1]))
+        # one projection: the n predicted tracklets, then the decoded detections
+        center_px, depth, boxes, hulls, any_in_front = project_boxes(
+            np.concatenate([predicted, dets.position]),
+            np.concatenate([store.dims, dets.dims]),
+            np.concatenate([store.yaw, dets.yaw]),
+            pose,
+            self.intrinsics,
+        )
+        center_px, depth, boxes = center_px[:n], depth[:n], boxes[:n]
         in_view = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1]) > 0.0
         if backend == "kf2d":
             # the 2D filter owns the predicted box of an in-view tracklet
             boxes[in_view] = motion_mod.kf2d_measurement_to_box(candidate.mean[in_view])
         tracks = FrameRows(predicted, store.yaw, store.dims, store.appearance, center_px, depth, boxes)
-
-        dets = decode_detection(detections, pose, self.intrinsics)
-        # an empty side takes the other side's appearance length
-        if not len(store.ids):
-            store.appearance = np.zeros((0, dets.appearance.shape[1]))
-        elif not len(dets):
-            dets.appearance = np.zeros((0, store.appearance.shape[1]))
-        det_proj_boxes, any_in_front = project_hulls(dets.position, dets.dims, dets.yaw, pose, self.intrinsics)
-        # a box wholly behind the camera falls back on the detector's own box
-        det_proj_boxes[~any_in_front] = dets.box2d[~any_in_front]
+        # a detection's truncated hull, or the detector's own box where the hull is wholly behind the camera
+        det_proj_boxes = np.where(any_in_front[n:, None], hulls[n:], dets.box2d)
 
         matrix = build_affinity_matrix(tracks, dets, in_view, det_proj_boxes, self.intrinsics, config)
         pairs, unmatched_tracks, unmatched_dets = solve_assignment(matrix, config.affinity_accept_threshold)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
@@ -77,6 +78,12 @@ class TrackRecord(NamedTuple):
 # --- rows of a row dataclass -------------------------------------------------
 
 
+@functools.cache
+def _field_names(cls) -> tuple:
+    """A row dataclass's field names, in its constructor's order."""
+    return tuple(f.name for f in fields(cls))
+
+
 def take_rows(rows, index):
     """Rows `index` of every array of a row dataclass, nested ones included.
 
@@ -88,7 +95,7 @@ def take_rows(rows, index):
         return None
     if isinstance(rows, np.ndarray):
         return rows[index]
-    return replace(rows, **{f.name: take_rows(getattr(rows, f.name), index) for f in fields(rows)})
+    return type(rows)(*[take_rows(getattr(rows, name), index) for name in _field_names(type(rows))])
 
 
 def stack_rows(rows, more):
@@ -97,7 +104,7 @@ def stack_rows(rows, more):
         return None
     if isinstance(rows, np.ndarray):
         return np.concatenate([rows, more])
-    return replace(rows, **{f.name: stack_rows(getattr(rows, f.name), getattr(more, f.name)) for f in fields(rows)})
+    return type(rows)(*[stack_rows(getattr(rows, name), getattr(more, name)) for name in _field_names(type(rows))])
 
 
 def put_rows(rows, index, values) -> None:
@@ -105,8 +112,8 @@ def put_rows(rows, index, values) -> None:
     if isinstance(rows, np.ndarray):
         rows[index] = values
     elif rows is not None:
-        for f in fields(rows):
-            put_rows(getattr(rows, f.name), index, getattr(values, f.name))
+        for name in _field_names(type(rows)):
+            put_rows(getattr(rows, name), index, getattr(values, name))
 
 
 def first_repeat(frame: np.ndarray, track_id: np.ndarray):

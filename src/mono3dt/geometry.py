@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -93,6 +95,11 @@ class CameraIntrinsics:
         return math.hypot(self.image_width, self.image_height)
 
 
+_EYE3 = np.eye(3)
+# np.allclose's rule against the identity with its default rtol: |a - b| <= atol + rtol * |b|
+_ORTHONORMAL_TOLERANCE = 1e-9 + 1e-5 * _EYE3
+
+
 @dataclass(frozen=True)
 class CameraPose:
     """World-to-camera rigid transform: p_cam = rotation @ p_world + translation."""
@@ -105,11 +112,13 @@ class CameraPose:
         t = np.asarray(self.translation, dtype=float).reshape(3)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-        if not np.allclose(r @ r.T, np.eye(3), atol=1e-9):
+        if not (np.abs(r @ r.T - _EYE3) <= _ORTHONORMAL_TOLERANCE).all():
             raise GeometryError("rotation is not orthonormal")
         if not np.isfinite(t).all():
             raise GeometryError("translation must be finite")
-        if np.linalg.det(r) < 0:
+        (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+        # the determinant's sign is that of (r0 x r1) . r2
+        if g * (b * f - c * e) + h * (c * d - a * f) + i * (a * e - b * d) < 0:
             raise GeometryError("rotation has negative determinant")
 
     @staticmethod
@@ -206,7 +215,7 @@ def box_corners(centers, dims, yaws) -> np.ndarray:
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
     dims = np.asarray(dims, dtype=float).reshape(-1, 3)
-    if np.any(dims <= 0):
+    if (dims <= 0).any():
         raise GeometryError("box dimensions must be positive")
     yaws = normalize_angles(np.reshape(yaws, -1))
     c, s = np.cos(yaws), np.sin(yaws)
@@ -220,76 +229,50 @@ def box_corners(centers, dims, yaws) -> np.ndarray:
     return centers[:, None, :] + np.matmul(offsets, rot.transpose(0, 2, 1))
 
 
-def project_hulls(centers, dims, yaws, pose: CameraPose, intrinsics: CameraIntrinsics):
-    """Image hulls (N, 4) of N oriented boxes' visible corners, and any-corner-in-front (N,).
-
-    Row k is project_box's hull of box k, truncated where the box is partly
-    behind the camera, and the zero box when no corner is in front. The
-    stacked products repeat the one-box float operations, so every row is
-    bit-equal to projecting its box alone.
-    """
-    corners = box_corners(centers, dims, yaws)
-    cam = np.matmul(pose.rotation, corners.transpose(0, 2, 1)).transpose(0, 2, 1) + pose.translation
-    in_front = cam[..., 2] > MIN_CAMERA_Z
-    z = np.where(in_front, cam[..., 2], 1.0)
-    us = intrinsics.focal_x * cam[..., 0] / z + intrinsics.principal_x
-    vs = intrinsics.focal_y * cam[..., 1] / z + intrinsics.principal_y
-    hulls = np.stack(
-        [
-            np.where(in_front, us, np.inf).min(axis=1),
-            np.where(in_front, vs, np.inf).min(axis=1),
-            np.where(in_front, us, -np.inf).max(axis=1),
-            np.where(in_front, vs, -np.inf).max(axis=1),
-        ],
-        axis=1,
-    )
-    limits = [intrinsics.image_width, intrinsics.image_height] * 2
-    hulls = np.minimum(np.maximum(hulls, 0.0), limits)
-    any_in_front = in_front.any(axis=1)
-    hulls[~any_in_front] = 0.0
-    return hulls, any_in_front
-
-
 def project_boxes(centers, dims, yaws, pose: CameraPose, intrinsics: CameraIntrinsics):
-    """Project N objects at once: center pixels, depths, image boxes, corner mask.
+    """Project N objects at once: center pixels, depths, image boxes, hulls, corner mask.
 
-    Returns (center_px (N, 2), depth (N,), boxes (N, 4),
-    any_corner_in_front (N,)). Row k holds project_point's center pixels
-    and depth and project_box's hull of box k, except that an object
-    whose center is behind the camera gets zero pixels, its camera-frame
-    z (at or below MIN_CAMERA_Z) and the zero box; a box only partly
-    behind is truncated. Boxes are (x_min, y_min, x_max, y_max) rows.
-    any_corner_in_front is false where project_box would raise
-    BoxBehindCamera.
+    Returns (center_px (N, 2), depth (N,), boxes (N, 4), hulls (N, 4),
+    any_corner_in_front (N,)). Row k of hulls is project_box's hull of box
+    k: its visible corners' extent, truncated where the box is partly
+    behind the camera, and the zero box where no corner is in front, as
+    any_corner_in_front tells. Row k of center_px, depth and boxes holds
+    project_point's center pixels and depth and that hull, except that an
+    object whose center is behind the camera gets zero pixels, its
+    camera-frame z (at or below MIN_CAMERA_Z) and the zero box. Boxes are
+    (x_min, y_min, x_max, y_max) rows; the stacked products repeat the
+    one-box float operations, so every row is bit-equal to projecting its
+    object alone.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
-    boxes, any_in_front = project_hulls(centers, dims, yaws, pose, intrinsics)
+    focal = np.array([intrinsics.focal_x, intrinsics.focal_y])
+    principal = np.array([intrinsics.principal_x, intrinsics.principal_y])
+    # (N, 3, 8): each box's eight corners as camera-frame columns
+    cam = np.matmul(pose.rotation, box_corners(centers, dims, yaws).transpose(0, 2, 1)) + pose.translation[:, None]
+    in_front = cam[:, 2:] > MIN_CAMERA_Z
+    uv = focal[:, None] * cam[:, :2] / np.where(in_front, cam[:, 2:], 1.0) + principal[:, None]
+    lo, hi = np.where(in_front, uv, np.inf).min(axis=2), np.where(in_front, uv, -np.inf).max(axis=2)
+    hulls = np.concatenate([lo, hi], axis=1)
+    hulls = np.minimum(np.maximum(hulls, 0.0), [intrinsics.image_width, intrinsics.image_height] * 2)
+    any_in_front = in_front.any(axis=(1, 2))
+    hulls[~any_in_front] = 0.0
     cam_centers = pose.world_to_camera(centers)
     depth = cam_centers[:, 2]
-    ahead = depth > MIN_CAMERA_Z
-    z = np.where(ahead, depth, 1.0)
-    center_px = np.stack(
-        [
-            intrinsics.focal_x * cam_centers[:, 0] / z + intrinsics.principal_x,
-            intrinsics.focal_y * cam_centers[:, 1] / z + intrinsics.principal_y,
-        ],
-        axis=1,
-    )
-    center_px[~ahead] = 0.0
-    boxes[~ahead] = 0.0
-    return center_px, depth, boxes, any_in_front
+    ahead = depth[:, None] > MIN_CAMERA_Z
+    center_px = np.where(ahead, focal * cam_centers[:, :2] / np.where(ahead, depth[:, None], 1.0) + principal, 0.0)
+    return center_px, depth, np.where(ahead, hulls, 0.0), hulls, any_in_front
 
 
 def project_box(center, dims, yaw, pose: CameraPose, intrinsics: CameraIntrinsics) -> tuple:
     """(x_min, y_min, x_max, y_max) image hull of one box's visible corners, clipped to the image.
 
-    project_hulls' one-box call: corners behind the camera are ignored and
+    project_boxes' one-box hull: corners behind the camera are ignored and
     a partially-behind box is truncated rather than rejected. Raises
     BoxBehindCamera only when no corner is in front. Nothing in the
     package calls it; it stays because the benchmark tracer
     (bench/layertrace.py) wraps it by name.
     """
-    hulls, any_in_front = project_hulls(center, dims, yaw, pose, intrinsics)
+    _, _, _, hulls, any_in_front = project_boxes(center, dims, yaw, pose, intrinsics)
     if not any_in_front[0]:
         raise BoxBehindCamera("all corners behind camera")
     return tuple(hulls[0].tolist())
@@ -458,6 +441,16 @@ def _union_area_within(base, rects) -> float:
     return total
 
 
+def _touching(boxes: np.ndarray) -> np.ndarray:
+    """(n, n) bool: entry [i, k] is true when boxes i and k share area, which is _clip_rect's not-None test.
+
+    A box that does not touch another adds nothing to a union clipped to
+    it, so it can be left out of that union's rectangles.
+    """
+    x0, y0, x1, y1 = boxes.T
+    return (np.maximum.outer(x0, x0) < np.minimum.outer(x1, x1)) & (np.maximum.outer(y0, y0) < np.minimum.outer(y1, y1))
+
+
 def nearer_mask(depths, tie_meters: float, tie_rate: float) -> np.ndarray:
     """(n, n) bool: entry [i, j] is true when box j is strictly nearer than box i.
 
@@ -477,14 +470,16 @@ def cover_fractions(boxes, depths, tie_meters: float = 1.0, tie_rate: float = 0.
     boxes report cover 0. With rows, an iterable of box indices, only those
     boxes are computed and the others report 0.
     """
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     rects = _rects(boxes)
     out = np.zeros(len(rects))
-    nearer = nearer_mask(depths, tie_meters, tie_rate)
+    # a nearer box that does not touch box i covers none of it
+    covering = nearer_mask(depths, tie_meters, tie_rate) & _touching(boxes)
     for i in range(len(rects)) if rows is None else rows:
         area = _rect_area(rects[i])
         if area <= 0.0:
             continue
-        occluders = [rect for rect, near in zip(rects, nearer[i].tolist()) if near]
+        occluders = [rect for rect, near in zip(rects, covering[i].tolist()) if near]
         if not occluders:
             continue
         out[i] = _union_area_within(rects[i], occluders) / area
@@ -509,25 +504,29 @@ def depth_ordered_overlaps(
 
     Boxes are (k, 4) rows. Only the pairs set in the (n, m) bool mask kept
     are computed; the other entries are 0. Claimants range over all
-    tracklets either way.
+    tracklets either way, but a claimant whose box does not touch the
+    tracklet's box claims nothing from it, so a pair with no touching
+    claimant keeps the plain IoU.
     """
-    rects = _rects(track_boxes)
-    det_rects = _rects(det_boxes)
-    plain = iou_2d_matrix(rects, det_rects)
+    track_boxes = np.asarray(track_boxes, dtype=float).reshape(-1, 4)
+    rects, det_rects = _rects(track_boxes), _rects(det_boxes)
+    plain = iou_2d_matrix(track_boxes, det_boxes)
     depths = np.asarray(track_depths, dtype=float)
     doi_gap = np.abs(np.subtract.outer(depths, np.asarray(det_depths, dtype=float)))
-    # [i, k, j]: tracklet k is in front of tracklet i and closer to detection j's layer
-    claims = nearer_mask(depths, tie_meters, tie_rate)[:, :, None] & (doi_gap[None] < doi_gap[:, None])
-    claimed = claims.any(axis=1)
-    out = np.where(kept & ~claimed, plain, 0.0)
+    # [i, j, k]: tracklet k touches tracklet i, is in front of it and is closer to detection j's layer
+    in_front = nearer_mask(depths, tie_meters, tie_rate) & _touching(track_boxes)
+    claims = in_front[:, None, :] & (doi_gap.T < doi_gap[:, :, None])
+    out = np.where(kept, plain, 0.0)
     # a claimed pair needs union areas only where the two boxes intersect
-    # (plain > 0); elsewhere its overlap is 0
-    for i, j in np.argwhere(kept & claimed & (plain > 0.0)).tolist():
+    # (plain > 0); elsewhere its overlap is 0, its plain IoU
+    claimants = zip(*(axis.tolist() for axis in np.nonzero(claims & (kept & (plain > 0.0))[:, :, None])))
+    for (i, j), claim in groupby(claimants, key=itemgetter(0, 1)):
         rect, det_rect = rects[i], det_rects[j]
-        occluders = [rects[k] for k in np.flatnonzero(claims[i, :, j]).tolist()]
+        occluders = [rects[k] for _, _, k in claim]
         inter_rect = _clip_rect(rect, det_rect)
         inter = (inter_rect[2] - inter_rect[0]) * (inter_rect[3] - inter_rect[1])
         numerator = inter - _union_area_within(inter_rect, occluders)
+        out[i, j] = 0.0
         if numerator <= 0.0:
             continue
         visible_area = _rect_area(rect) - _union_area_within(rect, occluders)

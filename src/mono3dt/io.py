@@ -107,14 +107,20 @@ def _load_table(path, kind: str, columns, raise_clash):
     """Read a JSONL file of `kind` as the table columns(objs) builds (which raises on any bad record), rows in file order.
 
     Only a file that fails is read again row by row: the first malformed line is a ParseError, unless
-    raise_clash(path, line_nos, rows) finds an earlier row that conflicts with one before it.
+    raise_clash(path, line_nos, rows) finds an earlier row that conflicts with one before it. A line that
+    does not decode is such a failure too, found after the lines before it are checked.
     """
-    lines = list(_read_jsonl(path, kind))
+    lines, undecoded = [], None
     try:
-        return columns([obj for _, obj in lines])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        pass
-    rows, error = [], AssertionError(f"{path}: the {kind} columns failed but no row did")
+        lines.extend(_read_jsonl(path, kind))
+    except ParseError as exc:
+        undecoded = exc
+    if undecoded is None:
+        try:
+            return columns([obj for _, obj in lines])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            pass
+    rows, error = [], undecoded or AssertionError(f"{path}: the {kind} columns failed but no row did")
     for line_no, obj in lines:
         try:
             rows.append(columns([obj]))

@@ -316,7 +316,7 @@ def _frame_visibility(world: WorldTruth, t: int) -> FrameVisibility:
     centers = np.array([veh.positions[t] for veh in vehicles]).reshape(-1, 3)
     dims = np.array([veh.dims for veh in vehicles]).reshape(-1, 3)
     yaws = np.array([veh.yaws[t] for veh in vehicles])
-    center_px, depth, boxes, _ = project_boxes(centers, dims, yaws, world.poses[t], world.intrinsics)
+    center_px, depth, boxes, _, _ = project_boxes(centers, dims, yaws, world.poses[t], world.intrinsics)
     area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
     in_view = (MIN_GT_DEPTH <= depth) & (depth <= SPAWN_RADIUS) & (area >= MIN_BOX_AREA)
     # the tracker's painter layering among in-view vehicles only: its default 1 m tie, widened with depth

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from mono3dt import association, geometry
 from mono3dt.association import (
@@ -107,6 +108,27 @@ def brute_force_max(values, kept):
     return best
 
 
+def per_pair_assignment(matrix, accept_threshold):
+    """solve_assignment's bookkeeping one assigned pair at a time, as first written."""
+    values = np.asarray(matrix.values, dtype=float)
+    n, m = values.shape
+    if n == 0 or m == 0:
+        return [], list(range(n)), list(range(m))
+    padded = np.full((n, m + n), 0.0)
+    padded[:, :m] = np.where(matrix.kept_mask, values, association.MASKED_VALUE)
+    rows, cols = linear_sum_assignment(padded, maximize=True)
+    pairs, matched_rows, matched_cols = [], set(), set()
+    for r, c in zip(rows, cols):
+        if c >= m or not matrix.kept_mask[r, c]:
+            continue
+        if values[r, c] < accept_threshold:
+            continue
+        pairs.append((int(r), int(c)))
+        matched_rows.add(int(r))
+        matched_cols.add(int(c))
+    return pairs, [i for i in range(n) if i not in matched_rows], [j for j in range(m) if j not in matched_cols]
+
+
 class TestSolveAssignment:
     def test_single_pair(self):
         matrix = AffinityMatrix(np.array([[0.9]]), np.ones((1, 1), bool), np.zeros((1, 1)))
@@ -153,6 +175,23 @@ class TestSolveAssignment:
         matrix = AffinityMatrix(np.zeros((0, 3)), np.zeros((0, 3), bool), np.zeros((0, 3)))
         pairs, ut, ud = solve_assignment(matrix, 0.3)
         assert pairs == [] and ut == [] and ud == [0, 1, 2]
+
+    def test_bit_equal_to_per_pair_loop(self):
+        """Masked entries, pairs under the threshold, n > m, n < m and empty sides, on seeded matrices."""
+        rng = np.random.default_rng(43)
+        shapes = [(n, m) for n in range(6) for m in range(6)] + [(int(n), int(m)) for n, m in rng.integers(1, 25, (60, 2))]
+        dropped = 0
+        for n, m in shapes:
+            for _ in range(3):
+                values = np.round(rng.random((n, m)), 1)  # ties and exact threshold hits
+                matrix = AffinityMatrix(values, rng.random((n, m)) < 0.7, np.zeros((n, m)))
+                threshold = float(rng.choice([0.0, 0.3, 0.5]))
+                got = solve_assignment(matrix, threshold)
+                assert got == per_pair_assignment(matrix, threshold)
+                assert all(type(v) is int for v in itertools.chain(*got[0], got[1], got[2]))
+                dropped += n + m - 2 * len(got[0])
+        assert dropped > 1000
+
 
 
 def painter_overlap_oracle(track_boxes, track_depths, det_box, det_depth, cells=600):
@@ -507,6 +546,24 @@ def simulate(preset, seed, noiseless=True, **overrides):
     gt = ground_truth_records(world, visibility)
     seq = SequenceInput(world.intrinsics, world.poses, detections)
     return cfg, world, seq, gt
+
+
+class TestProjectionsPerStep:
+    def test_two_projections_per_step(self, monkeypatch):
+        """One projection of the predicted tracklets and the detections before association, one for emit."""
+        cfg, world, seq, gt = simulate("dense", seed=2)
+        events = []
+        real_project, real_affinity = association.project_boxes, association.build_affinity_matrix
+        monkeypatch.setattr(association, "project_boxes", lambda *a: events.append(len(a[0])) or real_project(*a))
+        monkeypatch.setattr(association, "build_affinity_matrix", lambda *a: events.append("associate") or real_affinity(*a))
+        tracker = Tracker(TrackerConfig(), seq.intrinsics)
+        for frame, detections in enumerate(seq.detections[:12] + [NO_DETECTIONS]):
+            alive = len(tracker.rows.ids)
+            events.clear()
+            records = tracker.step(frame, detections, seq.poses[frame])
+            assert events[:2] == [alive + len(detections), "associate"], frame
+            assert len(events) == 3 and events[2] >= len(records), frame
+        assert alive > 0 and len(records) > 0
 
 
 class TestLifecycle:

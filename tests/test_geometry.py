@@ -205,7 +205,7 @@ class TestProjectBox:
 
 def project_one(box, pose, intr):
     """project_boxes on the one row of box: (center pixels (2,), depth, (x_min, y_min, x_max, y_max))."""
-    center_px, depth, boxes, _ = project_boxes(*box, pose, intr)
+    center_px, depth, boxes, _, _ = project_boxes(*box, pose, intr)
     return center_px[0], float(depth[0]), tuple(boxes[0].tolist())
 
 
@@ -291,7 +291,7 @@ def random_boxes_around_camera(rng, pose, count):
         [rng.uniform(-10, 10, count), rng.uniform(-4, 4, count), rng.uniform(-8, 60, count)]
     )
     cam[: count // 4, 2] = rng.uniform(-1.0, 1.0, count // 4)  # centers near the camera plane
-    centers = np.array([pose.camera_to_world(c) for c in cam])
+    centers = np.array([pose.camera_to_world(c) for c in cam]).reshape(count, 3)
     return centers, rng.uniform(0.3, 8.0, (count, 3)), rng.uniform(-10.0, 10.0, count)
 
 
@@ -303,7 +303,7 @@ class TestProjectBoxes:
         for _ in range(20):
             pose = random_pose(rng)
             centers, dims, yaws = random_boxes_around_camera(rng, pose, 40)
-            center_px, depth, boxes, in_front = project_boxes(centers, dims, yaws, pose, intr)
+            center_px, depth, boxes, hulls, in_front = project_boxes(centers, dims, yaws, pose, intr)
             for k in range(len(centers)):
                 box = box_row(centers[k], dims[k], yaws[k])
                 ref_px, ref_depth, ref_box, ref_in_front = scalar_project_object(box, pose, intr)
@@ -311,6 +311,8 @@ class TestProjectBoxes:
                 assert depth[k] == ref_depth
                 assert tuple(boxes[k]) == ref_box
                 assert in_front[k] == ref_in_front
+                ref_hull = scalar_project_box(box, pose, intr)[0]
+                assert tuple(hulls[k]) == (ref_hull if ref_in_front else (0.0, 0.0, 0.0, 0.0))
                 if not ref_in_front:
                     kinds["wholly behind"] += 1
                     with pytest.raises(BoxBehindCamera):
@@ -321,17 +323,32 @@ class TestProjectBoxes:
         assert min(kinds.values()) >= 20, kinds
 
     def test_empty_batch(self):
-        center_px, depth, boxes, in_front = project_boxes(
+        center_px, depth, boxes, hulls, in_front = project_boxes(
             np.zeros((0, 3)), np.zeros((0, 3)), [], CameraPose.identity(), default_intrinsics()
         )
-        assert center_px.shape == (0, 2) and depth.shape == (0,) and boxes.shape == (0, 4) and in_front.shape == (0,)
+        assert center_px.shape == (0, 2) and depth.shape == (0,) and in_front.shape == (0,)
+        assert boxes.shape == hulls.shape == (0, 4)
+
+    def test_stacked_halves_bit_equal_to_each_half_alone(self):
+        # the tracker projects its n predicted tracklets and its m decoded
+        # detections in one call over their stacked rows
+        rng = np.random.default_rng(37)
+        intr = default_intrinsics()
+        for n, m in [(12, 9), (0, 7), (5, 0), (1, 1)]:
+            pose = random_pose(rng)
+            tracklets = random_boxes_around_camera(rng, pose, n)
+            detections = random_boxes_around_camera(rng, pose, m)
+            stacked = project_boxes(*(np.concatenate(pair) for pair in zip(tracklets, detections)), pose, intr)
+            for half, rows in ((tracklets, slice(0, n)), (detections, slice(n, n + m))):
+                for got, alone in zip(stacked, project_boxes(*half, pose, intr)):
+                    assert np.array_equal(got[rows], alone)
 
     def test_yaws_normalized_like_box3d(self):
         intr = default_intrinsics()
         centers, dims = [[1.0, 0.5, 20.0]] * 3, [[4.2, 1.8, 1.5]] * 3
         yaws = [0.4, 0.4 + 2 * math.pi, 0.4 - 4 * math.pi]
         pose = CameraPose.identity()
-        _, _, boxes, _ = project_boxes(centers, dims, yaws, pose, intr)
+        _, _, boxes, _, _ = project_boxes(centers, dims, yaws, pose, intr)
         for k in range(3):
             assert tuple(boxes[k]) == project_box(*box_row(centers[k], dims[k], yaws[k]), pose, intr)
 
@@ -574,6 +591,29 @@ class TestValidation:
             CameraPose(np.eye(3) * 2.0, np.zeros(3))
         with pytest.raises(GeometryError):
             CameraPose(np.eye(3), [0.0, float("nan"), 0.0])
+
+    def test_pose_tolerance_is_allclose_rule(self):
+        """|r r^T - I| <= 1e-9 + 1e-5 |I| entry by entry: a diagonal error inside the rtol band passes."""
+        stretched = np.diag([1.0 + 4e-6, 1.0, 1.0])  # r r^T holds 1 + 8e-6 on the diagonal
+        assert np.array_equal(CameraPose(stretched, np.zeros(3)).rotation, stretched)
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            CameraPose(random_pose(rng).rotation, rng.normal(size=3))
+
+    @pytest.mark.parametrize(
+        "rotation, translation, problem",
+        [
+            ([[1.0, 2e-9, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.0] * 3, "not orthonormal"),
+            (np.diag([1.0, 1.0, -1.0]), [0.0] * 3, "negative determinant"),
+            ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [0.0] * 3, "negative determinant"),
+            (np.diag([1.0, float("nan"), 1.0]), [0.0] * 3, "not orthonormal"),
+            (np.eye(3), [0.0, 0.0, float("nan")], "translation must be finite"),
+        ],
+        ids=["off-diagonal-2e-9", "reflection", "swapped-axes", "nan-rotation", "nan-translation"],
+    )
+    def test_pose_refusals(self, rotation, translation, problem):
+        with pytest.raises(GeometryError, match=problem):
+            CameraPose(np.array(rotation), translation)
 
     def test_bad_box(self):
         with pytest.raises(GeometryError):

@@ -190,6 +190,24 @@ class TestDetectionsRoundTrip:
             load_detections(path)
         assert str(err.value).startswith(f"{path}:4: ")
 
+    def test_bad_line_before_an_undecodable_line_reported(self, tmp_path):
+        """Line 4 holds a NaN depth and line 7 does not decode: line 4 comes first in the file."""
+        rng = np.random.default_rng(8)
+        path = tmp_path / "d.jsonl"
+        write_detections([DetectionTable.from_rows([make_detection(rng, f, app_len=3) for f in range(6)])], path)
+        rewrite_line(path, 3, lambda record: record.update(depth_m=float("nan")))
+        lines = path.read_text().splitlines()
+        lines[6] = lines[6][: len(lines[6]) // 2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_detections(path)
+        assert str(err.value).startswith(f"{path}:4: ") and "finite" in str(err.value)
+        lines[3] = lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_detections(path)
+        assert str(err.value).startswith(f"{path}:7: bad record")
+
     @pytest.mark.parametrize(
         "field, value", [("app", [0.5, True]), ("app", [False, 0.5]), ("score", True), ("c", [3.0, False])]
     )
@@ -427,6 +445,23 @@ class TestTracks:
         with pytest.raises(ParseError) as err:
             load_tracks(path)
         assert str(err.value).startswith(f"{path}:7: ")
+
+    def test_bad_line_before_an_undecodable_line_reported(self, tmp_path):
+        """Line 4 holds a NaN yaw and line 7 does not decode: line 4 comes first in the file."""
+        path = tmp_path / "tracks.jsonl"
+        write_tracks([track_row(frame, 4) for frame in range(6)], path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].replace('"yaw_rad": 0.3', '"yaw_rad": NaN')
+        lines[6] = lines[6][: len(lines[6]) // 2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_tracks(path)
+        assert str(err.value).startswith(f"{path}:4: ") and "finite" in str(err.value)
+        lines[3] = lines[2].replace('"frame": 1', '"frame": 2')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_tracks(path)
+        assert str(err.value).startswith(f"{path}:7: bad record")
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())

@@ -309,7 +309,7 @@ class TestPredictTracklet:
         pixels = []
         for ego_x in (0.0, 1.0, 2.0):
             predicted, _ = predict_tracklet("kf3d", motion, position)
-            center_px, _, boxes, _ = project_boxes(predicted, DIMS, [0.0], moving_camera_pose(ego_x), intr)
+            center_px, _, boxes, _, _ = project_boxes(predicted, DIMS, [0.0], moving_camera_pose(ego_x), intr)
             assert np.allclose(predicted, position)
             assert (boxes[0, 2] - boxes[0, 0]) * (boxes[0, 3] - boxes[0, 1]) > 0.0  # in view
             pixels.append(center_px[0])
@@ -360,7 +360,7 @@ class TestPredictTracklet:
         intr = default_intrinsics()
         pose = moving_camera_pose(0.0)
         predicted, _ = predict_tracklet("none", None, np.array([[-5.0, 0.0, 0.75]]))  # behind the camera at x=0
-        _, depth, boxes, _ = project_boxes(predicted, DIMS, [0.0], pose, intr)
+        _, depth, boxes, _, _ = project_boxes(predicted, DIMS, [0.0], pose, intr)
         assert (boxes[0, 2] - boxes[0, 0]) * (boxes[0, 3] - boxes[0, 1]) == 0.0  # not in view
         assert depth[0] < 0
 
