@@ -279,13 +279,15 @@ def _cos_grad(a, b, na, nb, den, dot):
     return np.where(na > 0, -(b / den) + dot * (a / safe_na) * nb / (den * den), -(b / den))
 
 
-def backward_window(weights: LstmWeights, steps):
+def backward_window(weights: LstmWeights, steps, out=None):
     """BPTT over forward_window caches.
 
     Returns the gradient of forward_window's loss, a dict keyed like
     PARAM_SHAPES. The time loop carries only the (B, ·) recurrent
     gradients; each weight gradient is one product over the stacked
-    (B·(T-1), ·) rows after it.
+    (B·(T-1), ·) rows after it. With out, a dict of float arrays shaped
+    like PARAM_SHAPES, every entry is overwritten and out is returned;
+    the values are the same bits as without it.
     """
     n_steps = len(steps)
     scale = 1.0 / n_steps
@@ -316,12 +318,13 @@ def backward_window(weights: LstmWeights, steps):
         g_vhat = g_vbar + _embed_backward(weights, g_xu[:, :EMBED_DIM], st["v_hat"], rows)
         g_ep, dhp, dcp = _cell_backward(weights, "p", st["cache_p"], g_vhat, dhp, dcp, rows)
         d_vbar_future = _embed_backward(weights, g_ep, st["v_last"], rows) + g_prev_loss
-    grads = {}
+    if out is None:
+        out = {name: np.empty(shape) for name, shape in PARAM_SHAPES.items()}
     for layer, pairs in rows.items():
         d_out = np.concatenate([d for d, _ in pairs])
-        grads[f"w_{layer}"] = d_out.T @ np.concatenate([x for _, x in pairs])
-        grads[f"b_{layer}"] = d_out.sum(axis=0)
-    return {name: grads[name] for name in PARAM_SHAPES}
+        np.matmul(d_out.T, np.concatenate([x for _, x in pairs]), out=out[f"w_{layer}"])
+        d_out.sum(axis=0, out=out[f"b_{layer}"])
+    return out
 
 
 # train_lstm's fixed settings: the initial weight scale, then SGD with
@@ -347,9 +350,11 @@ def train_lstm(dataset, config: MotionTrainConfig):
 
     dataset: list of (true_positions (T,3), observed_positions (T,3)).
     Returns (weights, loss_history). Each step draws batch_size windows and
-    runs them as one batch. Raises DivergedTraining on a non-finite loss
-    and ValueError on an empty dataset, a window shorter than 2 frames or
-    a batch size below 1.
+    runs them as one batch. The gradients and the momentum live in one
+    buffer set per call, and the update runs in place. Raises
+    DivergedTraining on a non-finite loss or gradient norm and ValueError
+    on an empty dataset, a window shorter than 2 frames or a batch size
+    below 1.
     """
     if len(dataset) == 0:
         raise ValueError("empty training dataset")
@@ -364,6 +369,7 @@ def train_lstm(dataset, config: MotionTrainConfig):
     rng = np.random.default_rng(config.seed)
     weights = LstmWeights.initialize(rng, scale=INIT_SCALE)
     velocity = {name: np.zeros(shape) for name, shape in PARAM_SHAPES.items()}
+    grads = {name: np.empty(shape) for name, shape in PARAM_SHAPES.items()}
     history = []
     lr = LEARNING_RATE
     for step in range(config.steps):
@@ -381,14 +387,23 @@ def train_lstm(dataset, config: MotionTrainConfig):
         if not math.isfinite(batch_loss):
             raise DivergedTraining(f"loss became non-finite at step {step}")
         history.append(batch_loss)
-        grads = backward_window(weights, steps_cache)
+        backward_window(weights, steps_cache, out=grads)
         norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values())) / config.batch_size
+        # checked before the update: the next step's loss check would
+        # come too late on the last step
+        if not math.isfinite(norm):
+            raise DivergedTraining(f"gradient became non-finite at step {step}")
         clip_factor = 1.0 / config.batch_size
         if norm > GRAD_CLIP:
             clip_factor *= GRAD_CLIP / norm
-        for name in weights.arrays:
-            velocity[name] = MOMENTUM * velocity[name] + grads[name] * clip_factor
-            weights.arrays[name] -= lr * velocity[name]
+        # v = MOMENTUM * v + g * clip_factor; w -= lr * v, rounded the same
+        # way element by element; g then holds the step
+        for name, w in weights.arrays.items():
+            v, g = velocity[name], grads[name]
+            v *= MOMENTUM
+            g *= clip_factor
+            v += g
+            w -= np.multiply(v, lr, out=g)
     return weights, history
 
 

@@ -7,6 +7,7 @@ finite differences.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,42 @@ def test_tracking_rows_bit_equal_to_one_tracklet_steps(k):
         assert np.array_equal(refined[i], p_bar) and np.array_equal(updated.v_last[i], v_last)
         assert np.array_equal(updated.h_upd[i], h_upd) and np.array_equal(updated.c_upd[i], c_upd)
         assert np.array_equal(updated.h_pred[i], h_pred)
+
+
+def reference_train(dataset, config):
+    """train_lstm's loop with the allocating momentum update
+    (velocity = MOMENTUM * v + g * c; w -= lr * velocity).
+
+    Every trajectory must be at least config.window frames long. Returns
+    (weights, loss history, number of steps whose gradient was clipped).
+    """
+    rng = np.random.default_rng(config.seed)
+    weights = LstmWeights.initialize(rng, scale=lstm.INIT_SCALE)
+    velocity = {name: np.zeros(shape) for name, shape in PARAM_SHAPES.items()}
+    history = []
+    clipped = 0
+    lr = lstm.LEARNING_RATE
+    for step in range(config.steps):
+        if step > 0 and step % config.lr_decay_every == 0:
+            lr *= lstm.LR_DECAY
+        gt_wins, obs_wins = [], []
+        for _ in range(config.batch_size):
+            gt, obs = dataset[rng.integers(len(dataset))]
+            start = rng.integers(0, len(gt) - config.window + 1)
+            gt_wins.append(gt[start : start + config.window])
+            obs_wins.append(obs[start : start + config.window])
+        loss, steps = forward_window(weights, np.stack(obs_wins), np.stack(gt_wins))
+        history.append(loss / config.batch_size)
+        grads = backward_window(weights, steps)
+        norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values())) / config.batch_size
+        clip_factor = 1.0 / config.batch_size
+        if norm > lstm.GRAD_CLIP:
+            clip_factor *= lstm.GRAD_CLIP / norm
+            clipped += 1
+        for name in weights.arrays:
+            velocity[name] = lstm.MOMENTUM * velocity[name] + grads[name] * clip_factor
+            weights.arrays[name] -= lr * velocity[name]
+    return weights, history, clipped
 
 
 class TestForward:
@@ -275,6 +312,22 @@ class TestBatch:
                 rel_errors.append(abs(numeric - analytic) / denom)
         assert max(rel_errors) < 1e-4
 
+    def test_backward_out_contract(self):
+        """out= is filled in place with the allocating call's bits and returned."""
+        rng = np.random.default_rng(33)
+        weights = LstmWeights.initialize(rng, scale=0.6)
+        obs, gt = self.batch(rng, 4, T=9)
+        _, steps = forward_window(weights, obs, gt)
+        # the two-argument call, as bench/outcheck.py's gradient check makes it
+        allocated = backward_window(weights, steps)
+        out = {name: np.full(shape, np.nan) for name, shape in PARAM_SHAPES.items()}
+        filled = backward_window(weights, steps, out=out)
+        assert filled is out
+        assert list(allocated) == list(out) == list(PARAM_SHAPES)
+        for name, g in allocated.items():
+            assert g.shape == PARAM_SHAPES[name]
+            assert np.array_equal(out[name], g)
+
     def test_first_step_loss_pins_window_draws(self):
         """The first step's windows and loss are the ones drawn one window at a time."""
         dataset = sample_trajectories(np.random.default_rng(3), 6, length=20)
@@ -318,6 +371,56 @@ class TestTraining:
         cfg = MotionTrainConfig(steps=50, batch_size=1, seed=0)
         with pytest.raises(DivergedTraining):
             train_lstm([(true, obs)], cfg)
+
+    def test_non_finite_gradient_detected(self, monkeypatch):
+        """An inf gradient on the last step raises before the update reaches the weights."""
+        real_backward = lstm.backward_window
+        seen = []
+
+        def poisoned(weights, steps, **kwargs):
+            grads = real_backward(weights, steps, **kwargs)
+            seen.append((weights, weights.copy()))
+            if len(seen) == 3:
+                grads["w_pgate"][5, 7] = np.inf
+            return grads
+
+        monkeypatch.setattr(lstm, "backward_window", poisoned)
+        dataset = sample_trajectories(np.random.default_rng(4), 3, length=12)
+        with pytest.raises(DivergedTraining):
+            train_lstm(dataset, MotionTrainConfig(steps=3, batch_size=2, seed=1))
+        weights, before = seen[-1]
+        for name in PARAM_SHAPES:
+            assert np.array_equal(weights[name], before[name])
+
+    def test_in_place_update_bit_equal_to_reference(self):
+        """The in-place momentum step gives the bits of the allocating two-line update."""
+        dataset = sample_trajectories(np.random.default_rng(0), 6, length=20)
+        config = MotionTrainConfig(steps=40, batch_size=4, window=10, seed=0, lr_decay_every=10)
+        weights, history = train_lstm(dataset, config)
+        expected, expected_history, clipped = reference_train(dataset, config)
+        assert 0 < clipped < config.steps
+        assert history == expected_history
+        for name in PARAM_SHAPES:
+            assert np.array_equal(weights[name], expected[name])
+
+    def test_peak_memory_flat_across_steps(self):
+        """train_lstm's traced peak stays under 4.9x the parameter bytes and does not grow with the step count."""
+        dataset = sample_trajectories(np.random.default_rng(0), 12, length=30)
+        param_bytes = 8 * sum(math.prod(shape) for shape in PARAM_SHAPES.values())
+        train_lstm(dataset, MotionTrainConfig(steps=1, batch_size=8, window=10))
+        peaks = []
+        for steps in (3, 10):
+            tracemalloc.start()
+            try:
+                train_lstm(dataset, MotionTrainConfig(steps=steps, batch_size=8, window=10))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # weights, momentum and gradients are 3x the parameter bytes; one
+        # step's caches and temporaries add about 1.5x (2.35x when every
+        # step allocates its gradients and update afresh)
+        assert max(peaks) < 4.9 * param_bytes
+        assert abs(peaks[1] - peaks[0]) < 0.01 * param_bytes
 
     def test_weights_round_trip(self, tmp_path):
         rng = np.random.default_rng(21)
