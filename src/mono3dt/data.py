@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -238,13 +238,17 @@ class TrackerConfig:
         unknown = set(data) - set(types)
         if unknown:
             raise UnknownKey(f"unknown config keys: {sorted(unknown)}")
+        values = {}
         for name, value in data.items():
             accepted, what = _JSON_TYPES[types[name]]
             # JSON true/false must not pass as numbers, nor numbers as flags
             ok = isinstance(value, accepted) and (accepted is bool) == isinstance(value, bool)
-            if not ok or (types[name] == "float" and not math.isfinite(value)):
+            # an integer beyond the float range compares above float max
+            if not ok or (types[name] == "float" and not abs(value) <= sys.float_info.max):
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
-        return cls(**data).validate()
+            # a JSON integer too large for int64 would reach NumPy as an object
+            values[name] = float(value) if types[name] == "float" else value
+        return cls(**values).validate()
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -16,6 +16,7 @@ Conventions (fixed for the whole package):
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -48,7 +49,9 @@ def matvec(m, v) -> np.ndarray:
     A stack runs as stacked matrix-vector products, each the same BLAS call
     as m @ row, so it is bit-equal to running its rows one by one (a GEMM
     would not be). One row takes m @ v directly, which skips the view
-    handling a one-row call would pay.
+    handling a one-row call would pay. This is the per-row path that LSTM
+    tracking runs; training's forward pass runs one GEMM per layer
+    (lstm._gemm) instead.
     """
     v = np.asarray(v, dtype=float)
     return m @ v if v.ndim == 1 else np.matmul(m, v[..., None])[..., 0]
@@ -83,8 +86,10 @@ class CameraIntrinsics:
     image_height: float
 
     def __post_init__(self):
-        if not (0 < self.focal_x < math.inf and 0 < self.focal_y < math.inf):
-            raise GeometryError("focal lengths must be positive and finite")
+        # a subnormal focal length or size divides into non-finite states
+        for name in ("focal_x", "focal_y", "image_width", "image_height"):
+            if not (sys.float_info.min <= getattr(self, name) < math.inf):
+                raise GeometryError(f"{name} must be a finite number of at least {sys.float_info.min}")
         if not (0.0 <= self.principal_x <= self.image_width):
             raise GeometryError("principal_x outside image")
         if not (0.0 <= self.principal_y <= self.image_height):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DetectionTable, SequenceInput, TrackerConfig, TrackStatus, TrackTable, first_repeat, take_rows
-from .geometry import CameraIntrinsics, CameraPose, normalize_angles
+from .geometry import CameraIntrinsics, CameraPose, GeometryError, normalize_angles
 
 FORMAT_VERSION = 1
 
@@ -226,14 +226,17 @@ def load_poses(path):
     if version != FORMAT_VERSION:
         raise UnsupportedFormatVersion(path, 1, f"unsupported format_version {version!r}")
     data = doc["intrinsics"]
-    intr = CameraIntrinsics(
-        focal_x=float(data["focal_x"]),
-        focal_y=float(data["focal_y"]),
-        principal_x=float(data["principal_x"]),
-        principal_y=float(data["principal_y"]),
-        image_width=float(data["image_width"]),
-        image_height=float(data["image_height"]),
-    )
+    try:
+        intr = CameraIntrinsics(
+            focal_x=float(data["focal_x"]),
+            focal_y=float(data["focal_y"]),
+            principal_x=float(data["principal_x"]),
+            principal_y=float(data["principal_y"]),
+            image_width=float(data["image_width"]),
+            image_height=float(data["image_height"]),
+        )
+    except GeometryError as exc:
+        raise ParseError(path, 1, f"bad intrinsics: {exc}") from exc
     frames = sorted(doc["frames"], key=lambda f: f["frame"])
     indices = [f["frame"] for f in frames]
     if indices != list(range(len(indices))):

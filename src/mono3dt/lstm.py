@@ -60,9 +60,13 @@ class LstmWeights:
 
     def __post_init__(self):
         for name, shape in PARAM_SHAPES.items():
-            arr = np.asarray(self.arrays[name], dtype=float)
+            problem = f"{name} must hold {shape} finite values"
+            try:
+                arr = np.asarray(self.arrays[name], dtype=float)
+            except OverflowError as exc:  # an integer beyond the float range
+                raise ValueError(problem) from exc
             if arr.size != math.prod(shape) or not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must hold {shape} finite values")
+                raise ValueError(problem)
             self.arrays[name] = arr.reshape(shape)
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -115,26 +119,39 @@ def _rowdot(a, b):
 _CELL_LAYERS = {c: (f"{c}gate", f"{c}head1", f"{c}head2") for c in ("p", "u")}
 
 
-def _cell_forward(weights: LstmWeights, cell: str, x, h_prev, c_prev):
+def _gemm(m, rows):
+    """m @ row for every row of a (B, n) batch as one matrix product.
+
+    Faster than matvec's stacked products, but a row's bits depend on the
+    batch's shape (not on the other rows' values), so only training uses it.
+    """
+    return rows @ m.T
+
+
+def _cell_forward(weights: LstmWeights, cell: str, x, h_prev, c_prev, product=matvec):
     """One step of the prediction ("p") or update ("u") cell.
 
     Runs the LSTM gates on [x, h_prev], then the two-layer tanh head on
     the new hidden state. x, h_prev and c_prev are one row each or a
     (B, ·) batch of rows. Returns (h, c, head output, cache). Tracking and
-    training both run the cells through this function only.
+    training both run the cells through this function only. Every layer
+    is product(w, rows): tracking keeps the per-row matvec, so a row's bits
+    do not depend on how many rows step with it; forward_window passes
+    _gemm, one matrix product per layer over the batch.
     """
     gate, head1, head2 = _CELL_LAYERS[cell]
     xh = np.concatenate([x, h_prev], -1)
-    z = matvec(weights[f"w_{gate}"], xh) + weights[f"b_{gate}"]
-    i = _sigmoid(z[..., :HIDDEN_DIM])
-    f = _sigmoid(z[..., HIDDEN_DIM : 2 * HIDDEN_DIM])
+    z = product(weights[f"w_{gate}"], xh) + weights[f"b_{gate}"]
+    # the adjacent i and f slices in one call: element-wise, so the same bits
+    i_f = _sigmoid(z[..., : 2 * HIDDEN_DIM])
+    i, f = i_f[..., :HIDDEN_DIM], i_f[..., HIDDEN_DIM:]
     g = np.tanh(z[..., 2 * HIDDEN_DIM : 3 * HIDDEN_DIM])
     o = _sigmoid(z[..., 3 * HIDDEN_DIM :])
     c = f * c_prev + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    t = np.tanh(matvec(weights[f"w_{head1}"], h) + weights[f"b_{head1}"])
-    y = matvec(weights[f"w_{head2}"], t) + weights[f"b_{head2}"]
+    t = np.tanh(product(weights[f"w_{head1}"], h) + weights[f"b_{head1}"])
+    y = product(weights[f"w_{head2}"], t) + weights[f"b_{head2}"]
     return h, c, y, (xh, c_prev, i, f, g, o, tanh_c, h, t)
 
 
@@ -164,8 +181,8 @@ def _cell_backward(weights: LstmWeights, cell: str, cache, dy, dh_next, dc_next,
     return dxh[:, :n_x], dxh[:, n_x:], dc * f
 
 
-def _embed(weights, v):
-    return matvec(weights["w_embed"], v) + weights["b_embed"]
+def _embed(weights, v, product=matvec):
+    return product(weights["w_embed"], v) + weights["b_embed"]
 
 
 def _embed_backward(weights, g, v, rows):
@@ -221,8 +238,10 @@ def forward_window(weights: LstmWeights, obs: np.ndarray, gt: np.ndarray):
     on location keeps velocity biases from integrating into unbounded
     drift. Returns (loss, caches): the loss is the sum of the windows' mean
     losses, added in window order, and the caches carry everything the
-    backward pass needs. Each window's values are bit-equal to running it
-    alone.
+    backward pass needs. Each layer is one matrix product over the batch
+    (_gemm), not tracking's per-row matvec: a window's values can depend
+    on the batch's shape but not on the other windows' values, and match
+    running it alone to a relative 1e-12.
     """
     obs = np.asarray(obs, dtype=float)
     gt = np.asarray(gt, dtype=float)
@@ -235,10 +254,11 @@ def forward_window(weights: LstmWeights, obs: np.ndarray, gt: np.ndarray):
     steps = []
     total = np.zeros(B)
     for t in range(1, T):
-        hp, cp, v_hat, cache_p = _cell_forward(weights, "p", _embed(weights, v_last), hp, cp)
+        ep = _embed(weights, v_last, _gemm)
+        hp, cp, v_hat, cache_p = _cell_forward(weights, "p", ep, hp, cp, _gemm)
         d_obs = obs[:, t] - p_bar
-        xu = np.concatenate([_embed(weights, v_hat), _embed(weights, d_obs)], axis=-1)
-        hu, cu, corr, cache_u = _cell_forward(weights, "u", xu, hu, cu)
+        xu = np.concatenate([_embed(weights, v_hat, _gemm), _embed(weights, d_obs, _gemm)], axis=-1)
+        hu, cu, corr, cache_u = _cell_forward(weights, "u", xu, hu, cu, _gemm)
         v_bar = v_hat + corr
         p_bar_new = p_bar + v_bar
         step_loss = np.sum(np.abs(p_bar_new - gt[:, t]), axis=-1)

@@ -220,8 +220,25 @@ class TestTrack:
         assert f"{weights}:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("field", ["focal_y", "image_width"])
+    def test_subnormal_intrinsic_exit_1_names_the_file(self, scenario, tmp_path, capsys, field):
+        """A focal length or image size below the smallest normal float is refused as it loads."""
+        poses = tmp_path / "poses.json"
+        doc = json.loads((scenario / "poses.json").read_text())
+        doc["intrinsics"][field] = 1e-320
+        if field == "image_width":
+            doc["intrinsics"]["principal_x"] = 0.0
+        poses.write_text(json.dumps(doc))
+        code = run(
+            ["track", "--detections", str(scenario / "detections.jsonl"), "--poses", str(poses), "--out", str(tmp_path / "t.jsonl")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{poses}:1: " in err and field in err
+        assert not (tmp_path / "t.jsonl").exists()
+
     @pytest.mark.parametrize(
-        "config", [{"w_deep": "x"}, {"max_lost_age": None}, {"use_depth_ordering": "yes"}]
+        "config", [{"w_deep": "x"}, {"max_lost_age": None}, {"use_depth_ordering": "yes"}, {"w_deep": 10**400}]
     )
     def test_wrong_config_value_type_exit_2(self, scenario, tmp_path, capsys, config):
         path = tmp_path / "config.json"
@@ -231,6 +248,19 @@ class TestTrack:
         )
         assert code == 2
         assert next(iter(config)) in capsys.readouterr().err
+
+    def test_large_integer_in_float_field_tracks_as_the_float(self, scenario, tmp_path):
+        """An integer beyond int64 in a float field is read as that float, not left for NumPy to choke on."""
+        written = []
+        for name, value in (("int", 10**308), ("float", 1e308)):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({"range_max": value}))
+            out = tmp_path / f"{name}.jsonl"
+            assert run(
+                ["track", "--detections", str(scenario / "detections.jsonl"), "--poses", str(scenario / "poses.json"), "--config", str(config), "--out", str(out)]
+            ) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestEvaluate:

@@ -8,13 +8,14 @@ with the NumPy build, so the digests are only compared under the NumPy
 version they were taken with.
 
 The pinned weights come from train_lstm, so a change to the order in
-which training sums its gradients (batching the windows of a step, say)
-moves the weights in their last bits. Such a change re-pins the weights
-digest and the lstm entries of TRACKS_DIGESTS and ABLATION_DIGESTS that
-follow from them, and should show that the re-pinned tracks keep their
-(frame, id) rows and CLEAR counts. LSTM_TRACKING_DIGESTS track with
-fixed, untrained weights, so they pin the tracking path apart from
-training and must not move with it.
+which training sums its products (batching the windows of a step, or
+one matrix product per layer in the forward pass) moves the weights in
+their last bits. Such a change re-pins the weights digest and the lstm
+entries of TRACKS_DIGESTS and ABLATION_DIGESTS that follow from them,
+and should show that the re-pinned tracks keep their (frame, id) rows
+and CLEAR counts. LSTM_TRACKING_DIGESTS track with fixed, untrained
+weights, so they pin the tracking path apart from training and must not
+move with it.
 
 SCENARIO_DIGESTS pin the simulator's own detections and ground truth
 for the same scenes, so a change to the render shows apart from the
@@ -43,36 +44,36 @@ from mono3dt.simulator import ScenarioConfig, write_scenario
 
 DIGEST_NUMPY = "2.4.6"
 
-WEIGHTS_DIGEST = "5e8f45e70ba39364"
+WEIGHTS_DIGEST = "192c1e569e80faea"
 
 BACKENDS = ("none", "kf2d", "kf3d", "lstm")
 
 # (preset, seed, overrides) -> tracks.jsonl digest per backend, default
 # TrackerConfig; the lstm backend tracks with the weights pinned above
 TRACKS_DIGESTS = {
-    ("dense", 3, ()): ("a67e44ac40046a4f", "37a4ef6487081bb4", "0637befd0cee3bed", "b15c0446b5fa65eb"),
+    ("dense", 3, ()): ("a67e44ac40046a4f", "37a4ef6487081bb4", "0637befd0cee3bed", "0086c0e60968efa7"),
     ("open_road", 0, (("n_vehicles", 12),)): (
         "62d4307d0372850e",
         "63b7966a5bb48161",
         "3fbeb5d76f799f28",
-        "89903cf95a77780a",
+        "4bdca7b7de01c09e",
     ),
-    ("crossing_occlusion", 3, ()): ("4fabaebf159dae08", "0bd8fb6054f83217", "96d9ace7710bbdc8", "4f284ceb2fe8023c"),
-    ("reappearance", 5, ()): ("c8adb18394a68649", "49fa155fbafc1d62", "a35c1c6cdd98b8c8", "6ce205bd63ce2ef7"),
+    ("crossing_occlusion", 3, ()): ("4fabaebf159dae08", "0bd8fb6054f83217", "96d9ace7710bbdc8", "2196f94976e10cbf"),
+    ("reappearance", 5, ()): ("c8adb18394a68649", "49fa155fbafc1d62", "a35c1c6cdd98b8c8", "e95660ff274d3d9a"),
 }
 
 # the same scenes tracked with the ablation switches off:
 # TrackerConfig(motion_backend=b, use_depth_ordering=False, use_occlusion_state=False)
 ABLATION_DIGESTS = {
-    ("dense", 3, ()): ("e2a7254eb3a8e9bf", "3933e54e4ae3185c", "534e98163b0ab7e5", "d17a5d987be60951"),
+    ("dense", 3, ()): ("e2a7254eb3a8e9bf", "3933e54e4ae3185c", "534e98163b0ab7e5", "730196810f92c1e3"),
     ("open_road", 0, (("n_vehicles", 12),)): (
         "06e659239511caca",
         "26ffd2db69144899",
         "745fcfe5ad424aae",
-        "c5e8b0f5aec5810e",
+        "096197f7167768f6",
     ),
-    ("crossing_occlusion", 3, ()): ("74074fb1aac0dcea", "74074fb1aac0dcea", "0dfbf5fbb07c1cf4", "57fa8d71e9ed8ad2"),
-    ("reappearance", 5, ()): ("c8adb18394a68649", "f512d7464272a5a4", "a36ee52a8f944eac", "15ebb671ef557e9f"),
+    ("crossing_occlusion", 3, ()): ("74074fb1aac0dcea", "74074fb1aac0dcea", "0dfbf5fbb07c1cf4", "a32bd789a69e8348"),
+    ("reappearance", 5, ()): ("c8adb18394a68649", "f512d7464272a5a4", "a36ee52a8f944eac", "7556bb152cc8fbaa"),
 }
 
 # the same scenes tracked by the lstm backend alone, default TrackerConfig,

@@ -7,7 +7,11 @@ finite differences.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,7 +276,22 @@ class TestBatch:
             assert grads[name].shape == PARAM_SHAPES[name]
             assert np.max(np.abs(grads[name] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    def test_each_window_matches_its_single_run(self):
+    def test_window_bits_do_not_depend_on_its_batchmates(self):
+        """A window keeps its bits when the other windows of its batch are swapped for different ones."""
+        rng = np.random.default_rng(32)
+        weights = LstmWeights.initialize(rng, scale=0.8)
+        obs, gt = self.batch(rng, 5, T=8)
+        _, steps = forward_window(weights, obs, gt)
+        for b in range(len(obs)):
+            other_obs, other_gt = self.batch(rng, 5, T=8)
+            other_obs[b], other_gt[b] = obs[b], gt[b]
+            _, other_steps = forward_window(weights, other_obs, other_gt)
+            for st, other in zip(steps, other_steps):
+                assert not np.array_equal(st["v_bar"], other["v_bar"])
+                assert np.array_equal(st["v_bar"][b], other["v_bar"][b])
+
+    def test_each_window_close_to_its_single_run(self):
+        """One matrix product per layer moves a window's values by roundoff only, against running it alone."""
         rng = np.random.default_rng(32)
         weights = LstmWeights.initialize(rng, scale=0.8)
         obs, gt = self.batch(rng, 5, T=8)
@@ -280,7 +299,8 @@ class TestBatch:
         for b in range(len(obs)):
             _, window_steps = forward_window(weights, obs[b], gt[b])
             for st, single in zip(steps, window_steps):
-                assert np.array_equal(st["v_bar"][b], single["v_bar"][0])
+                expected = single["v_bar"][0]
+                assert np.max(np.abs(st["v_bar"][b] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_batch_matches_finite_differences(self):
         rng = np.random.default_rng(1253)
@@ -403,6 +423,30 @@ class TestTraining:
         for name in PARAM_SHAPES:
             assert np.array_equal(weights[name], expected[name])
 
+    def test_weights_do_not_depend_on_blas_threads(self, tmp_path):
+        """Training gives the same weight bytes with one BLAS thread and with two.
+
+        An OpenBLAS dot product over 20,000 or more elements splits its sum
+        by thread, so a gradient norm taken with np.vdot would move the
+        clipping factor, and with it the weights, with the thread count.
+        """
+        script = (
+            "import sys; import numpy as np; from mono3dt import lstm\n"
+            "dataset = lstm.sample_trajectories(np.random.default_rng(0), 12, length=30)\n"
+            "config = lstm.MotionTrainConfig(steps=20, batch_size=8, window=10)\n"
+            "weights, _ = lstm.train_lstm(dataset, config)\n"
+            "open(sys.argv[1], 'wb').write(b''.join(a.tobytes() for a in weights.arrays.values()))\n"
+        )
+        src = str(Path(lstm.__file__).resolve().parent.parent)
+        written = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            path = tmp_path / f"weights-{threads}.bin"
+            subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True, timeout=60)
+            written.append(path.read_bytes())
+        assert len(written[0]) == 8 * sum(math.prod(shape) for shape in PARAM_SHAPES.values())
+        assert written[0] == written[1]
+
     def test_peak_memory_flat_across_steps(self):
         """train_lstm's traced peak stays under 4.9x the parameter bytes and does not grow with the step count."""
         dataset = sample_trajectories(np.random.default_rng(0), 12, length=30)
@@ -431,7 +475,7 @@ class TestTraining:
         for name in weights.arrays:
             assert np.array_equal(weights.arrays[name], loaded.arrays[name])
 
-    @pytest.mark.parametrize("damage", ["missing", "mis-shaped", "non-finite"])
+    @pytest.mark.parametrize("damage", ["missing", "mis-shaped", "non-finite", "overflow"])
     def test_bad_weights_array_names_the_file(self, tmp_path, damage):
         path = tmp_path / "weights.json"
         save_weights(LstmWeights.zeros(), path)
@@ -440,6 +484,8 @@ class TestTraining:
             del doc["arrays"]["b_embed"]
         elif damage == "mis-shaped":
             doc["arrays"]["b_embed"] = doc["arrays"]["b_embed"][:-1]
+        elif damage == "overflow":
+            doc["arrays"]["b_embed"][0] = 10**400  # an integer no float holds
         else:
             doc["arrays"]["b_embed"][0] = float("nan")
         path.write_text(json.dumps(doc))
