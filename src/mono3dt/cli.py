@@ -271,6 +271,8 @@ def cmd_train_motion(args) -> int:
         raise UsageError("--batch-size must be positive")
     if args.trajectory_frames < args.window:
         raise UsageError("--trajectory-frames must be at least --window")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     dataset = sample_trajectories(rng, args.scenarios, length=args.trajectory_frames)
@@ -310,14 +312,14 @@ def cmd_train_motion(args) -> int:
 
 def cmd_demo(args) -> int:
     out = Path(args.out)
-    scenario_dir = out / "scenario"
-    config = ScenarioConfig.make_preset("crossing_occlusion", seed=args.seed)
-    paths = write_scenario(config, scenario_dir)
-    sequence = load_sequence(paths["detections"], paths["poses"])
-    records = run_sequence(sequence, TrackerConfig().validate())
+    try:
+        config = ScenarioConfig.make_preset("crossing_occlusion", seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    paths = write_scenario(config, out / "scenario")
     tracks_path = out / "tracks.jsonl"
-    write_tracks(records, tracks_path)
-    report = evaluate_tracks(load_tracks(paths["gt_tracks"]), records, "3d")
+    _track_one(paths["detections"], paths["poses"], TrackerConfig().validate(), None, tracks_path)
+    report = evaluate_tracks(load_tracks(paths["gt_tracks"]), load_tracks(tracks_path), "3d")
     print(format_report(report, f"demo crossing_occlusion seed={args.seed}"))
     doc = {"format_version": FORMAT_VERSION, "reports": {"all": report.as_dict()}}
     (out / "report.json").write_text(json.dumps(doc, indent=1, allow_nan=False), encoding="utf-8")

@@ -358,11 +358,6 @@ def _bev_intersections(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarr
     return np.where(count >= 3, 0.5 * np.abs(twice), 0.0)
 
 
-def bev_intersection_area(a, b) -> float:
-    """Ground-plane intersection area of two oriented (center, dims, yaw) boxes (convex clipping)."""
-    return float(_bev_intersections(box_corners(*a), box_corners(*b))[0])
-
-
 def iou_3d_pairs(a, b) -> np.ndarray:
     """(K,) volumetric IoU of box a[k] with box b[k] for each of K pairs.
 

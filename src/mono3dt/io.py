@@ -215,37 +215,66 @@ def write_poses(intrinsics: CameraIntrinsics, poses, path) -> None:
     path.write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n", encoding="utf-8")
 
 
+def _pose_number(path, where: str, value) -> float:
+    # bool is a subclass of int, so compare the exact type
+    if type(value) not in (int, float):
+        raise ParseError(path, 1, f"{where}: expected a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(path, 1, f"{where}: number out of float range") from None
+
+
+def _pose_numbers(path, where: str, value, count: int) -> list:
+    if not (isinstance(value, list) and len(value) == count):
+        raise ParseError(path, 1, f"{where}: expected {count} numbers")
+    return [_pose_number(path, f"{where}[{k}]", v) for k, v in enumerate(value)]
+
+
 def load_poses(path):
-    """Read poses.json -> (intrinsics, contiguous pose list from frame 0)."""
+    """Read poses.json -> (intrinsics, contiguous pose list from frame 0).
+
+    A document of the wrong shape is a ParseError naming the key path,
+    e.g. "poses.json:1: frames[3].rotation: expected 9 numbers".
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, str(exc)) from exc
+    if not isinstance(doc, dict):
+        raise ParseError(path, 1, "expected a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise UnsupportedFormatVersion(path, 1, f"unsupported format_version {version!r}")
-    data = doc["intrinsics"]
+    data, frames = doc.get("intrinsics"), doc.get("frames")
+    if not isinstance(data, dict):
+        raise ParseError(path, 1, "intrinsics: expected an object")
+    if not isinstance(frames, list):
+        raise ParseError(path, 1, "frames: expected a list")
+    values = {f.name: _pose_number(path, f"intrinsics.{f.name}", data.get(f.name)) for f in fields(CameraIntrinsics)}
     try:
-        intr = CameraIntrinsics(
-            focal_x=float(data["focal_x"]),
-            focal_y=float(data["focal_y"]),
-            principal_x=float(data["principal_x"]),
-            principal_y=float(data["principal_y"]),
-            image_width=float(data["image_width"]),
-            image_height=float(data["image_height"]),
-        )
+        intr = CameraIntrinsics(**values)
     except GeometryError as exc:
         raise ParseError(path, 1, f"bad intrinsics: {exc}") from exc
-    frames = sorted(doc["frames"], key=lambda f: f["frame"])
-    indices = [f["frame"] for f in frames]
+    poses = []  # (frame, pose)
+    for k, frame in enumerate(frames):
+        where = f"frames[{k}]"
+        if not isinstance(frame, dict):
+            raise ParseError(path, 1, f"{where}: expected an object")
+        if type(frame.get("frame")) is not int:
+            raise ParseError(path, 1, f"{where}.frame: expected an integer")
+        rotation = _pose_numbers(path, f"{where}.rotation", frame.get("rotation"), 9)
+        translation = _pose_numbers(path, f"{where}.translation_m", frame.get("translation_m"), 3)
+        try:
+            poses.append((frame["frame"], CameraPose(np.array(rotation).reshape(3, 3), translation)))
+        except GeometryError as exc:
+            raise ParseError(path, 1, f"{where}: {exc}") from exc
+    poses.sort(key=itemgetter(0))
+    indices = [index for index, _ in poses]
     if indices != list(range(len(indices))):
         raise FrameGapError(f"{path}: pose frames not contiguous from 0: {indices[:10]}...")
-    poses = [
-        CameraPose(np.array(f["rotation"], dtype=float).reshape(3, 3), f["translation_m"])
-        for f in frames
-    ]
-    return intr, poses
+    return intr, [pose for _, pose in poses]
 
 
 def load_sequence(detections_path, poses_path) -> SequenceInput:

@@ -13,6 +13,7 @@ every report:
 Matching prefers the previous frame's correspondences while they still
 pass the gate, then fills in the rest with a maximum-quality bipartite
 assignment. Gates: 2d mode IoU >= 0.5; 3d mode BEV center distance <= 2 m.
+Tracks are TrackTables, as io.load_tracks reads them.
 """
 
 from __future__ import annotations
@@ -97,64 +98,53 @@ def _frame_gate(gt_rows, pred_rows, mode: str):
     return dist <= CENTER_GATE_3D_M, 1.0 - dist / CENTER_GATE_3D_M
 
 
-def _box_columns(records) -> tuple:
-    """(centers (K, 3), dims (K, 3), yaws (K,)) of K TrackRecords: the rows iou_3d_pairs reads."""
-    table = TrackTable.from_records(records)
-    return table.center, table.dims, table.yaw
+def _boxes(table: TrackTable, rows=slice(None)) -> tuple:
+    """(centers, dims, yaws) of the table's rows: the boxes iou_3d_pairs reads."""
+    return table.center[rows], table.dims[rows], table.yaw[rows]
 
 
-def _pair_quality(gt_rec, pred_rec, mode: str):
-    """(passes gate, overlap in [0,1], assignment score) for one pair: the frame gate's one-pair call.
+def _pair_quality(gt: TrackTable, pred: TrackTable, mode: str):
+    """(passes gate, overlap in [0,1], assignment score) of two one-row tables: the frame gate's one-pair call.
 
     In 3d mode a pair outside the center gate reports overlap 0 without computing its 3D IoU.
-    match_frame reads whole frames through _frame_gate instead; this stays because the
+    match_sequence reads whole frames through _frame_gate instead; this stays because the
     benchmark tracer (bench/layertrace.py) wraps it by name.
     """
-    gate, quality = _frame_gate(*(_gate_rows(TrackTable.from_records([r]), mode) for r in (gt_rec, pred_rec)), mode)
+    gate, quality = _frame_gate(_gate_rows(gt, mode), _gate_rows(pred, mode), mode)
     ok, quality = bool(gate[0, 0]), float(quality[0, 0])
     if mode == "2d":
         return ok, quality, quality
-    return ok, float(iou_3d_pairs(_box_columns([gt_rec]), _box_columns([pred_rec]))[0]) if ok else 0.0, quality
+    return ok, float(iou_3d_pairs(_boxes(gt), _boxes(pred))[0]) if ok else 0.0, quality
 
 
-def _table(rows, kind: str) -> TrackTable:
-    """rows as a TrackTable; a TrackRecord list that repeats a (frame, id) is a ValueError."""
-    if isinstance(rows, TrackTable):
-        return rows
-    table = TrackTable.from_records(rows)
-    repeat = first_repeat(table.frame, table.track_id)
-    if repeat is not None:
-        raise ValueError(f"{kind} id {table.track_id[repeat]} repeats in frame {table.frame[repeat]}")
-    return table
+def match_sequence(gt: TrackTable, pred: TrackTable, mode: str = "3d") -> list:
+    """CLEAR matching of every frame either table holds, in frame order: one FrameMatching per frame.
 
-
-def match_frame(gt_records, pred_records, prev_pairs: dict, mode: str = "3d") -> FrameMatching:
-    """CLEAR matching for one frame.
-
-    prev_pairs maps gt_id -> pred_id from the previous frame; such pairs
-    are kept whenever they still pass the gate, before the remaining
-    records are assigned by maximum total quality. A track id may appear
-    at most once among each side's records (ValueError otherwise).
+    Each frame keeps the previous frame's pairs whenever they still pass
+    the gate, before the remaining rows are assigned by maximum total
+    quality. A (frame, id) may appear at most once in each table
+    (ValueError naming the side otherwise). Rows keep their table order
+    within a frame.
 
     Occlusion-flagged rows are don't-care regions, the usual benchmark
     treatment of fully hidden objects: an occluded ground-truth row may be
     matched (keeping identity continuity alive) but never counts as a
     miss, and an unmatched occluded prediction is dead-reckoning output
     rather than a detection claim, so it never counts as a false positive.
+
+    The 3d assignment reads only the distance quality, so the 3d overlaps
+    of all pairs come from one iou_3d_pairs call at the end, written back
+    in pair order.
     """
-    gt, pred = _table(gt_records, "ground-truth"), _table(pred_records, "prediction")
-    return _match_frames(gt, pred, [(0, len(gt), 0, len(pred))], prev_pairs, mode)[0]
-
-
-def _match_frames(gt: TrackTable, pred: TrackTable, spans, prev_pairs: dict, mode: str) -> list:
-    """match_frame over consecutive frames, each given by its row span (gt start, gt stop, pred start, pred stop).
-
-    Each frame's previous pairs are those of the frame before (prev_pairs
-    for the first). The 3d assignment reads only the distance quality, so
-    the 3d overlaps of all pairs come from one iou_3d_pairs call at the
-    end, written back in pair order.
-    """
-    matchings = []
+    for table, side in ((gt, "ground-truth"), (pred, "prediction")):
+        repeat = first_repeat(table.frame, table.track_id)
+        if repeat is not None:
+            raise ValueError(f"{side} id {table.track_id[repeat]} repeats in frame {table.frame[repeat]}")
+    frames = np.union1d(gt.frame, pred.frame)
+    gt, pred = (take_rows(table, np.argsort(table.frame, kind="stable")) for table in (gt, pred))
+    # each frame's row span (gt start, gt stop, pred start, pred stop)
+    spans = zip(*(np.searchsorted(t.frame, frames, side).tolist() for t in (gt, pred) for side in ("left", "right")))
+    matchings, prev_pairs = [], {}
     gt_hits, pred_hits = [], []  # table rows of every pair, in pair order
     gt_ids_all, pred_ids_all = gt.track_id.tolist(), pred.track_id.tolist()
     gt_hidden, pred_shown = gt.status == _OCCLUDED, pred.status != _OCCLUDED
@@ -187,29 +177,10 @@ def _match_frames(gt: TrackTable, pred: TrackTable, spans, prev_pairs: dict, mod
         matchings.append(matching)
         prev_pairs = {g: p for g, p, _ in matching.pairs}
     if mode == "3d":
-        boxes = [(t.center[rows], t.dims[rows], t.yaw[rows]) for t, rows in ((gt, gt_hits), (pred, pred_hits))]
-        overlaps = iter(iou_3d_pairs(*boxes).tolist())
+        overlaps = iter(iou_3d_pairs(_boxes(gt, gt_hits), _boxes(pred, pred_hits)).tolist())
         for matching in matchings:
             matching.pairs = [(g, p, next(overlaps)) for g, p, _ in matching.pairs]
     return matchings
-
-
-def _frame_spans(table: TrackTable, frames: np.ndarray):
-    """table's rows grouped by frame, order kept within each frame, and each frame's (start, stop) rows."""
-    table = take_rows(table, np.argsort(table.frame, kind="stable"))
-    return table, np.searchsorted(table.frame, frames), np.searchsorted(table.frame, frames, side="right")
-
-
-def match_sequence(gt_records, pred_records, mode: str = "3d"):
-    """Run match_frame over all frames, threading previous correspondences.
-
-    Either side may be a TrackTable or a TrackRecord list.
-    """
-    gt, pred = _table(gt_records, "ground-truth"), _table(pred_records, "prediction")
-    frames = np.union1d(gt.frame, pred.frame)
-    gt, g0, g1 = _frame_spans(gt, frames)
-    pred, p0, p1 = _frame_spans(pred, frames)
-    return _match_frames(gt, pred, zip(g0.tolist(), g1.tolist(), p0.tolist(), p1.tolist()), {}, mode)
 
 
 def compute_clear(matchings) -> ClearReport:
@@ -271,8 +242,8 @@ def compute_clear(matchings) -> ClearReport:
     )
 
 
-def evaluate_tracks(gt_records, pred_records, mode: str = "3d") -> ClearReport:
-    return compute_clear(match_sequence(gt_records, pred_records, mode))
+def evaluate_tracks(gt: TrackTable, pred: TrackTable, mode: str = "3d") -> ClearReport:
+    return compute_clear(match_sequence(gt, pred, mode))
 
 
 # --- 3D estimation metrics ---------------------------------------------------
@@ -342,47 +313,32 @@ def center_score(gt_centers, pred_centers, pred_boxes) -> float:
     return float(np.mean((1.0 + np.cos(angle)) / 2.0))
 
 
-def ap_3d(gt_records, pred_records_scored, iou_thresholds=(0.25, 0.5, 0.7)) -> dict:
+def ap_3d(gt: TrackTable, pred: TrackTable, scores, iou_thresholds=(0.25, 0.5, 0.7)) -> dict:
     """11-point interpolated average precision over 3D IoU thresholds.
 
-    pred_records_scored: iterable of (TrackRecord, score). Predictions are
-    swept by descending score; each greedily claims the best-IoU unmatched
-    ground-truth box in its frame.
+    scores[k] is the confidence of pred's row k. Predictions are swept by
+    descending score, ties in row order; each greedily claims the best-IoU
+    unclaimed ground-truth box of its frame.
     """
-    gt_frames = defaultdict(list)  # frame -> its ground-truth records
-    for g in gt_records:
-        gt_frames[g.frame].append(g)
-    n_gt = len(gt_records)
-    preds = sorted(pred_records_scored, key=lambda rs: -rs[1])
-    rows_by_frame = defaultdict(list)
-    for k, (rec, _score) in enumerate(preds):
-        rows_by_frame[rec.frame].append(k)
-    ious = {}  # prediction k -> 3D IoU with each ground-truth box of its frame
-    for frame, rows in rows_by_frame.items():
-        gt = gt_frames.get(frame, [])
-        pairs = iou_3d_pairs(_box_columns([preds[k][0] for k in rows for _ in gt]), _box_columns(gt * len(rows)))
-        ious.update(zip(rows, pairs.reshape(len(rows), len(gt)).tolist()))
+    if not len(gt):
+        return dict.fromkeys(iou_thresholds, 0.0)
+    pred = take_rows(pred, np.argsort(-np.asarray(scores, dtype=float), kind="stable"))
+    same_frame = pred.frame[:, None] == gt.frame[None, :]  # (predictions, ground truth)
+    rows, cols = np.nonzero(same_frame)
+    ious = np.zeros(same_frame.shape)
+    ious[rows, cols] = iou_3d_pairs(_boxes(pred, rows), _boxes(gt, cols))
     results = {}
     for threshold in iou_thresholds:
-        claimed = defaultdict(set)
-        tp_flags = []
-        for k, (rec, _score) in enumerate(preds):
-            best_iou = 0.0
-            best_idx = None
-            for idx, overlap in enumerate(ious[k]):
-                if idx not in claimed[rec.frame] and overlap > best_iou:
-                    best_iou = overlap
-                    best_idx = idx
-            if best_idx is not None and best_iou >= threshold:
-                claimed[rec.frame].add(best_idx)
-                tp_flags.append(True)
-            else:
-                tp_flags.append(False)
-        if n_gt == 0:
-            results[threshold] = 0.0
-            continue
+        unclaimed = same_frame.copy()
+        tp_flags = np.zeros(len(pred), bool)
+        for k in range(len(pred)):
+            overlaps = np.where(unclaimed[k], ious[k], 0.0)
+            best = int(np.argmax(overlaps))  # the first of equal bests, in gt row order
+            if overlaps[best] > 0.0 and overlaps[best] >= threshold:
+                unclaimed[:, best] = False
+                tp_flags[k] = True
         tp = np.cumsum(tp_flags, dtype=float)
-        recalls, precisions = tp / n_gt, tp / np.arange(1, len(tp) + 1)
+        recalls, precisions = tp / len(gt), tp / np.arange(1, len(tp) + 1)
         ap = sum(float(np.max(precisions[recalls >= r - 1e-12], initial=0.0)) for r in np.linspace(0.0, 1.0, 11))
         results[threshold] = ap / 11.0
     return results

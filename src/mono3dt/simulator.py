@@ -69,6 +69,9 @@ class ScenarioConfig:
     def validate(self) -> "ScenarioConfig":
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
+        for name in ("seed", "n_vehicles"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must be in [0, 1)")
         for name in ("pixel_sigma", "depth_sigma_per_m", "yaw_sigma", "dim_sigma", "appearance_sigma"):

@@ -16,7 +16,7 @@ import pytest
 
 from mono3dt.association import AffinityMatrix, run_sequence, solve_assignment
 from mono3dt.cli import main as cli_main
-from mono3dt.data import SequenceInput, TrackerConfig, TrackStatus
+from mono3dt.data import SequenceInput, TrackerConfig, TrackStatus, TrackTable
 from mono3dt.geometry import (
     CameraPose,
     alpha_to_theta,
@@ -188,7 +188,7 @@ def test_c05_noiseless_fixed_point():
         for seed in range(5):
             sequence, gt = simulate(preset, seed, noiseless=True)
             records = run_sequence(sequence, TrackerConfig())
-            rep = evaluate_tracks(gt, records, "3d")
+            rep = evaluate_tracks(TrackTable.from_records(gt), TrackTable.from_records(records), "3d")
             if not (rep.mota == 1.0 and rep.mismatches == 0 and rep.fp == 0 and rep.fn == 0):
                 failures.append((preset, seed, rep.mota, rep.mismatches, rep.fp, rep.fn))
     elapsed = time.perf_counter() - t0
@@ -204,11 +204,12 @@ def test_c06_depth_ordering_ablation():
     mm_on = mm_off = 0
     for seed in range(10):
         sequence, gt = simulate("dense", seed)
-        rep_on = evaluate_tracks(gt, run_sequence(sequence, TrackerConfig()), "3d")
+        gt = TrackTable.from_records(gt)
+        rep_on = evaluate_tracks(gt, TrackTable.from_records(run_sequence(sequence, TrackerConfig())), "3d")
         rep_off = evaluate_tracks(
             gt,
-            run_sequence(
-                sequence, TrackerConfig(use_depth_ordering=False, use_occlusion_state=False)
+            TrackTable.from_records(
+                run_sequence(sequence, TrackerConfig(use_depth_ordering=False, use_occlusion_state=False))
             ),
             "3d",
         )
@@ -291,7 +292,7 @@ def crosser_identity_retained(gt, records):
     if not occluded_frames:
         return None
     first, last = min(occluded_frames), max(occluded_frames)
-    matchings = match_sequence(gt, records, mode="3d")
+    matchings = match_sequence(TrackTable.from_records(gt), TrackTable.from_records(records), mode="3d")
     frames = sorted({r.frame for r in gt} | {r.frame for r in records})
     before = after = None
     for frame, matching in zip(frames, matchings):
@@ -336,7 +337,7 @@ def test_c09_metrics_oracle():
         if f != 2:
             pred.append(rec(f, 200, 30.0 + f))
     pred.append(rec(0, 300, 80.0))
-    mota_report = evaluate_tracks(gt, pred, "3d")
+    mota_report = evaluate_tracks(TrackTable.from_records(gt), TrackTable.from_records(pred), "3d")
     mota_ok = (
         mota_report.mota == pytest.approx(0.7)
         and mota_report.fp == 1
@@ -346,7 +347,7 @@ def test_c09_metrics_oracle():
 
     swap_gt = [rec(f, 0, 10.0 + f) for f in range(10)]
     swap_pred = [rec(f, 100 if f < 5 else 101, 10.0 + f) for f in range(10)]
-    swap_report = evaluate_tracks(swap_gt, swap_pred, "3d")
+    swap_report = evaluate_tracks(TrackTable.from_records(swap_gt), TrackTable.from_records(swap_pred), "3d")
     swap_ok = swap_report.mismatches == 1 and swap_report.frag >= 1
 
     dm = depth_metrics([10.0], [8.0])

@@ -19,7 +19,7 @@ from mono3dt.association import (
     run_sequence,
     solve_assignment,
 )
-from mono3dt.data import DetectionTable, SequenceInput, TrackerConfig, TrackStatus, take_rows
+from mono3dt.data import DetectionTable, SequenceInput, TrackerConfig, TrackStatus, TrackTable, take_rows
 from mono3dt.lstm import LstmWeights
 from mono3dt.geometry import DEPTH_ORDER_TIE_RATE, cover_fractions, iou_2d, nearer_mask
 from mono3dt.io import load_sequence
@@ -745,7 +745,7 @@ class TestLifecycle:
             cfg, world, seq, gt = simulate("crossing_occlusion", seed, noiseless=False)
             for backend in mm:
                 records = run_sequence(seq, TrackerConfig(motion_backend=backend))
-                mm[backend] += evaluate_tracks(gt, records, "3d").mismatches
+                mm[backend] += evaluate_tracks(TrackTable.from_records(gt), TrackTable.from_records(records), "3d").mismatches
         assert mm["kf3d"] < mm["none"]
 
     def test_image_space_baseline_config(self):
@@ -753,5 +753,5 @@ class TestLifecycle:
 
         cfg, world, seq, gt = simulate("open_road", 0)
         config = TrackerConfig(w_deep=0.0, w_2d=1.0, w_3d=0.0)
-        report = evaluate_tracks(gt, run_sequence(seq, config), "3d")
+        report = evaluate_tracks(TrackTable.from_records(gt), TrackTable.from_records(run_sequence(seq, config)), "3d")
         assert report.mota == 1.0 and report.mismatches == 0

@@ -1,7 +1,10 @@
 """CLI contracts: exit codes, determinism, causality, manifests."""
 
+import functools
 import hashlib
 import json
+import operator
+import tempfile
 import os
 import shutil
 import subprocess
@@ -10,10 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mono3dt
 from mono3dt.cli import main
 from mono3dt.io import load_tracks, write_detections, write_poses
+from mono3dt.lstm import PARAM_SHAPES, LstmWeights, save_weights
 from mono3dt.metrics import evaluate_tracks
 
 
@@ -49,6 +55,22 @@ class TestSimulate:
     def test_zero_frames_usage_error(self, tmp_path):
         code = run(["simulate", "--frames", "0", "--out", str(tmp_path / "x")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--seed", "-1"],
+            ["simulate", "--vehicles", "-1"],
+            ["demo", "--seed", "-2"],
+            ["train-motion", "--seed", "-1", "--scenarios", "2", "--epochs", "1"],
+        ],
+        ids=["simulate-seed", "simulate-vehicles", "demo-seed", "train-motion-seed"],
+    )
+    def test_negative_seed_or_vehicle_count_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert ("seed" if "seed" in argv[1] else "n_vehicles") in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +242,38 @@ class TestTrack:
         assert f"{weights}:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda doc: doc.pop("intrinsics"), "intrinsics: expected an object"),
+            (lambda doc: doc.pop("frames"), "frames: expected a list"),
+            (lambda doc: doc["intrinsics"].update(focal_x="x"), "intrinsics.focal_x: expected a number"),
+            (lambda doc: doc["intrinsics"].update(focal_x=[]), "intrinsics.focal_x: expected a number"),
+            (lambda doc: doc["intrinsics"].update(focal_x=10**400), "intrinsics.focal_x: number out of float range"),
+            (lambda doc: doc["frames"][3].update(rotation=[1.0, 0.0, 0.0]), "frames[3].rotation: expected 9 numbers"),
+            (lambda doc: doc["frames"][3].update(translation_m=None), "frames[3].translation_m: expected 3 numbers"),
+            (lambda doc: doc["frames"][3].update(frame="3"), "frames[3].frame: expected an integer"),
+            (lambda doc: doc.clear(), "expected a JSON object"),
+        ],
+        ids=["no-intrinsics", "no-frames", "focal-str", "focal-list", "focal-overflow", "short-rotation",
+             "null-translation", "string-frame", "list-document"],
+    )
+    @pytest.mark.parametrize("command", ["track", "evaluate"])
+    def test_malformed_poses_exit_1_names_the_key(self, scenario, tmp_path, capsys, edit, where, command):
+        """A poses.json of the wrong shape is an error line naming the file and the key path, not a traceback."""
+        doc = json.loads((scenario / "poses.json").read_text())
+        edit(doc)
+        poses = tmp_path / "poses.json"
+        poses.write_text(json.dumps(doc if doc else []))
+        if command == "track":
+            argv = ["track", "--detections", str(scenario / "detections.jsonl"), "--out", str(tmp_path / "t.jsonl")]
+        else:
+            gt = str(scenario / "gt_tracks.jsonl")
+            argv = ["evaluate", "--gt", gt, "--pred", gt, "--ranges", "30", "--out", str(tmp_path / "r.json")]
+        assert run(argv + ["--poses", str(poses)]) == 1
+        assert f"{poses}:1: {where}" in capsys.readouterr().err
+        assert not (tmp_path / "t.jsonl").exists() and not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("field", ["focal_y", "image_width"])
     def test_subnormal_intrinsic_exit_1_names_the_file(self, scenario, tmp_path, capsys, field):
         """A focal length or image size below the smallest normal float is refused as it loads."""
@@ -287,7 +341,7 @@ class TestEvaluate:
     def test_range_reports_equal_filtered_record_lists(self, tmp_path):
         """Each --ranges report is evaluate_tracks of the record lists cut at that camera depth, row by row."""
         from mono3dt.association import run_sequence
-        from mono3dt.data import TrackerConfig
+        from mono3dt.data import TrackerConfig, TrackTable
         from mono3dt.io import load_sequence, write_tracks
         from mono3dt.simulator import ScenarioConfig, ground_truth_records, generate_world, render_detections
 
@@ -316,10 +370,10 @@ class TestEvaluate:
                     [r for r in records if world.poses[r.frame].world_to_camera(r.center)[2] <= cutoff]
                     for records in (gt, pred)
                 ]
-                expected = evaluate_tracks(*cut, mode).as_dict()
+                expected = evaluate_tracks(*map(TrackTable.from_records, cut), mode).as_dict()
                 assert reports[f"{cutoff:g}m"] == expected
                 shown.add(expected["GT"])
-            assert len(shown) == len(cutoffs) and reports["all"] == evaluate_tracks(gt, pred, mode).as_dict()
+            assert len(shown) == len(cutoffs) and reports["all"] == evaluate_tracks(*map(TrackTable.from_records, (gt, pred)), mode).as_dict()
 
     def test_empty_predictions_mota_nonpositive(self, scenario, tmp_path):
         from mono3dt.io import write_tracks
@@ -399,6 +453,101 @@ class TestEvaluate:
         assert "--ranges" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists() and not (tmp_path / "manifest.json").exists()
+
+
+# one-value edits of an input file: delete the value, or write one of these in its place
+DELETE, WRONG_LENGTH = "<delete>", "<wrong length>"
+EDITS = (DELETE, None, "x", [], True, 1e308, 10**400, 1e-320, WRONG_LENGTH)
+
+
+def json_paths(value, path=()):
+    """The key path of value and of everything inside it, value's own (empty) path first."""
+    yield path
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
+def edited_text(doc, path, edit, lines: bool) -> str:
+    """The file text of doc with one edit at path; a JSON Lines doc is the list of its lines' values.
+
+    doc is edited in place, which spares copying a weights file per example, and restored.
+    """
+    def replaced(value):
+        if edit is WRONG_LENGTH:
+            return value[:-1] if isinstance(value, list) and value else [0.0, 0.0]
+        return edit
+
+    def dump(value):
+        return "".join(json.dumps(line) + "\n" for line in value) if lines else json.dumps(value)
+
+    if not path:
+        return "" if edit is DELETE else dump(replaced(doc))
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    key = path[-1]
+    old = parent[key]
+    if edit is DELETE:
+        del parent[key]
+    else:
+        parent[key] = replaced(old)
+    try:
+        return dump(doc)
+    finally:
+        if edit is DELETE and isinstance(parent, list):
+            parent.insert(key, old)
+        else:
+            parent[key] = old
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A 12-frame crossing scene with a config and a weights file: each input kind's path and parsed value."""
+    base = tmp_path_factory.mktemp("fuzz")
+    assert run(["simulate", "--preset", "crossing_occlusion", "--seed", "3", "--frames", "12", "--out", str(base)]) == 0
+    (base / "config.json").write_text(json.dumps(mono3dt.data.TrackerConfig().to_dict()))
+    save_weights(LstmWeights.initialize(np.random.default_rng(0), scale=0.1), base / "weights.json")
+    files = {
+        "detections": base / "detections.jsonl",
+        "poses": base / "poses.json",
+        "tracks": base / "gt_tracks.jsonl",
+        "config": base / "config.json",
+        "weights": base / "weights.json",
+    }
+    docs = {}
+    for kind, path in files.items():
+        text = path.read_text()
+        doc = [json.loads(line) for line in text.splitlines()] if path.suffix == ".jsonl" else json.loads(text)
+        # a JSON Lines file is its lines, each a JSON value; the list that holds them is not one
+        docs[kind] = (doc, [p for p in json_paths(doc) if p or path.suffix != ".jsonl"])
+    return base, files, docs
+
+
+class TestInputFuzz:
+    @pytest.mark.parametrize("kind", ["detections", "poses", "tracks", "config", "weights"])
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_one_edited_value_never_raises(self, fuzz_inputs, kind, data):
+        """Any one-value edit of an input file exits 0, 1 or 2 without a traceback, and what it writes loads."""
+        base, files, docs = fuzz_inputs
+        doc, paths = docs[kind]
+        path, edit = data.draw(st.sampled_from(paths)), data.draw(st.sampled_from(EDITS))
+        with tempfile.TemporaryDirectory(dir=base) as work:
+            work = Path(work)
+            inputs = dict(files)
+            inputs[kind] = work / files[kind].name
+            inputs[kind].write_text(edited_text(doc, path, edit, files[kind].suffix == ".jsonl"))
+            out = work / "tracks.jsonl"
+            if kind == "tracks":
+                argv = ["evaluate", "--gt", str(inputs["tracks"]), "--pred", str(files["tracks"]), "--ranges", "30"]
+                argv += ["--poses", str(inputs["poses"]), "--out", str(work / "report.json")]
+            else:
+                argv = ["track", "--detections", str(inputs["detections"]), "--poses", str(inputs["poses"])]
+                argv += ["--config", str(inputs["config"]), "--out", str(out)]
+                if kind == "weights":
+                    argv += ["--motion", "lstm", "--weights", str(inputs["weights"])]
+            assert run(argv) in (0, 1, 2)
+            if out.exists():
+                load_tracks(out)
 
 
 class TestTrainMotion:

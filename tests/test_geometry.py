@@ -14,8 +14,8 @@ from mono3dt.geometry import (
     NonPositiveDepth,
     PointBehindCamera,
     alpha_to_theta,
+    _bev_intersections,
     backproject,
-    bev_intersection_area,
     box_corners,
     camera_heading,
     iou_2d,
@@ -39,6 +39,11 @@ from conftest import (
     reference_bev_intersection_area,
     reference_iou_3d,
 )
+
+
+def bev_intersection_area(a, b) -> float:
+    """Footprint intersection area of two (center, dims, yaw) boxes: one pair through the batched clip."""
+    return float(_bev_intersections(box_corners(*a), box_corners(*b))[0])
 
 
 def simple_intrinsics(f=100.0):

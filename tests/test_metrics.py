@@ -21,7 +21,6 @@ from mono3dt.metrics import (
     dimension_score,
     evaluate_tracks,
     format_report,
-    match_frame,
     match_sequence,
     orientation_score,
 )
@@ -40,33 +39,39 @@ def box3d(r) -> tuple:
     return box_row(r.center, r.dims, r.yaw)
 
 
+def tables(*record_lists) -> list:
+    """Each TrackRecord list as the TrackTable the metrics read."""
+    return [TrackTable.from_records(records) for records in record_lists]
+
+
 class TestMatchFrame:
     def test_identical_sets_fully_matched(self):
         gt = [rec(0, 0, 10.0), rec(0, 1, 20.0)]
         pred = [rec(0, 5, 10.0), rec(0, 6, 20.0)]
-        m = match_frame(gt, pred, {}, mode="3d")
+        (m,) = match_sequence(*tables(gt, pred), mode="3d")
         assert len(m.pairs) == 2 and m.fp == 0 and m.fn == 0
 
     def test_lone_prediction_is_fp(self):
-        m = match_frame([], [rec(0, 3, 10.0)], {}, mode="3d")
+        (m,) = match_sequence(*tables([], [rec(0, 3, 10.0)]), mode="3d")
         assert m.fp == 1 and m.fn == 0
 
     def test_lone_gt_is_fn(self):
-        m = match_frame([rec(0, 3, 10.0)], [], {}, mode="3d")
+        (m,) = match_sequence(*tables([rec(0, 3, 10.0)], []), mode="3d")
         assert m.fn == 1 and m.fp == 0
 
     def test_previous_pairs_preferred(self):
-        # two preds both within gate of one gt; continuity must win
-        gt = [rec(0, 0, 10.0)]
-        preds = [rec(0, 7, 10.4), rec(0, 8, 10.0)]
-        m = match_frame(gt, preds, {0: 7}, mode="3d")
+        # two preds both within gate of one gt; continuity (the pair 0 -> 7
+        # of frame 0) must win
+        gt = [rec(0, 0, 10.0), rec(1, 0, 10.0)]
+        preds = [rec(0, 7, 10.4), rec(1, 7, 10.4), rec(1, 8, 10.0)]
+        _, m = match_sequence(*tables(gt, preds), mode="3d")
         assert (0, 7) in [(g, p) for g, p, _ in m.pairs]
 
     def test_gate_violation_matches_brute_force(self):
         gt = [rec(0, 0, 10.0), rec(0, 1, 20.0), rec(0, 2, 30.0)]
         # pred 12 sits 3 m from every gt in BEV: outside the 2 m gate
         preds = [rec(0, 10, 10.5), rec(0, 11, 20.5), rec(0, 12, 26.0)]
-        m = match_frame(gt, preds, {}, mode="3d")
+        (m,) = match_sequence(*tables(gt, preds), mode="3d")
         got = {(g, p) for g, p, _ in m.pairs}
 
         def dist(i, j):
@@ -86,7 +91,7 @@ class TestMatchFrame:
 
 
 def reference_match_frame(gt_records, pred_records, prev_pairs, mode):
-    """The per-pair matcher that match_frame's frame gate replaced, kept as its oracle."""
+    """The per-pair matcher that match_sequence's frame gate replaced, kept as its oracle."""
 
     def pair_quality(gt_rec, pred_rec):
         if mode == "2d":
@@ -183,7 +188,7 @@ class TestFrameGate:
         gate, quality = _frame_gate(*(_gate_rows(TrackTable.from_records(r), mode) for r in (gt, pred)), mode)
         for i, g in enumerate(gt):
             for j, p in enumerate(pred):
-                ok, overlap, score = _pair_quality(g, p, mode)
+                ok, overlap, score = _pair_quality(*tables([g], [p]), mode)
                 assert type(ok) is bool and ok == gate[i, j] and score == quality[i, j]
                 if mode == "3d":
                     assert overlap == (iou_3d(box3d(g), box3d(p)) if ok else 0.0)
@@ -194,7 +199,7 @@ class TestFrameGate:
         gt, pred = random_frames(seed)
         prev, matched = {}, 0
         frames = sorted({r.frame for r in gt + pred})
-        for f, matching in zip(frames, match_sequence(gt, pred, mode), strict=True):
+        for f, matching in zip(frames, match_sequence(*tables(gt, pred), mode), strict=True):
             frame_gt = [r for r in gt if r.frame == f]
             pairs, fp, fn = reference_match_frame(frame_gt, [r for r in pred if r.frame == f], prev, mode)
             assert [(g, p) for g, p, _ in matching.pairs] == [(g, p) for g, p, _ in pairs]
@@ -214,17 +219,17 @@ class TestRepeatedIds:
         gt = [rec(0, 1, 10.0), rec(0, 2, 10.5)]
         pred = [rec(0, 7, 10.0), rec(0, 7, 10.4)]
         with pytest.raises(ValueError, match="prediction id 7 repeats in frame 0"):
-            evaluate_tracks(gt, pred, mode)
+            evaluate_tracks(*tables(gt, pred), mode)
 
     def test_repeated_ground_truth_id_raises(self):
         with pytest.raises(ValueError, match="ground-truth id 1 repeats in frame 3"):
-            match_frame([rec(3, 1, 10.0), rec(3, 1, 30.0)], [rec(3, 5, 10.0)], {}, "3d")
+            match_sequence(*tables([rec(3, 1, 10.0), rec(3, 1, 30.0)], [rec(3, 5, 10.0)]), "3d")
 
 class TestComputeClear:
     def test_perfect_tracking(self):
         gt = [rec(f, 0, 10.0 + f) for f in range(5)]
         pred = [rec(f, 9, 10.0 + f) for f in range(5)]
-        report = evaluate_tracks(gt, pred, "3d")
+        report = evaluate_tracks(*tables(gt, pred), "3d")
         assert report.mota == 1.0 and report.mismatches == 0
         assert report.fp == 0 and report.fn == 0
         assert report.mostly_tracked == 1.0
@@ -239,7 +244,7 @@ class TestComputeClear:
             if f != 2:  # miss track 1 at f=2: 1 FN
                 pred.append(rec(f, 200, 30.0 + f))
         pred.append(rec(0, 300, 80.0))  # far away: 1 FP
-        report = evaluate_tracks(gt, pred, "3d")
+        report = evaluate_tracks(*tables(gt, pred), "3d")
         assert report.fp == 1 and report.fn == 1 and report.mismatches == 1
         assert report.gt_total == 10
         assert report.mota == pytest.approx(0.7)
@@ -247,7 +252,7 @@ class TestComputeClear:
     def test_id_swap_counts_mm_and_frag(self):
         gt = [rec(f, 0, 10.0 + f) for f in range(10)]
         pred = [rec(f, 100 if f < 5 else 101, 10.0 + f) for f in range(10)]
-        report = evaluate_tracks(gt, pred, "3d")
+        report = evaluate_tracks(*tables(gt, pred), "3d")
         assert report.mismatches == 1
         assert report.frag >= 1
         assert report.fn == 0 and report.fp == 0
@@ -261,16 +266,16 @@ class TestComputeClear:
                 gt.append(rec(f, tid, x))
                 if rng.random() > 0.1:
                     pred.append(rec(f, tid + 50, x + rng.uniform(-0.5, 0.5)))
-        base = evaluate_tracks(gt, pred, "3d")
+        base = evaluate_tracks(*tables(gt, pred), "3d")
         relabel = {50: 907, 51: 3, 52: 88, 53: 1000}
         pred2 = [r._replace(track_id=relabel[r.track_id]) for r in pred]
-        again = evaluate_tracks(gt, pred2, "3d")
+        again = evaluate_tracks(*tables(gt, pred2), "3d")
         assert again.mota == base.mota
         assert again.mismatches == base.mismatches
 
     def test_empty_predictions(self):
         gt = [rec(f, 0, 10.0) for f in range(5)]
-        report = evaluate_tracks(gt, [], "3d")
+        report = evaluate_tracks(*tables(gt, []), "3d")
         assert report.fp == 0 and report.fn == 5
         assert report.mota == pytest.approx(0.0)
         assert report.mota <= 0.0
@@ -280,14 +285,14 @@ class TestComputeClear:
         gt += [rec(3, 0, 13.0, status=TrackStatus.OCCLUDED)]
         gt += [rec(4, 0, 14.0)]
         pred = [rec(f, 9, 10.0 + f) for f in range(3)] + [rec(4, 9, 14.0)]
-        report = evaluate_tracks(gt, pred, "3d")
+        report = evaluate_tracks(*tables(gt, pred), "3d")
         assert report.fn == 0 and report.gt_total == 4
         assert report.mota == 1.0
 
     def test_unmatched_occluded_prediction_not_fp(self):
         gt = [rec(0, 0, 10.0)]
         pred = [rec(0, 9, 10.0), rec(0, 10, 50.0, status=TrackStatus.OCCLUDED)]
-        report = evaluate_tracks(gt, pred, "3d")
+        report = evaluate_tracks(*tables(gt, pred), "3d")
         assert report.fp == 0 and report.mota == 1.0
 
     def test_mm_counted_across_occlusion_gap(self):
@@ -296,12 +301,12 @@ class TestComputeClear:
         gt += [rec(f, 0, 10.0 + f) for f in range(6, 9)]
         pred = [rec(f, 100, 10.0 + f) for f in range(3)]
         pred += [rec(f, 101, 10.0 + f) for f in range(6, 9)]  # new id after occlusion
-        report = evaluate_tracks(gt, pred, "3d")
+        report = evaluate_tracks(*tables(gt, pred), "3d")
         assert report.mismatches == 1
 
     def test_report_formatting(self):
         gt = [rec(0, 0, 10.0)]
-        report = evaluate_tracks(gt, [rec(0, 1, 10.0)], "3d")
+        report = evaluate_tracks(*tables(gt, [rec(0, 1, 10.0)]), "3d")
         text = format_report(report, "unit")
         assert "MOTA" in text and "FRAG" in text and "unit" in text
 
@@ -393,6 +398,12 @@ def ap_sweep_oracle(flags, n_gt):
     return ap / 11.0
 
 
+def ap_inputs(gt, scored_preds) -> tuple:
+    """ap_3d's (ground truth, predictions, scores) from records and (record, score) pairs."""
+    preds = [pred for pred, _ in scored_preds]
+    return *tables(gt, preds), [score for _, score in scored_preds]
+
+
 class TestAp3d:
     def make_gt(self):
         return [rec(0, 0, 10.0), rec(0, 1, 20.0)]
@@ -400,12 +411,12 @@ class TestAp3d:
     def test_perfect_predictions(self):
         gt = self.make_gt()
         preds = [(rec(0, 10, 10.0), 1.0), (rec(0, 11, 20.0), 1.0)]
-        out = ap_3d(gt, preds)
+        out = ap_3d(*ap_inputs(gt, preds))
         assert out[0.25] == pytest.approx(1.0)
         assert out[0.7] == pytest.approx(1.0)
 
     def test_no_predictions(self):
-        out = ap_3d(self.make_gt(), [])
+        out = ap_3d(*ap_inputs(self.make_gt(), []))
         assert all(v == 0.0 for v in out.values())
 
     def test_two_box_constructed_case(self):
@@ -414,7 +425,7 @@ class TestAp3d:
         box_a = rec(0, 10, 10.0 + 4.0 * 0.25)  # IoU = 3/5 = 0.6
         box_b = rec(0, 11, 20.0 + 2.0)  # IoU = 2/6 = 1/3
         preds = [(box_a, 0.9), (box_b, 0.8)]
-        out = ap_3d(gt, preds, iou_thresholds=(0.25, 0.5))
+        out = ap_3d(*ap_inputs(gt, preds), iou_thresholds=(0.25, 0.5))
         assert out[0.5] == pytest.approx(ap_sweep_oracle([True, False], 2))
         assert out[0.25] == pytest.approx(ap_sweep_oracle([True, True], 2))
 
@@ -426,5 +437,5 @@ class TestAp3d:
             for f in range(3)
             for i in range(3)
         ]
-        out = ap_3d(gt, preds)
+        out = ap_3d(*ap_inputs(gt, preds))
         assert all(0.0 <= v <= 1.0 for v in out.values())
