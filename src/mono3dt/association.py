@@ -29,7 +29,6 @@ from scipy.optimize import linear_sum_assignment
 from . import motion as motion_mod
 from .data import DetectionTable, TrackerConfig, TrackRecord, TrackStatus, put_rows, stack_rows, take_rows
 from .geometry import (
-    DEPTH_ORDER_TIE_RATE,
     CameraPose,
     alpha_to_theta,
     backproject,
@@ -38,6 +37,7 @@ from .geometry import (
     depth_ordered_overlaps,
     iou_2d_matrix,
     normalize_angles,
+    occluders,
     project_boxes,
 )
 
@@ -167,12 +167,13 @@ def decode_detection(detections: DetectionTable, pose, intrinsics) -> FrameRows:
     )
 
 
-def build_affinity_matrix(tracks: FrameRows, dets: FrameRows, in_view, det_proj_boxes, intrinsics, config):
+def build_affinity_matrix(tracks: FrameRows, dets: FrameRows, in_view, occluding, det_proj_boxes, intrinsics, config):
     """Affinity values, keep mask, and appearance components for one frame.
 
     tracks are the tracklets' predictions and dets the decoded detections;
-    in_view (n,) marks the tracklets predicted into the image, and
-    det_proj_boxes (m, 4) are the projections of the decoded 3D boxes. The
+    in_view (n,) marks the tracklets predicted into the image, occluding is
+    the (n, n) geometry.occluders mask of their boxes, and det_proj_boxes
+    (m, 4) are the projections of the decoded 3D boxes. The
     keep mask is decided first; every channel is an (n, m) array that is 0
     outside it.
     """
@@ -183,9 +184,7 @@ def build_affinity_matrix(tracks: FrameRows, dets: FrameRows, in_view, det_proj_
 
     if config.use_depth_ordering:
         kept &= depth_filter(tracks.depth, tracks.dims, dets.depth, dets.dims)
-        a_3d = depth_ordered_overlaps(
-            tracks.box2d, tracks.depth, det_proj_boxes, dets.depth, kept, config.ord_tie_meters, DEPTH_ORDER_TIE_RATE
-        )
+        a_3d = depth_ordered_overlaps(tracks.box2d, tracks.depth, det_proj_boxes, dets.depth, kept, occluding)
     else:
         a_3d = iou_2d_matrix(tracks.box2d, det_proj_boxes)
     track_features, det_features = deep_feature(tracks, dets, intrinsics, config)
@@ -291,14 +290,16 @@ class Tracker:
         # a detection's truncated hull, or the detector's own box where the hull is wholly behind the camera
         det_proj_boxes = np.where(any_in_front[n:, None], hulls[n:], dets.box2d)
 
-        matrix = build_affinity_matrix(tracks, dets, in_view, det_proj_boxes, self.intrinsics, config)
+        # one painter's layering of the predicted boxes, read by depth ordering and by cover
+        occluding = occluders(boxes, depth, config.ord_tie_meters)
+        matrix = build_affinity_matrix(tracks, dets, in_view, occluding, det_proj_boxes, self.intrinsics, config)
         pairs, unmatched_tracks, unmatched_dets = solve_assignment(matrix, config.affinity_accept_threshold)
         rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
         unmatched = np.array(unmatched_tracks, dtype=int)
 
         # the lifecycle reads covers of unmatched, in-view tracklets only
         cover_rows = unmatched[in_view[unmatched]] if config.use_occlusion_state else unmatched[:0]
-        covers = cover_fractions(boxes, depth, config.ord_tie_meters, DEPTH_ORDER_TIE_RATE, rows=cover_rows.tolist())
+        covers = cover_fractions(boxes, occluding, rows=cover_rows.tolist())
         is_occluded = np.zeros(len(covers), dtype=bool)
         is_occluded[cover_rows] = covers[cover_rows] >= config.occlusion_cover_threshold
         occluded, lost = unmatched[is_occluded[unmatched]], unmatched[~is_occluded[unmatched]]

@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detections", required=True, help="a detections.jsonl, or a directory of sequence directories")
     p.add_argument("--poses", default=None, help="poses.json of a single detections file")
     p.add_argument("--config", default=None)
-    p.add_argument("--motion", choices=("none", "kf2d", "kf3d", "lstm"), default=None)
+    p.add_argument("--motion", choices=TrackerConfig.BACKENDS, default=None)
     p.add_argument("--weights", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_track)

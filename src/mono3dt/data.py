@@ -205,7 +205,7 @@ class TrackerConfig:
     use_depth_ordering: bool = True
     use_occlusion_state: bool = True
 
-    _BACKENDS = ("none", "kf2d", "kf3d", "lstm")
+    BACKENDS = ("none", "kf2d", "kf3d", "lstm")
 
     def validate(self) -> "TrackerConfig":
         for name in ("w_deep", "w_2d", "w_3d"):
@@ -228,8 +228,8 @@ class TrackerConfig:
             raise OutOfRangeValue("ord_tie_meters must be >= 0")
         if self.min_emit_box_area < 0.0:
             raise OutOfRangeValue("min_emit_box_area must be >= 0")
-        if self.motion_backend not in self._BACKENDS:
-            raise OutOfRangeValue(f"motion_backend={self.motion_backend!r} not in {self._BACKENDS}")
+        if self.motion_backend not in self.BACKENDS:
+            raise OutOfRangeValue(f"motion_backend={self.motion_backend!r} not in {self.BACKENDS}")
         return self
 
     @classmethod

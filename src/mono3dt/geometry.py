@@ -386,11 +386,11 @@ def iou_3d(a, b) -> float:
 
 # --- painter's occlusion: nearer image boxes cover farther ones ------------
 
-# The tracker and the simulator widen the tie layer proportionally to
-# depth, matching the sigma = 0.05 * depth monocular noise law the motion
-# model assumes: estimated depths of the same object can differ by more
-# than a fixed tie at range, and treating them as distinct layers would
-# let a tracklet occlude its own detection.
+# occluders widens the tie layer proportionally to depth, for the tracker
+# and the simulator alike, matching the sigma = 0.05 * depth monocular
+# noise law the motion model assumes: estimated depths of the same object
+# can differ by more than a fixed tie at range, and treating them as
+# distinct layers would let a tracklet occlude its own detection.
 DEPTH_ORDER_TIE_RATE = 0.05
 
 
@@ -441,54 +441,39 @@ def _union_area_within(base, rects) -> float:
     return total
 
 
-def _touching(boxes: np.ndarray) -> np.ndarray:
-    """(n, n) bool: entry [i, k] is true when boxes i and k share area, which is _clip_rect's not-None test.
+def occluders(boxes, depths, tie_meters: float) -> np.ndarray:
+    """(n, n) bool painter's layering of (n, 4) boxes: entry [i, k] is true when box k occludes box i.
 
-    A box that does not touch another adds nothing to a union clipped to
-    it, so it can be left out of that union's rectangles.
+    Box k occludes box i when it is strictly nearer and the two share area
+    (_clip_rect's not-None test). Boxes whose depth gap is within the tie,
+    max(tie_meters, DEPTH_ORDER_TIE_RATE * mean depth), share a layer and
+    never occlude each other, so with tie_meters >= 0 the diagonal is
+    false. A zero-area box shares area with none.
     """
-    x0, y0, x1, y1 = boxes.T
-    return (np.maximum.outer(x0, x0) < np.minimum.outer(x1, x1)) & (np.maximum.outer(y0, y0) < np.minimum.outer(y1, y1))
-
-
-def nearer_mask(depths, tie_meters: float, tie_rate: float) -> np.ndarray:
-    """(n, n) bool: entry [i, j] is true when box j is strictly nearer than box i.
-
-    Boxes whose depth gap is within the tie share a layer and are never
-    nearer than each other; the tie is max(tie_meters, tie_rate * mean
-    depth), so with tie_meters >= 0 the diagonal is false.
-    """
+    x0, y0, x1, y1 = np.asarray(boxes, dtype=float).reshape(-1, 4).T
     d = np.asarray(depths, dtype=float)
-    tie = np.maximum(tie_meters, tie_rate * 0.5 * (d[:, None] + d[None, :]))
-    return d[:, None] - d[None, :] > tie
+    tie = np.maximum(tie_meters, DEPTH_ORDER_TIE_RATE * 0.5 * (d[:, None] + d[None, :]))
+    touching = (np.maximum.outer(x0, x0) < np.minimum.outer(x1, x1)) & (np.maximum.outer(y0, y0) < np.minimum.outer(y1, y1))
+    return (d[:, None] - d[None, :] > tie) & touching
 
 
-def cover_fractions(boxes, depths, tie_meters: float = 1.0, tie_rate: float = 0.0, rows=None) -> np.ndarray:
-    """Fraction of each box covered by the union of strictly nearer boxes.
+def cover_fractions(boxes, occluders, rows=None) -> np.ndarray:
+    """Fraction of each of the (n, 4) boxes covered by the union of its occluders.
 
-    boxes are (n, 4) rows. The layer tie is that of nearer_mask. Zero-area
-    boxes report cover 0. With rows, an iterable of box indices, only those
-    boxes are computed and the others report 0.
+    occluders is the boxes' (n, n) occluders mask; a box without any, as a
+    zero-area box is, reports cover 0. With rows, an iterable of box
+    indices, only those boxes are computed and the others report 0.
     """
-    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     rects = _rects(boxes)
     out = np.zeros(len(rects))
-    # a nearer box that does not touch box i covers none of it
-    covering = nearer_mask(depths, tie_meters, tie_rate) & _touching(boxes)
     for i in range(len(rects)) if rows is None else rows:
-        area = _rect_area(rects[i])
-        if area <= 0.0:
-            continue
-        occluders = [rect for rect, near in zip(rects, covering[i].tolist()) if near]
-        if not occluders:
-            continue
-        out[i] = _union_area_within(rects[i], occluders) / area
+        covering = [rect for rect, near in zip(rects, occluders[i].tolist()) if near]
+        if covering:
+            out[i] = _union_area_within(rects[i], covering) / _rect_area(rects[i])
     return out
 
 
-def depth_ordered_overlaps(
-    track_boxes, track_depths, det_boxes, det_depths, kept, tie_meters: float = 1.0, tie_rate: float = 0.0
-) -> np.ndarray:
+def depth_ordered_overlaps(track_boxes, track_depths, det_boxes, det_depths, kept, occluders) -> np.ndarray:
     """(n, m) detection-vs-tracklet overlaps under depth ordering around each DOI.
 
     Tracklets closer to a detection's depth layer (its DOI) claim the
@@ -500,36 +485,34 @@ def depth_ordered_overlaps(
     unclaimed region, taken over the union of that region with the
     detection box and capped at the plain two-box IoU. With no competing
     layers this equals iou_2d exactly, and a tracklet fully claimed by a
-    nearer layer scores 0. The layer tie works as in nearer_mask.
+    nearer layer scores 0.
 
-    Boxes are (k, 4) rows. Only the pairs set in the (n, m) bool mask kept
-    are computed; the other entries are 0. Claimants range over all
-    tracklets either way, but a claimant whose box does not touch the
-    tracklet's box claims nothing from it, so a pair with no touching
-    claimant keeps the plain IoU.
+    Boxes are (k, 4) rows and occluders is the tracklets' (n, n) occluders
+    mask. Only the pairs set in the (n, m) bool mask kept are computed;
+    the other entries are 0. Claimants range over all tracklets either
+    way, but only a tracklet's occluders claim from it, so a pair with no
+    occluder closer to the detection's layer keeps the plain IoU.
     """
-    track_boxes = np.asarray(track_boxes, dtype=float).reshape(-1, 4)
     rects, det_rects = _rects(track_boxes), _rects(det_boxes)
     plain = iou_2d_matrix(track_boxes, det_boxes)
     depths = np.asarray(track_depths, dtype=float)
     doi_gap = np.abs(np.subtract.outer(depths, np.asarray(det_depths, dtype=float)))
-    # [i, j, k]: tracklet k touches tracklet i, is in front of it and is closer to detection j's layer
-    in_front = nearer_mask(depths, tie_meters, tie_rate) & _touching(track_boxes)
-    claims = in_front[:, None, :] & (doi_gap.T < doi_gap[:, :, None])
+    # [i, j, k]: tracklet k occludes tracklet i and is closer to detection j's layer
+    claims = occluders[:, None, :] & (doi_gap.T < doi_gap[:, :, None])
     out = np.where(kept, plain, 0.0)
     # a claimed pair needs union areas only where the two boxes intersect
     # (plain > 0); elsewhere its overlap is 0, its plain IoU
     claimants = zip(*(axis.tolist() for axis in np.nonzero(claims & (kept & (plain > 0.0))[:, :, None])))
     for (i, j), claim in groupby(claimants, key=itemgetter(0, 1)):
         rect, det_rect = rects[i], det_rects[j]
-        occluders = [rects[k] for _, _, k in claim]
+        claimed = [rects[k] for _, _, k in claim]
         inter_rect = _clip_rect(rect, det_rect)
         inter = (inter_rect[2] - inter_rect[0]) * (inter_rect[3] - inter_rect[1])
-        numerator = inter - _union_area_within(inter_rect, occluders)
+        numerator = inter - _union_area_within(inter_rect, claimed)
         out[i, j] = 0.0
         if numerator <= 0.0:
             continue
-        visible_area = _rect_area(rect) - _union_area_within(rect, occluders)
+        visible_area = _rect_area(rect) - _union_area_within(rect, claimed)
         denominator = visible_area + _rect_area(det_rect) - numerator
         if denominator > 0.0:
             out[i, j] = min(numerator / denominator, plain[i, j])

@@ -50,29 +50,47 @@ def _header_line(kind: str) -> str:
     return json.dumps({"format_version": FORMAT_VERSION, "kind": kind})
 
 
-def _read_jsonl(path, kind: str):
-    """Yield (line_no, record dict) after validating the header line."""
+def read_json(path, what: str = "", lines: bool = False):
+    """Yield (line_no, value) for the JSON of the UTF-8 file at path: its whole text, or with lines each line.
+
+    Blank text holds no value. Any failure to decode is a ParseError naming
+    path:line, prefixed by what (with lines, line 1 is the header: "bad
+    header: "): a byte that is not UTF-8, bad JSON, an integer longer than
+    int() converts, nesting deeper than the parser recurses. The file is
+    read as text; only after a failed read are its bytes split into lines,
+    to find the line at fault and pass on the lines before it.
+    """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise ParseError(path, 1, "missing header line")
+    line_no = 0
+    try:
         try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, 1, f"bad header: {exc}") from exc
-        version = header.get("format_version")
-        if version != FORMAT_VERSION:
-            raise UnsupportedFormatVersion(path, 1, f"unsupported format_version {version!r}")
-        if header.get("kind") != kind:
-            raise ParseError(path, 1, f"expected kind={kind!r}, got {header.get('kind')!r}")
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                yield line_no, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"bad record: {exc}") from exc
+            with path.open("r", encoding="utf-8") as fh:
+                for line_no, text in enumerate(fh if lines else [fh.read()], start=1):
+                    if text.strip():
+                        yield line_no, json.loads(text)
+        except UnicodeDecodeError:
+            for line_no, raw in enumerate(path.read_bytes().splitlines()[line_no:], start=line_no + 1):
+                text = raw.decode("utf-8")
+                if lines and text.strip():
+                    yield line_no, json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        if lines:
+            raise ParseError(path, line_no, f"{'bad header: ' if line_no == 1 else what}{exc}") from exc
+        raise ParseError(path, getattr(exc, "lineno", line_no), f"{what}{exc}") from exc
+
+
+def _read_jsonl(path, kind: str):
+    """The (line_no, record dict) iterator of a JSON Lines file, its header line checked."""
+    records = read_json(path, "bad record: ", lines=True)
+    line_no, header = next(records, (0, None))
+    if line_no != 1:
+        raise ParseError(path, 1, "missing header line")
+    version = header.get("format_version") if isinstance(header, dict) else None
+    if version != FORMAT_VERSION:
+        raise UnsupportedFormatVersion(path, 1, f"unsupported format_version {version!r}")
+    if header.get("kind") != kind:
+        raise ParseError(path, 1, f"expected kind={kind!r}, got {header.get('kind')!r}")
+    return records
 
 
 def _int_column(key: str, values) -> np.ndarray:
@@ -238,10 +256,7 @@ def load_poses(path):
     e.g. "poses.json:1: frames[3].rotation: expected 9 numbers".
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, str(exc)) from exc
+    _, doc = next(read_json(path), (1, None))
     if not isinstance(doc, dict):
         raise ParseError(path, 1, "expected a JSON object")
     version = doc.get("format_version")
@@ -373,15 +388,8 @@ def load_tracks(path) -> TrackTable:
 
 
 def load_config(path) -> TrackerConfig:
-    """Read a tracker-config JSON file; absent keys keep their defaults."""
-    path = Path(path)
-    text = path.read_text(encoding="utf-8").strip()
-    if not text:
-        return TrackerConfig().validate()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, str(exc)) from exc
+    """Read a tracker-config JSON file; absent keys, and all keys of a blank file, keep their defaults."""
+    _, data = next(read_json(path), (1, {}))
     if not isinstance(data, dict):
         raise ParseError(path, 1, "config must be a JSON object")
     return TrackerConfig.from_dict(data)

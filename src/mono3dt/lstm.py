@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import matvec
-from .io import ParseError, UnsupportedFormatVersion
+from .io import ParseError, UnsupportedFormatVersion, read_json
 
 EMBED_DIM = 64
 HIDDEN_DIM = 128
@@ -478,10 +478,7 @@ def save_weights(weights: LstmWeights, path) -> None:
 
 def load_weights(path) -> LstmWeights:
     """Read a save_weights file; a file that does not hold them raises io.ParseError."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, f"bad weights file: {exc}") from exc
+    _, doc = next(read_json(path, "bad weights file: "), (1, None))
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != WEIGHTS_FORMAT_VERSION:
         raise UnsupportedFormatVersion(path, 1, f"unsupported weights format_version {version!r}")

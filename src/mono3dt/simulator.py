@@ -21,12 +21,12 @@ import numpy as np
 
 from .data import DetectionTable, TrackRecord, TrackStatus
 from .geometry import (
-    DEPTH_ORDER_TIE_RATE,
     CameraIntrinsics,
     CameraPose,
     camera_heading,
     cover_fractions,
     normalize_angle,
+    occluders,
     project_boxes,
     theta_to_alpha,
 )
@@ -322,9 +322,9 @@ def _frame_visibility(world: WorldTruth, t: int) -> FrameVisibility:
     center_px, depth, boxes, _, _ = project_boxes(centers, dims, yaws, world.poses[t], world.intrinsics)
     area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
     in_view = (MIN_GT_DEPTH <= depth) & (depth <= SPAWN_RADIUS) & (area >= MIN_BOX_AREA)
-    # the tracker's painter layering among in-view vehicles only: its default 1 m tie, widened with depth
+    # the tracker's painter layering among in-view vehicles only, with its default 1 m tie
     cover = np.zeros(len(depth))
-    cover[in_view] = cover_fractions(boxes[in_view], depth[in_view], 1.0, DEPTH_ORDER_TIE_RATE)
+    cover[in_view] = cover_fractions(boxes[in_view], occluders(boxes[in_view], depth[in_view], 1.0))
     return FrameVisibility(in_view, boxes, center_px, depth, cover, in_view & (cover < FULL_COVER_THRESHOLD))
 
 

@@ -21,7 +21,7 @@ from mono3dt.association import (
 )
 from mono3dt.data import DetectionTable, SequenceInput, TrackerConfig, TrackStatus, TrackTable, take_rows
 from mono3dt.lstm import LstmWeights
-from mono3dt.geometry import DEPTH_ORDER_TIE_RATE, cover_fractions, iou_2d, nearer_mask
+from mono3dt.geometry import DEPTH_ORDER_TIE_RATE, cover_fractions, iou_2d, occluders
 from mono3dt.io import load_sequence
 from mono3dt.simulator import ScenarioConfig, generate_world, ground_truth_records, render_detections, write_scenario
 
@@ -235,9 +235,10 @@ def painter_overlap_oracle(track_boxes, track_depths, det_box, det_depth, cells=
 
 
 def depth_ordered_overlaps(track_boxes, track_depths, det_box, det_depth):
-    """The (n,) column of geometry.depth_ordered_overlaps for one detection, every pair kept."""
+    """The (n,) column of geometry.depth_ordered_overlaps for one detection, every pair kept, with a 1 m tie."""
     kept = np.ones((len(track_boxes), 1), dtype=bool)
-    return geometry.depth_ordered_overlaps(track_boxes, track_depths, [det_box], [det_depth], kept)[:, 0]
+    layers = occluders(track_boxes, track_depths, 1.0)
+    return geometry.depth_ordered_overlaps(track_boxes, track_depths, [det_box], [det_depth], kept, layers)[:, 0]
 
 
 def random_box(rng) -> tuple:
@@ -303,20 +304,24 @@ class TestDepthOrderedOverlaps:
             dets = [random_box(rng) for _ in range(m)]
             det_depths = list(rng.uniform(5, 40, m))
             kept = rng.random((n, m)) < 0.5
-            args = (boxes, depths, dets, det_depths)
-            full = geometry.depth_ordered_overlaps(*args, np.ones((n, m), bool), 1.0, DEPTH_ORDER_TIE_RATE)
-            got = geometry.depth_ordered_overlaps(*args, kept, 1.0, DEPTH_ORDER_TIE_RATE)
+            args, layers = (boxes, depths, dets, det_depths), occluders(boxes, depths, 1.0)
+            full = geometry.depth_ordered_overlaps(*args, np.ones((n, m), bool), layers)
+            got = geometry.depth_ordered_overlaps(*args, kept, layers)
             assert np.all(got[~kept] == 0.0)
             assert np.array_equal(got[kept], full[kept])
             claimed += sum(got[i, j] != iou_2d(boxes[i], dets[j]) for i, j in np.argwhere(kept))
         assert claimed > 0  # the draws do exercise claimed overlaps
 
 
-def per_pair_overlaps(track_boxes, track_depths, det_boxes, det_depths, kept, tie_meters, tie_rate):
-    """depth_ordered_overlaps as a loop over every kept pair, the way it was first written."""
+def per_pair_overlaps(track_boxes, track_depths, det_boxes, det_depths, kept, tie_meters):
+    """depth_ordered_overlaps as a loop over every kept pair, the way it was first written.
+
+    Claimants are all strictly nearer tracklets, touching or not, under the depth-scaled tie.
+    """
     out = np.zeros((len(track_boxes), len(det_boxes)))
     depths = np.asarray(track_depths, dtype=float)
-    nearer = nearer_mask(depths, tie_meters, tie_rate)
+    tie = np.maximum(tie_meters, DEPTH_ORDER_TIE_RATE * 0.5 * (depths[:, None] + depths[None, :]))
+    nearer = depths[:, None] - depths[None, :] > tie
     doi_gap = np.abs(np.subtract.outer(depths, det_depths))
     rects = [tuple(b) for b in track_boxes]
     for i, j in np.argwhere(kept).tolist():
@@ -354,9 +359,9 @@ class TestDepthOrderedOverlapsArrays:
             else:
                 depths, det_depths = list(rng.uniform(5, 30, n)), list(rng.uniform(5, 30, m))
             kept = rng.random((n, m)) < 0.7
-            args = (boxes, depths, dets, det_depths, kept, 1.0, DEPTH_ORDER_TIE_RATE)
-            got = geometry.depth_ordered_overlaps(*args)
-            ref = per_pair_overlaps(*args)
+            args = (boxes, depths, dets, det_depths, kept)
+            got = geometry.depth_ordered_overlaps(*args, occluders(boxes, depths, 1.0))
+            ref = per_pair_overlaps(*args, 1.0)
             assert np.array_equal(got, ref)
             plain = np.array([[iou_2d(b, d) for d in dets] for b in boxes])
             claimed += int(np.count_nonzero(kept & (ref != plain)))
@@ -364,8 +369,9 @@ class TestDepthOrderedOverlapsArrays:
 
     def test_empty_frames(self):
         box = [(0, 0, 10, 10)]
-        assert geometry.depth_ordered_overlaps([], [], box, [5.0], np.zeros((0, 1), bool)).shape == (0, 1)
-        assert geometry.depth_ordered_overlaps(box, [5.0], [], [], np.zeros((1, 0), bool)).shape == (1, 0)
+        none, one = occluders([], [], 1.0), occluders(box, [5.0], 1.0)
+        assert geometry.depth_ordered_overlaps([], [], box, [5.0], np.zeros((0, 1), bool), none).shape == (0, 1)
+        assert geometry.depth_ordered_overlaps(box, [5.0], [], [], np.zeros((1, 0), bool), one).shape == (1, 0)
 
 
 def feature_row(rows, i, intrinsics, config):
@@ -381,8 +387,9 @@ def feature_row(rows, i, intrinsics, config):
     )
 
 
-def affinity_per_pair(tracks, dets, in_view, det_proj_boxes, intrinsics, config):
-    """build_affinity_matrix's definition, one pair at a time."""
+def affinity_per_pair(tracks, dets, in_view, occluding, det_proj_boxes, intrinsics, config):
+    """build_affinity_matrix's definition, one pair at a time, on the occluders mask of the tracklets' boxes."""
+    assert np.array_equal(occluding, occluders(tracks.box2d, tracks.depth, config.ord_tie_meters))
     n, m = len(tracks), len(dets)
     values, deep, kept = np.zeros((n, m)), np.zeros((n, m)), np.zeros((n, m), dtype=bool)
     track_boxes = tracks.box2d.tolist()
@@ -400,8 +407,7 @@ def affinity_per_pair(tracks, dets, in_view, det_proj_boxes, intrinsics, config)
             proj_boxes,
             dets.depth.tolist(),
             kept,
-            config.ord_tie_meters,
-            DEPTH_ORDER_TIE_RATE,
+            occluding,
         )
     for i, j in np.argwhere(kept).tolist():
         deep[i, j] = affinity_deep(
@@ -464,7 +470,7 @@ class TestDetectionProjection:
         dets = DetectionTable.from_rows([detection([4.2, 1.8, 1.5]), detection([1e-7, 1e-7, 1e-7])])
         seen = []
         real = association.build_affinity_matrix
-        monkeypatch.setattr(association, "build_affinity_matrix", lambda *a: seen.append(a[3]) or real(*a))
+        monkeypatch.setattr(association, "build_affinity_matrix", lambda *a: seen.append(a[4]) or real(*a))
         Tracker(TrackerConfig(), intr).step(0, dets, pose)
         rows = association.decode_detection(take_rows(dets, slice(0, 1)), pose, intr)
         truncated = geometry.project_box(rows.position[0], rows.dims[0], rows.yaw[0], pose, intr)
@@ -472,49 +478,76 @@ class TestDetectionProjection:
         assert len(seen) == 1 and np.array_equal(seen[0], [truncated, own_box])
 
 
-class TestNearerMask:
+class TestOccluders:
     def test_matches_scalar_definition(self):
+        """Each entry is the scalar tie rule AND-ed with _clip_rect's not-None test; the layering is a strict order."""
         rng = np.random.default_rng(5)
+        edges = np.arange(0.0, 200.0, 25.0)  # shared edges: boxes that only touch along a side
+        occluding = 0
         for _ in range(100):
-            depths = rng.choice([5.0, 5.5, 10.0, 20.0, 21.0, 40.0], size=rng.integers(1, 7))
-            mask = nearer_mask(depths, 1.0, DEPTH_ORDER_TIE_RATE)
-            for i, j in np.ndindex(mask.shape):
-                tie = max(1.0, DEPTH_ORDER_TIE_RATE * 0.5 * (depths[i] + depths[j]))
-                assert mask[i, j] == (depths[i] - depths[j] > tie)
+            n = int(rng.integers(1, 9))
+            boxes = [
+                random_box(rng) if rng.random() < 0.5 else tuple(np.sort(rng.choice(edges, (2, 2))).T.ravel())
+                for _ in range(n)
+            ]
+            depths = rng.choice([5.0, 5.5, 10.0, 20.0, 21.0, 40.0, 60.0, 62.5], size=n)
+            tie_meters = float(rng.choice([0.0, 1.0, 3.0]))
+            mask = occluders(boxes, depths, tie_meters)
+            assert mask.shape == (n, n) and mask.dtype == bool
+            for i, k in np.ndindex(mask.shape):
+                tie = max(tie_meters, DEPTH_ORDER_TIE_RATE * 0.5 * (depths[i] + depths[k]))
+                assert mask[i, k] == ((depths[i] - depths[k] > tie) and geometry._clip_rect(boxes[i], boxes[k]) is not None)
             assert not mask.diagonal().any()
+            assert not (mask & mask.T).any()
+            occluding += int(mask.sum())
+        assert occluding > 100  # the draws do hold occluding pairs
+
+    @pytest.mark.parametrize("use_depth_ordering", [True, False])
+    def test_built_once_per_frame(self, use_depth_ordering, monkeypatch):
+        """Tracker.step builds one occluders mask per frame, which depth ordering and cover both read."""
+        cfg, world, seq, gt = simulate("dense", seed=3, noiseless=False)
+        calls = []
+        real = association.occluders
+        monkeypatch.setattr(association, "occluders", lambda *a: calls.append(len(a[0])) or real(*a))
+        tracker = Tracker(TrackerConfig(use_depth_ordering=use_depth_ordering), seq.intrinsics)
+        for frame in range(30):
+            calls.clear()
+            tracker.step(frame, seq.detections[frame], seq.poses[frame])
+            assert len(calls) == 1, frame
+        assert calls[0] > 0
 
 
 class TestCoverFractions:
     def test_lone_box(self):
-        assert cover_fractions([(0, 0, 10, 10)], [5.0])[0] == 0.0
+        assert cover_fractions([(0, 0, 10, 10)], occluders([(0, 0, 10, 10)], [5.0], 1.0))[0] == 0.0
 
     def test_constructed_75_percent(self):
         # nearer box covers exactly 75% of the farther one
         far = (0, 0, 100, 100)
         near = (0, 0, 75, 100)
-        covers = cover_fractions([near, far], [5.0, 10.0])
+        covers = cover_fractions([near, far], occluders([near, far], [5.0, 10.0], 1.0))
         assert covers[1] == pytest.approx(0.75)
         assert covers[0] == 0.0
 
     def test_farther_box_does_not_occlude(self):
         a = (0, 0, 100, 100)
         b = (0, 0, 100, 100)
-        covers = cover_fractions([a, b], [5.0, 10.0])
+        covers = cover_fractions([a, b], occluders([a, b], [5.0, 10.0], 1.0))
         assert covers[0] == 0.0 and covers[1] == pytest.approx(1.0)
 
     def test_tie_layer_shares(self):
         a = (0, 0, 100, 100)
         b = (0, 0, 100, 100)
-        covers = cover_fractions([a, b], [5.0, 5.6])
+        covers = cover_fractions([a, b], occluders([a, b], [5.0, 5.6], 1.0))
         assert covers[0] == 0.0 and covers[1] == 0.0
 
     def test_depth_scaled_tie(self):
         a = (0, 0, 100, 100)
         b = (0, 0, 100, 100)
         # 2 m gap at ~60 m depth shares a layer under the scaled tie
-        assert cover_fractions([a, b], [59.0, 61.0], 1.0, 0.05)[1] == 0.0
-        assert cover_fractions([a, b], [59.0, 61.0], 1.0, 0.0)[1] == pytest.approx(1.0)
-
+        assert cover_fractions([a, b], occluders([a, b], [59.0, 61.0], 1.0))[1] == 0.0
+        # the same gap at ~10 m depth is two layers under the 1 m floor
+        assert cover_fractions([a, b], occluders([a, b], [9.0, 11.0], 1.0))[1] == pytest.approx(1.0)
 
     def test_rows_match_the_full_computation(self):
         rng = np.random.default_rng(43)
@@ -526,12 +559,13 @@ class TestCoverFractions:
             boxes = [random_box(rng) if rng.random() < 0.9 else (0, 0, 0, 0) for _ in range(n)]
             depths = rng.choice(grid, n) if frame % 2 else rng.uniform(5, 30, n)
             rows = sorted(rng.choice(n, int(rng.integers(0, n + 1)), replace=False).tolist())
-            full = cover_fractions(boxes, depths, 1.0, DEPTH_ORDER_TIE_RATE)
+            layers = occluders(boxes, depths, 1.0)
+            full = cover_fractions(boxes, layers)
             rects = np.array(boxes)
-            got = cover_fractions(rects, depths, 1.0, DEPTH_ORDER_TIE_RATE, rows=rows)
+            got = cover_fractions(rects, layers, rows=rows)
             assert np.array_equal(got[rows], full[rows])
             assert not np.any(np.delete(got, rows))
-            assert np.array_equal(cover_fractions(rects, depths, 1.0, DEPTH_ORDER_TIE_RATE), full)
+            assert np.array_equal(cover_fractions(rects, layers), full)
             covered += int(np.count_nonzero(full[rows]))
         assert covered > 100  # the draws do exercise covered rows
 

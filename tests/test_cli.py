@@ -549,6 +549,42 @@ class TestInputFuzz:
             if out.exists():
                 load_tracks(out)
 
+    @pytest.mark.parametrize(
+        "kind, fault, line_no",
+        [
+            ("detections", "utf8", 6),
+            ("poses", "utf8", 5),
+            ("tracks", "utf8", 6),
+            ("config", "utf8", 3),
+            ("weights", "utf8", 1),
+            ("detections", "digits", 6),
+            ("config", "digits", 1),
+            ("detections", "nesting", 6),
+        ],
+    )
+    def test_undecodable_input_exit_1_with_line(self, fuzz_inputs, tmp_path, capsys, kind, fault, line_no):
+        """A byte that is not UTF-8, a 5,000-digit integer or 100,000 nested lists exits 1 naming path:line."""
+        base, files, _ = fuzz_inputs
+        text = files[kind].read_bytes()
+        if kind == "config":
+            text = json.dumps(json.loads(text), indent=1).encode()
+        lines = text.split(b"\n")
+        if fault == "utf8":
+            lines[line_no - 1] = b"\xff" + lines[line_no - 1]
+        elif kind == "config":
+            lines = [b'{"max_lost_age": ' + b"9" * 5000 + b"}"]
+        else:
+            lines[line_no - 1] = b"9" * 5000 if fault == "digits" else b"[" * 100_000
+        inputs = dict(files, **{kind: tmp_path / files[kind].name})
+        inputs[kind].write_bytes(b"\n".join(lines))
+        if kind == "tracks":
+            argv = ["evaluate", "--gt", str(inputs["tracks"]), "--pred", str(files["tracks"])]
+        else:
+            argv = ["track", "--detections", str(inputs["detections"]), "--poses", str(inputs["poses"])]
+            argv += ["--config", str(inputs["config"]), "--motion", "lstm", "--weights", str(inputs["weights"])]
+        assert run(argv + ["--out", str(tmp_path / "out.jsonl")]) == 1
+        assert f"{inputs[kind]}:{line_no}: " in capsys.readouterr().err
+
 
 class TestTrainMotion:
     def test_zero_epochs_usage_error(self, tmp_path):

@@ -141,6 +141,13 @@ class TestDetectionsRoundTrip:
         with pytest.raises(UnsupportedFormatVersion):
             load_detections(path)
 
+    def test_header_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('[1]\n')
+        with pytest.raises(UnsupportedFormatVersion) as err:
+            load_detections(path)
+        assert str(err.value).startswith(f"{path}:1: ")
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -207,6 +214,27 @@ class TestDetectionsRoundTrip:
         with pytest.raises(ParseError) as err:
             load_detections(path)
         assert str(err.value).startswith(f"{path}:7: bad record")
+
+    @pytest.mark.parametrize("bad_line", [1, 7, 300])
+    def test_non_utf8_line_reported_after_the_lines_before_it(self, tmp_path, bad_line):
+        """A byte that is not UTF-8 on line bad_line, of 400, is a ParseError there; a NaN depth on line 4 comes first."""
+        rng = np.random.default_rng(9)
+        path = tmp_path / "d.jsonl"
+        rows = [make_detection(rng, f, app_len=3) for f in range(399)]
+        for nan_depth in (False, True):
+            write_detections([DetectionTable.from_rows(rows)], path)
+            if nan_depth:
+                rewrite_line(path, 3, lambda record: record.update(depth_m=float("nan")))
+            lines = path.read_bytes().split(b"\n")
+            lines[bad_line - 1] = lines[bad_line - 1][:20] + b"\xff" + lines[bad_line - 1][20:]
+            path.write_bytes(b"\n".join(lines))
+            with pytest.raises(ParseError) as err:
+                load_detections(path)
+            if nan_depth and bad_line > 4:
+                assert str(err.value).startswith(f"{path}:4: ") and "finite" in str(err.value)
+            else:
+                prefix = "bad header" if bad_line == 1 else "bad record"
+                assert str(err.value).startswith(f"{path}:{bad_line}: {prefix}: 'utf-8' codec can't decode byte 0xff")
 
     @pytest.mark.parametrize(
         "field, value", [("app", [0.5, True]), ("app", [False, 0.5]), ("score", True), ("c", [3.0, False])]
