@@ -12,4 +12,9 @@ Modules:
   cli         batch commands: simulate / track / evaluate / train-motion
 """
 
+import time
+
+# a manifest's "import" time runs from here to the start of its command
+_IMPORT_STARTED = time.perf_counter()
+
 __version__ = "0.1.0"

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import motion as motion_mod
-from .data import DetectionTable, TrackerConfig, TrackRecord, TrackStatus, put_rows, stack_rows, take_rows
+from .data import DetectionTable, TrackerConfig, TrackRecord, TrackStatus, linear_sum_assignment, put_rows
+from .data import stack_rows, take_rows
 from .geometry import (
     CameraPose,
     alpha_to_theta,

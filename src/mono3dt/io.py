@@ -9,6 +9,7 @@ lengths meters, and every field name carries its unit.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import fields
 from itertools import chain, compress, islice
 from operator import itemgetter
@@ -58,7 +59,9 @@ def read_json(path, what: str = "", lines: bool = False):
     header: "): a byte that is not UTF-8, bad JSON, an integer longer than
     int() converts, nesting deeper than the parser recurses. The file is
     read as text; only after a failed read are its bytes split into lines,
-    to find the line at fault and pass on the lines before it.
+    to find the line at fault and pass on the lines before it; only a
+    whole document's failure that carries no position has runs of its
+    leading lines decoded again to find its line.
     """
     path = Path(path)
     line_no = 0
@@ -76,7 +79,22 @@ def read_json(path, what: str = "", lines: bool = False):
     except (ValueError, RecursionError) as exc:
         if lines:
             raise ParseError(path, line_no, f"{'bad header: ' if line_no == 1 else what}{exc}") from exc
-        raise ParseError(path, getattr(exc, "lineno", line_no), f"{what}{exc}") from exc
+        if isinstance(exc, json.JSONDecodeError):
+            line_no = exc.lineno
+        elif not isinstance(exc, UnicodeDecodeError):
+            # no position: the decoder stops at the first fault, so its line
+            # ends the shortest run of leading lines whose decoding fails alike
+            doc_lines = text.split("\n")
+
+            def fails_alike(count: int) -> bool:
+                try:
+                    json.loads("\n".join(doc_lines[:count]))
+                except (ValueError, RecursionError) as prefix_exc:
+                    return type(prefix_exc) is type(exc)
+                return False
+
+            line_no = 1 + bisect_left(range(1, len(doc_lines)), True, key=fails_alike)
+        raise ParseError(path, line_no, f"{what}{exc}") from exc
 
 
 def _read_jsonl(path, kind: str):

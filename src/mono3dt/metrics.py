@@ -23,9 +23,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .data import TrackStatus, TrackTable, first_repeat, take_rows
+from .data import TrackStatus, TrackTable, first_repeat, linear_sum_assignment, take_rows
 from .geometry import iou_2d_matrix, iou_3d_pairs
 
 IOU_GATE_2D = 0.5

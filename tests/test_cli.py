@@ -3,9 +3,11 @@
 import functools
 import hashlib
 import json
+import math
 import operator
 import tempfile
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -31,6 +33,12 @@ def run(argv):
     return main(argv)
 
 
+def assert_import_time(manifest):
+    """The manifest records the process's cold start, from the package's first statement to the command."""
+    seconds = manifest["timings_s"]["import"]
+    assert math.isfinite(seconds) and seconds > 0
+
+
 class TestSimulate:
     def test_writes_files_and_manifest(self, tmp_path):
         out = tmp_path / "s7"
@@ -44,6 +52,7 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 7
         assert "simulate" in manifest["timings_s"]
+        assert_import_time(manifest)
 
     def test_repeat_runs_identical_hashes(self, tmp_path):
         args = ["simulate", "--preset", "dense", "--seed", "3", "--out"]
@@ -95,6 +104,9 @@ class TestTrack:
         assert code == 0
         report = evaluate_tracks(load_tracks(scenario / "gt_tracks.jsonl"), load_tracks(tracks), "3d")
         assert report.mota == 1.0 and report.mismatches == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert {"load", "track", "write"} <= set(manifest["timings_s"])
+        assert_import_time(manifest)
 
     def test_unknown_format_version_exit_2(self, scenario, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -188,6 +200,8 @@ class TestTrack:
         code = run(["track", "--detections", str(tmp_path / "in"), "--out", str(tmp_path / "out")])
         assert code == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert "total" in manifest["timings_s"]
+        assert_import_time(manifest)
         for seed in (1, 2):
             assert (tmp_path / "out" / f"seq{seed}" / "tracks.jsonl").exists()
             assert manifest["inputs"][f"seq{seed}/poses"] == str(tmp_path / "in" / f"seq{seed}" / "poses.json")
@@ -560,6 +574,11 @@ class TestInputFuzz:
             ("detections", "digits", 6),
             ("config", "digits", 1),
             ("detections", "nesting", 6),
+            # whole documents, written indented: the fault replaces the number on line_no
+            ("poses", "digits", 4),
+            ("config", "digits", 6),
+            ("poses", "nesting", 4),
+            ("config", "nesting", 6),
         ],
     )
     def test_undecodable_input_exit_1_with_line(self, fuzz_inputs, tmp_path, capsys, kind, fault, line_no):
@@ -569,12 +588,15 @@ class TestInputFuzz:
         if kind == "config":
             text = json.dumps(json.loads(text), indent=1).encode()
         lines = text.split(b"\n")
+        bad = b"9" * 5000 if fault == "digits" else b"[" * 100_000
         if fault == "utf8":
             lines[line_no - 1] = b"\xff" + lines[line_no - 1]
-        elif kind == "config":
-            lines = [b'{"max_lost_age": ' + b"9" * 5000 + b"}"]
+        elif kind == "config" and line_no == 1:
+            lines = [b'{"max_lost_age": ' + bad + b"}"]
+        elif kind in ("poses", "config"):
+            lines[line_no - 1] = re.sub(rb"[\d.]+", bad, lines[line_no - 1], count=1)
         else:
-            lines[line_no - 1] = b"9" * 5000 if fault == "digits" else b"[" * 100_000
+            lines[line_no - 1] = bad
         inputs = dict(files, **{kind: tmp_path / files[kind].name})
         inputs[kind].write_bytes(b"\n".join(lines))
         if kind == "tracks":
